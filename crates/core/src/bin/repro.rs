@@ -26,7 +26,10 @@
 //!   (differential validation + transient analysis) in addition to any
 //!   named experiments. With `--cache-dir`, validated per-loop
 //!   summaries persist too, so a second `--simulate` run warm-starts
-//!   from the disk tier.
+//!   from the disk tier. Any run that simulates live prints a
+//!   `sim-reference: requests=R runs=N` line: `R` runs were checked
+//!   against the scalar reference, which executed `N` times, once per
+//!   distinct `(loop, trip)`.
 //! * `--exec MODE` — execution backend for the simulation experiments:
 //!   `interpret` (the cycle-level interpreter, default), `lowered`
 //!   (flat `WideProgram` bytecode, lowered once per design point
@@ -353,6 +356,17 @@ fn main() -> ExitCode {
             }
             None => return usage(&format!("unknown experiment {name:?}")),
         }
+    }
+    // Machine-greppable scalar-reference memo summary (the simulation CI
+    // smoke asserts runs < requests: one reference per (loop, trip)
+    // served every configuration).
+    let references = ctx.eval.references();
+    if references.requests() > 0 {
+        println!(
+            "sim-reference: requests={} runs={}",
+            references.requests(),
+            references.runs()
+        );
     }
     if caching {
         // Machine-greppable store summary (the warm-cache CI jobs assert

@@ -33,7 +33,11 @@ use widening_cost::CostModel;
 use widening_ir::Loop;
 use widening_machine::{Configuration, CycleModel};
 use widening_obs as obs;
-use widening_pipeline::{pool, CompiledLoop, FailureCause, Pipeline, PointSpec, StoreConfig};
+use widening_pipeline::{
+    pool, CompiledLoop, FailureCause, Fetch, Pipeline, PointSpec, StageStore, StoreConfig,
+    StoreMetrics,
+};
+use widening_sim::{run_reference, ReferenceRun};
 
 pub use widening_pipeline::CompileOptions as EvalOptions;
 
@@ -102,11 +106,19 @@ impl CorpusEval {
 /// Aggregate-memo key: a whole design point.
 type EvalKey = PointSpec;
 
+/// The scalar-reference memo: one [`ReferenceRun`] per
+/// `(loop index, trip count)`.
+type ReferenceMemo = StageStore<(u32, u64), Arc<ReferenceRun>>;
+
 /// Corpus evaluator with two-level memoisation; cheap to clone (shared
 /// pipeline and caches).
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     pipeline: Arc<Pipeline>,
+    /// Scalar references for [`crate::simulate_corpus`], pinned for the
+    /// evaluator's lifetime and registered in the pipeline's metrics
+    /// registry as `store.reference.*`.
+    references: Arc<ReferenceMemo>,
     cost: Arc<CostModel>,
     aggregates: Arc<Mutex<HashMap<EvalKey, Arc<CorpusEval>>>>,
     /// Serializes [`Evaluator::extend`] calls: concurrent extensions
@@ -125,8 +137,10 @@ impl Evaluator {
     /// and the default worker count.
     #[must_use]
     pub fn new(loops: Vec<Loop>) -> Self {
+        let pipeline = Pipeline::new(loops);
         Evaluator {
-            pipeline: Arc::new(Pipeline::new(loops)),
+            references: reference_memo(&pipeline),
+            pipeline: Arc::new(pipeline),
             cost: Arc::new(CostModel::paper()),
             aggregates: Arc::new(Mutex::new(HashMap::new())),
             extending: Arc::new(Mutex::new(())),
@@ -160,12 +174,13 @@ impl Evaluator {
 
     /// Rebuilds the pipeline with an explicit artifact-store
     /// configuration (disk persistence and/or an in-memory byte budget).
-    /// Call before the first evaluation: the stage stores and the
-    /// aggregate memo start empty.
+    /// Call before the first evaluation: the stage stores, the
+    /// aggregate memo and the scalar-reference memo start empty.
     #[must_use]
     pub fn with_store(mut self, config: StoreConfig) -> Self {
-        let loops = self.pipeline.loops();
-        self.pipeline = Arc::new(Pipeline::with_config(loops, config));
+        let pipeline = Pipeline::with_config(self.pipeline.loops(), config);
+        self.references = reference_memo(&pipeline);
+        self.pipeline = Arc::new(pipeline);
         self.aggregates = Arc::new(Mutex::new(HashMap::new()));
         self
     }
@@ -226,6 +241,30 @@ impl Evaluator {
     #[must_use]
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
+    }
+
+    /// The scalar-reference memo behind [`crate::simulate_corpus`]: its
+    /// `requests` count the runs checked against a reference, its `runs`
+    /// the references actually executed.
+    #[must_use]
+    pub fn references(&self) -> &ReferenceMemo {
+        &self.references
+    }
+
+    /// The scalar reference of loop `li` at `trip` iterations, executed
+    /// once per `(li, trip)` for the evaluator's lifetime and shared by
+    /// every configuration and backend that simulates that pair.
+    /// [`Evaluator::extend`] only appends loops, so a key never goes
+    /// stale.
+    pub(crate) fn reference(&self, li: usize, trip: u64) -> Arc<ReferenceRun> {
+        self.references.get_or_fetch(
+            (li as u32, trip),
+            |r| r.approx_bytes(),
+            || {
+                let reference = run_reference(self.loops()[li].ddg(), trip);
+                (Arc::new(reference), Fetch::Computed)
+            },
+        )
     }
 
     /// Worker threads the evaluator fans corpus work out to (shared by
@@ -399,6 +438,15 @@ impl Evaluator {
             agg
         }
     }
+}
+
+/// An empty scalar-reference memo counting into `pipeline`'s metrics
+/// registry.
+fn reference_memo(pipeline: &Pipeline) -> Arc<ReferenceMemo> {
+    Arc::new(StageStore::pinned(StoreMetrics::for_stage(
+        pipeline.metrics(),
+        "reference",
+    )))
 }
 
 /// The execution order for a flat `(point × corpus)` unit grid:

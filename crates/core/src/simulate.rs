@@ -13,6 +13,20 @@
 //! analytically (or at another trip count) replays the memoized
 //! schedule instead of recompiling it.
 //!
+//! Every executed run is compared bitwise against the scalar reference:
+//! every store cell and every per-node value checksum. The reference
+//! depends only on the loop and its trip count, so the evaluator
+//! memoizes it ([`Evaluator::references`]). The memo keeps one
+//! [`widening_sim::ReferenceRun`] per `(loop index, trip count)`: the
+//! final store regions and the checksums, never the load regions. It
+//! lives as long as the evaluator, and every configuration and backend
+//! that simulates a pair compares against the same run, so a
+//! three-configuration pass executes each reference once. Loop indices
+//! are stable ([`Evaluator::extend`] only appends), and memory-only
+//! pipelines build no content fingerprints, so the key is the index.
+//! The memo counts into the pipeline's metrics registry as
+//! `store.reference.*`.
+//!
 //! With a persistent store ([`widening_pipeline::StoreConfig`]
 //! `cache_dir`), validated per-loop simulation summaries are
 //! additionally persisted in the store's exchange tier under the same
@@ -29,7 +43,7 @@ use widening_machine::{Configuration, CycleModel};
 use widening_pipeline::codec::{Reader, Writer};
 use widening_pipeline::exchange::{sim_summary_key, SIM_SUMMARY_KIND};
 use widening_pipeline::{pool, Exchange, PointSpec};
-use widening_sim::{simulate_scheduled, simulate_with_program, Backend, SimStats};
+use widening_sim::{simulate_with_reference, Backend, SimStats};
 
 use crate::evaluate::{EvalOptions, Evaluator};
 
@@ -222,25 +236,15 @@ pub fn simulate_corpus(
         } else {
             None
         };
-        let outcome = match &program {
-            Some(p) => simulate_with_program(
-                l.ddg(),
-                compiled.wide(),
-                &stage.result,
-                model,
-                trip,
-                backend,
-                p,
-            ),
-            None => simulate_scheduled(
-                l.ddg(),
-                compiled.wide(),
-                &stage.result,
-                model,
-                trip,
-                backend,
-            ),
-        };
+        let outcome = simulate_with_reference(
+            l.ddg(),
+            compiled.wide(),
+            &stage.result,
+            model,
+            backend,
+            program.as_deref(),
+            &eval.reference(li, trip),
+        );
         match outcome {
             Ok(report) if report.is_validated() => {
                 if let (Some(ex), Some(key)) = (&exchange, &key) {
@@ -293,7 +297,66 @@ pub fn simulate_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use widening_workload::{corpus, kernels};
+
+    /// An encoded summary of arbitrary counters.
+    fn arb_summary() -> impl Strategy<Value = (u32, SimStats)> {
+        (any::<u32>(), proptest::collection::vec(any::<u64>(), 7)).prop_map(|(ii, v)| {
+            let stats = SimStats {
+                cycles: v[0],
+                blocks: v[1],
+                steady_state_cycles: v[2],
+                issued_ops: v[3],
+                masked_lanes: v[4],
+                cross_block_reads: v[5],
+                spill_slot_accesses: v[6],
+            };
+            (ii, stats)
+        })
+    }
+
+    // The warm simulation path decodes whatever bytes a persisted summary
+    // file holds: every input must decode or come back `None`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sim_summary_round_trips(summary in arb_summary()) {
+            let (ii, stats) = summary;
+            prop_assert_eq!(decode_sim_summary(&encode_sim_summary(ii, &stats)), Some((ii, stats)));
+        }
+
+        #[test]
+        fn sim_summary_random_bytes_never_panic(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let _ = decode_sim_summary(&bytes);
+        }
+
+        /// Every strict prefix is rejected: a short file is never read as
+        /// a summary with zeroed counters.
+        #[test]
+        fn sim_summary_truncation_is_rejected(summary in arb_summary(), cut in any::<usize>()) {
+            let bytes = encode_sim_summary(summary.0, &summary.1);
+            prop_assert!(decode_sim_summary(&bytes[..cut % bytes.len()]).is_none());
+        }
+
+        /// A flipped byte never panics; outside the version tag it still
+        /// decodes (every bit pattern is a valid counter), so the
+        /// exchange tier's checksum is what rejects such files.
+        #[test]
+        fn sim_summary_single_byte_flips_never_panic(
+            summary in arb_summary(),
+            pos in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let mut bytes = encode_sim_summary(summary.0, &summary.1);
+            let at = pos % bytes.len();
+            bytes[at] ^= flip;
+            prop_assert_eq!(decode_sim_summary(&bytes).is_some(), at >= 4);
+        }
+    }
 
     #[test]
     fn kernels_simulate_and_validate() {
@@ -373,6 +436,81 @@ mod tests {
         // requested live (everything the warm path needs is the summary).
         assert_eq!(warm_ev.pipeline().stage_counts().live_runs(), 0);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn reference_runs_once_per_loop_and_trip() {
+        use std::collections::HashSet;
+        let loops = corpus::generate(&corpus::CorpusSpec::small(12, 5));
+        let cfgs: Vec<Configuration> = ["1w1(128:1)", "2w2(128:1)", "4w2(128:1)"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let trips = [None, Some(16)];
+        let backends = [Backend::Lowered, Backend::Interpret];
+        let run = |ev: &Evaluator, cfg: &Configuration, trip, backend| {
+            let opts = EvalOptions::default();
+            simulate_corpus(ev, cfg, CycleModel::Cycles4, &opts, trip, backend)
+        };
+
+        let shared = Evaluator::new(loops.clone());
+        let mut distinct = HashSet::new();
+        let mut executed = 0u64;
+        for cfg in &cfgs {
+            for trip in trips {
+                for backend in backends {
+                    let got = run(&shared, cfg, trip, backend);
+                    assert!(got.all_validated(), "{cfg} trip {trip:?} {backend}");
+                    // A fresh evaluator runs its own references: the
+                    // memo must not change a single outcome or bit.
+                    let want = run(&Evaluator::new(loops.clone()), cfg, trip, backend);
+                    assert_eq!(got.per_loop, want.per_loop);
+                    assert_eq!((got.validated, got.failed), (want.validated, want.failed));
+                    assert_eq!(got.dynamic_cycles.to_bits(), want.dynamic_cycles.to_bits());
+                    assert_eq!(got.steady_cycles.to_bits(), want.steady_cycles.to_bits());
+                    assert_eq!(got.masked_lanes, want.masked_lanes);
+                    assert_eq!(got.cross_block_reads, want.cross_block_reads);
+                    for (li, le) in got.per_loop.iter().enumerate() {
+                        // Units the pipeline cannot compile never
+                        // execute, so they never ask for a reference.
+                        if !matches!(le, SimLoopEval::Failed { why } if why.starts_with("pipeline"))
+                        {
+                            executed += 1;
+                            distinct.insert((li, trip.unwrap_or(loops[li].trip_count())));
+                        }
+                    }
+                }
+            }
+        }
+        let memo = shared.references();
+        assert_eq!(memo.runs(), distinct.len() as u64);
+        assert_eq!(memo.requests(), executed);
+        assert!(memo.runs() < memo.requests());
+        // The counters are registered in the pipeline's metrics registry,
+        // which also prices what the memo holds.
+        let metrics = shared.pipeline().metrics();
+        assert_eq!(metrics.counter("store.reference.runs").get(), memo.runs());
+        assert!(metrics.gauge("store.reference.resident-bytes").get() > 0);
+        // A store rebuild starts an empty memo in the new registry.
+        let rebuilt = shared
+            .clone()
+            .with_store(widening_pipeline::StoreConfig::default());
+        assert_eq!(rebuilt.references().requests(), 0);
+        let _ = simulate_corpus(
+            &rebuilt,
+            &cfgs[0],
+            CycleModel::Cycles4,
+            &EvalOptions::default(),
+            Some(16),
+            Backend::Lowered,
+        );
+        let fresh = rebuilt.pipeline().metrics();
+        assert!(rebuilt.references().runs() > 0);
+        assert_eq!(
+            fresh.counter("store.reference.runs").get(),
+            rebuilt.references().runs()
+        );
+        assert_eq!(memo.runs(), distinct.len() as u64, "old memo untouched");
     }
 
     #[test]

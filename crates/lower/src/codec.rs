@@ -163,7 +163,10 @@ pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
                 let ops_start = r.u32()?;
                 let ops_per_lane = r.u32()?;
                 let lt = r.u32()?;
-                if original >= num_original || lanes == 0 || first_lane + lanes > y {
+                if original >= num_original
+                    || lanes == 0
+                    || u64::from(first_lane) + u64::from(lanes) > u64::from(y)
+                {
                     return None;
                 }
                 InstOp::Compute {

@@ -98,7 +98,7 @@ pub use exchange::{Exchange, UnitOutcome};
 pub use stage::{
     compile_ddg, BaseSchedule, CompileOptions, CompiledLoop, PointSpec, ScheduledStage,
 };
-pub use store::StageCounts;
+pub use store::{Fetch, StageCounts, StageStore, StoreMetrics};
 
 #[cfg(test)]
 mod tests {

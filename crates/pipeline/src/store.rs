@@ -44,7 +44,7 @@ const SHARDS: usize = 16;
 /// Where a fetched value came from — reported by the fetch closure so
 /// the store can attribute the miss to the right counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Fetch {
+pub enum Fetch {
     /// The stage actually executed.
     Computed,
     /// The artifact was decoded from the disk tier.
@@ -56,7 +56,7 @@ pub(crate) enum Fetch {
 /// (metric snapshots) and the legacy [`StageCounts`] projection read
 /// the same atomics.
 #[derive(Debug)]
-pub(crate) struct StoreMetrics {
+pub struct StoreMetrics {
     requests: Arc<Counter>,
     runs: Arc<Counter>,
     disk_hits: Arc<Counter>,
@@ -70,7 +70,8 @@ pub(crate) struct StoreMetrics {
 
 impl StoreMetrics {
     /// Handles for stage `stage`, created in (or fetched from) `registry`.
-    pub(crate) fn for_stage(registry: &MetricsRegistry, stage: &str) -> Self {
+    #[must_use]
+    pub fn for_stage(registry: &MetricsRegistry, stage: &str) -> Self {
         StoreMetrics {
             requests: registry.counter(&format!("store.{stage}.requests")),
             runs: registry.counter(&format!("store.{stage}.runs")),
@@ -103,8 +104,13 @@ struct Entry<V> {
 /// A concurrent two-tier memo table: `get_or_fetch` runs its closure at
 /// most once per key *per residency* — exactly once ever while the key
 /// stays resident, and once more after an eviction.
+///
+/// Public so that consumers above the pipeline can memoize their own
+/// per-corpus work with the same exactly-once semantics and counters —
+/// the evaluator's scalar-reference memo is a pinned `StageStore`
+/// registered as `store.reference.*`.
 #[derive(Debug)]
-pub(crate) struct StageStore<K, V> {
+pub struct StageStore<K, V> {
     shards: Vec<Mutex<HashMap<K, Entry<V>>>>,
     hasher: RandomState,
     /// Byte budget for the in-memory tier; `None` = pinned (unbounded).
@@ -115,7 +121,8 @@ pub(crate) struct StageStore<K, V> {
 
 impl<K: Eq + Hash + Clone, V: Clone> StageStore<K, V> {
     /// An unbounded store: entries are pinned for the store's lifetime.
-    pub(crate) fn pinned(metrics: StoreMetrics) -> Self {
+    #[must_use]
+    pub fn pinned(metrics: StoreMetrics) -> Self {
         Self::with_budget(None, metrics)
     }
 
@@ -148,7 +155,7 @@ impl<K: Eq + Hash + Clone, V: Clone> StageStore<K, V> {
     /// from the disk tier; `size_of` prices the value for the byte
     /// budget. Same-key racers block on the winner's [`OnceLock`];
     /// different keys never serialize on the fetch.
-    pub(crate) fn get_or_fetch(
+    pub fn get_or_fetch(
         &self,
         key: K,
         size_of: impl FnOnce(&V) -> usize,
@@ -273,11 +280,15 @@ impl<K: Eq + Hash + Clone, V: Clone> StageStore<K, V> {
         }
     }
 
-    pub(crate) fn requests(&self) -> u64 {
+    /// Lookups served so far, memo hits included.
+    #[must_use]
+    pub fn requests(&self) -> u64 {
         self.metrics.requests.get()
     }
 
-    pub(crate) fn runs(&self) -> u64 {
+    /// Fetches that computed their value live.
+    #[must_use]
+    pub fn runs(&self) -> u64 {
         self.metrics.runs.get()
     }
 

@@ -9,7 +9,8 @@
 //! runs them:
 //!
 //! * [`reference::run_reference`] executes the original scalar loop
-//!   sequentially over concrete [`Memory`] — the ground truth;
+//!   sequentially — the ground truth: its final store regions and
+//!   per-node value checksums;
 //! * [`machine::WideMachine`] executes the verified wide schedule
 //!   cycle-accurately — prologue, kernel, epilogue, a real wide register
 //!   file laid out by the allocator's location table, and spill slots —
@@ -20,10 +21,15 @@
 //!   decoding — and must match the interpreter **bitwise**;
 //! * [`simulate_loop`] runs the whole widen → schedule → allocate →
 //!   spill → simulate pipeline for one loop on a chosen [`Backend`] and
-//!   compares final memory and per-operation value checksums bitwise
-//!   ([`SimReport`]). [`Backend::Differential`] additionally runs *both*
-//!   execution backends and fails with [`SimError::BackendDivergence`]
-//!   on any bitwise difference between them.
+//!   compares final store regions and per-operation value checksums
+//!   bitwise ([`SimReport`]). [`Backend::Differential`] additionally
+//!   runs *both* execution backends and fails with
+//!   [`SimError::BackendDivergence`] on any bitwise difference between
+//!   them;
+//! * [`simulate_with_reference`] is the one validation path every entry
+//!   point ends in. It takes the [`ReferenceRun`] from its caller, so a
+//!   caller simulating one `(loop, trip)` on many design points runs
+//!   the reference once and compares every run against it.
 //!
 //! Because both interpreters share one executable semantics
 //! ([`widening_ir::semantics`]) and fold operands in the same order,
@@ -145,14 +151,14 @@ pub fn simulate_scheduled(
     let program = backend
         .uses_lowered()
         .then(|| widening_lower::lower(original, outcome, result));
-    execute(
+    simulate_with_reference(
         original,
         outcome,
         result,
         model,
-        trip,
         backend,
         program.as_ref(),
+        &run_reference(original, trip),
     )
 }
 
@@ -174,28 +180,44 @@ pub fn simulate_with_program(
     backend: Backend,
     program: &WideProgram,
 ) -> Result<SimReport, SimFailure> {
-    execute(
+    simulate_with_reference(
         original,
         outcome,
         result,
         model,
-        trip,
         backend,
         Some(program),
+        &run_reference(original, trip),
     )
 }
 
-/// Runs the selected backend(s) and differentially validates against
-/// the scalar reference.
-fn execute(
+/// Runs the selected backend(s) for `reference.trip()` iterations and
+/// compares the run bitwise against `reference` — every store cell and
+/// every per-node checksum. This is the validation path every other
+/// entry point delegates to; callers that simulate one `(loop, trip)`
+/// on many design points pass one memoized reference to all of them.
+///
+/// `reference` must be [`run_reference`] of `original` (the un-widened
+/// loop); `program` must be the lowering of `(outcome, result)` and is
+/// required by the backends that execute bytecode.
+///
+/// # Errors
+///
+/// See [`simulate_ddg`].
+///
+/// # Panics
+///
+/// Panics if `backend` executes bytecode and `program` is `None`.
+pub fn simulate_with_reference(
     original: &Ddg,
     outcome: &WideningOutcome,
     result: &PressureResult,
     model: CycleModel,
-    trip: u64,
     backend: Backend,
     program: Option<&WideProgram>,
+    reference: &ReferenceRun,
 ) -> Result<SimReport, SimFailure> {
+    let trip = reference.trip();
     let program =
         |what: &str| program.unwrap_or_else(|| panic!("backend {what} requires a lowered program"));
     let wide = match backend {
@@ -210,11 +232,9 @@ fn execute(
             interp
         }
     };
-    let reference = reference::run_reference(original, trip);
-    let divergences = compare(original, &reference, &wide);
     Ok(SimReport {
         stats: wide.stats,
-        divergences,
+        divergences: compare(reference, &wide),
         ii: result.schedule.ii(),
         spill_ops: result.spill_stores + result.spill_loads,
     })
@@ -258,14 +278,10 @@ fn backend_divergence(interp: &WideRun, lowered: &WideRun) -> Option<String> {
 
 /// Bitwise comparison of the two executions: store regions cell by cell,
 /// then whole-trip value checksums for every value-producing operation.
-fn compare(original: &Ddg, reference: &ReferenceRun, wide: &WideRun) -> Vec<Divergence> {
+fn compare(reference: &ReferenceRun, wide: &WideRun) -> Vec<Divergence> {
     let mut out = Vec::new();
     let mut cells = 0usize;
-    for v in original.node_ids() {
-        if original.op(v).kind() != OpKind::Store {
-            continue;
-        }
-        let want = reference.memory.region(v);
+    for (v, want) in reference.stores() {
         let got = wide.memory.region(v);
         for (i, (w, g)) in want.iter().zip(got).enumerate() {
             if w.to_bits() != g.to_bits() && cells < MAX_REPORTED_CELLS {
@@ -279,16 +295,23 @@ fn compare(original: &Ddg, reference: &ReferenceRun, wide: &WideRun) -> Vec<Dive
             }
         }
     }
-    for v in original.node_ids() {
-        if reference.checksums[v.index()] != wide.checksums[v.index()] {
-            out.push(Divergence::Checksum { node: v });
+    for (v, (want, got)) in reference
+        .checksums()
+        .iter()
+        .zip(&wide.checksums)
+        .enumerate()
+    {
+        if want != got {
+            out.push(Divergence::Checksum {
+                node: NodeId(v as u32),
+            });
         }
     }
     out
 }
 
-/// Convenience for tests and experiments: the node ids of every store
-/// in `ddg`, in id order.
+/// The node ids of every store in `ddg`, in id order — the layout of a
+/// [`ReferenceRun`]'s store regions.
 #[must_use]
 pub fn store_nodes(ddg: &Ddg) -> Vec<NodeId> {
     ddg.node_ids()
@@ -437,6 +460,53 @@ mod tests {
             r.stats.cross_block_reads > 0,
             "the d % Y ≠ 0 recurrence must exercise the forwarding path"
         );
+    }
+
+    #[test]
+    fn reused_reference_reports_the_same_divergences_as_a_fresh_one() {
+        let fir = kernels::fir5();
+        let trip = 37;
+        let reused = run_reference(fir.ddg(), trip);
+        let mut runs = Vec::new();
+        for spec in ["1w1(64:1)", "2w2(64:1)", "4w2(128:1)"] {
+            let spec = PointSpec::scheduled(&spec.parse().unwrap(), M4, Default::default());
+            let compiled = compile_ddg(fir.ddg(), &spec).unwrap();
+            let result = &compiled.scheduled().unwrap().result;
+            let program = widening_lower::lower(fir.ddg(), compiled.wide(), result);
+            // One reference validates every configuration.
+            let report = simulate_with_reference(
+                fir.ddg(),
+                compiled.wide(),
+                result,
+                M4,
+                BE,
+                Some(&program),
+                &reused,
+            )
+            .unwrap();
+            assert!(report.is_validated(), "{:?}", report.divergences);
+            runs.push(program.exec(trip));
+        }
+        let store = store_nodes(fir.ddg())[0];
+        for mut wide in runs {
+            let cell = wide.memory.read(store, 5);
+            wide.memory.write(store, 5, -cell);
+            wide.checksums[2] ^= 1;
+            let got = compare(&reused, &wide);
+            assert_eq!(got, compare(&run_reference(fir.ddg(), trip), &wide));
+            assert_eq!(
+                got,
+                vec![
+                    Divergence::StoreCell {
+                        node: store,
+                        iteration: 5,
+                        expected: cell,
+                        got: -cell,
+                    },
+                    Divergence::Checksum { node: NodeId(2) },
+                ]
+            );
+        }
     }
 
     #[test]

@@ -1,22 +1,67 @@
 //! The scalar reference interpreter: executes the **original**,
 //! un-widened loop body one iteration at a time, in dependence order,
-//! with no registers, schedule or spills involved. Its final memory and
-//! per-node value checksums are the ground truth the wide simulator is
-//! differentially checked against.
+//! with no registers, schedule or spills involved. Its final store
+//! regions and per-node value checksums are the ground truth the wide
+//! simulator is differentially checked against.
 
 use widening_ir::{semantics, Ddg, NodeId, OpKind};
-use widening_lower::Memory;
 
 pub use widening_lower::checksum_step;
 
-/// Ground truth for one `(loop, trip count)` pair.
+use crate::store_nodes;
+
+/// Ground truth for one `(loop, trip count)` pair — exactly what the
+/// differential comparison reads: the final store regions and the
+/// per-node value checksums.
+///
+/// Load regions are not kept. Every memory operation owns a private
+/// region (see [`widening_lower::Memory`]), so a load always reads its
+/// region's initial [`semantics::initial_memory_value`] stream, and the
+/// reference computes it on the spot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceRun {
-    /// Final memory (store regions hold one value per iteration).
-    pub memory: Memory,
+    trip: u64,
+    /// The original loop's stores, in node-id order ([`store_nodes`]).
+    stores: Vec<NodeId>,
+    /// Final store regions back to back in `stores` order, `trip` cells
+    /// each.
+    cells: Vec<f64>,
     /// Per original node: XOR-accumulated [`checksum_step`] over all
     /// executed iterations (zero for nodes producing no value).
-    pub checksums: Vec<u64>,
+    checksums: Vec<u64>,
+}
+
+impl ReferenceRun {
+    /// Iterations the reference executed.
+    #[must_use]
+    pub fn trip(&self) -> u64 {
+        self.trip
+    }
+
+    /// Every store of the original loop with its final region (one value
+    /// per iteration), in node-id order.
+    pub fn stores(&self) -> impl Iterator<Item = (NodeId, &[f64])> {
+        let trip = self.trip as usize;
+        self.stores
+            .iter()
+            .enumerate()
+            .map(move |(k, &v)| (v, &self.cells[k * trip..(k + 1) * trip]))
+    }
+
+    /// Per original node value checksums.
+    #[must_use]
+    pub fn checksums(&self) -> &[u64] {
+        &self.checksums
+    }
+
+    /// Approximate resident bytes, for memo accounting.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.stores.len() * std::mem::size_of::<NodeId>()
+            + self.cells.len() * std::mem::size_of::<f64>()
+            + self.checksums.len() * std::mem::size_of::<u64>()
+    }
 }
 
 /// Executes `trip` iterations of `ddg` sequentially.
@@ -25,10 +70,21 @@ pub struct ReferenceRun {
 /// register inputs are its flow in-edges in edge order; an input from
 /// iteration `i − d < 0` is the live-in
 /// [`semantics::source_value`]`(src, i − d)`.
+///
+/// # Panics
+///
+/// Panics if `trip` does not fit in `usize`.
 #[must_use]
 pub fn run_reference(ddg: &Ddg, trip: u64) -> ReferenceRun {
-    let mut memory = Memory::for_loop(ddg, trip);
+    let trip_len = usize::try_from(trip).expect("trip count fits usize");
+    let stores = store_nodes(ddg);
     let n = ddg.num_nodes();
+    // Region base per node; only stores have one.
+    let mut base = vec![usize::MAX; n];
+    for (k, v) in stores.iter().enumerate() {
+        base[v.index()] = k * trip_len;
+    }
+    let mut cells = vec![0.0f64; stores.len() * trip_len];
     let mut checksums = vec![0u64; n];
 
     // Ring-buffered value history deep enough for the largest carried
@@ -55,12 +111,12 @@ pub fn run_reference(ddg: &Ddg, trip: u64) -> ReferenceRun {
             }
             let value = match op.kind() {
                 OpKind::Load => {
-                    let cell = memory.read(v, i);
+                    let cell = semantics::initial_memory_value(v.0, i as i64);
                     semantics::squash(cell + inputs.iter().sum::<f64>())
                 }
                 OpKind::Store => {
                     let value = semantics::eval_op(OpKind::Store, &inputs, v.0, i as i64);
-                    memory.write(v, i, value);
+                    cells[base[v.index()] + i as usize] = value;
                     value
                 }
                 kind => semantics::eval_op(kind, &inputs, v.0, i as i64),
@@ -69,15 +125,12 @@ pub fn run_reference(ddg: &Ddg, trip: u64) -> ReferenceRun {
             checksums[v.index()] ^= checksum_step(i, value);
         }
     }
-    ReferenceRun { memory, checksums }
-}
-
-/// The value a producer "defined" before the loop began (iteration
-/// `< 0`), shared by both interpreters for loop live-ins.
-#[must_use]
-pub fn live_in(src: NodeId, iteration: i64) -> f64 {
-    debug_assert!(iteration < 0);
-    semantics::source_value(src.0, iteration)
+    ReferenceRun {
+        trip,
+        stores,
+        cells,
+        checksums,
+    }
 }
 
 #[cfg(test)]
@@ -115,14 +168,15 @@ mod tests {
         let x = |i: u64| semantics::initial_memory_value(0, i as i64);
         // acc(-1) is the live-in source value.
         let mut acc = semantics::source_value(2, -1);
+        let stores: Vec<_> = r.stores().collect();
+        assert_eq!(stores.len(), 1, "loads keep no region");
+        let (node, region) = stores[0];
+        assert_eq!(node, NodeId(3));
+        assert_eq!(region.len(), 3);
         for i in 0..3u64 {
             let m = semantics::squash(x(i) * x(i));
             acc = semantics::squash(m + acc);
-            assert_eq!(
-                r.memory.read(NodeId(3), i).to_bits(),
-                acc.to_bits(),
-                "iteration {i}"
-            );
+            assert_eq!(region[i as usize].to_bits(), acc.to_bits(), "iteration {i}");
         }
     }
 
@@ -132,6 +186,6 @@ mod tests {
         let a = run_reference(&g, 9);
         let b = run_reference(&g, 10);
         // One extra iteration must change every live checksum.
-        assert_ne!(a.checksums[2], b.checksums[2]);
+        assert_ne!(a.checksums()[2], b.checksums()[2]);
     }
 }

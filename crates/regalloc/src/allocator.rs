@@ -37,7 +37,16 @@
 //! * the min-density cut evaluates candidate points (`{0} ∪ starts`)
 //!   against two **sorted endpoint arrays** — density at `p` is
 //!   `#{segment starts ≤ p} − #{segment ends ≤ p}` plus the full-circle
-//!   arc count — replacing the O(c·arcs) per-point coverage scan.
+//!   arc count — replacing the O(c·arcs) per-point coverage scan;
+//! * the cut-interval processing order is a **rotation** of adjacency
+//!   order at the cut (the arc keys form a total order, so the rotation
+//!   is exactly the sorted linearised order), not a second sort.
+//!
+//! Six packers race and the tightest packing wins, earliest on ties.
+//! The race **stops at `MaxLives`**: every packing needs at least that
+//! many registers and only a strictly smaller count replaces the best,
+//! so once a packer reaches the bound the rest cannot change the
+//! answer.
 //!
 //! All working storage lives in an [`AllocScratch`] that is cleared, not
 //! reallocated, between calls; results are bitwise-identical to the
@@ -207,9 +216,11 @@ type Packing = Vec<(u32, u32, u32)>;
 
 /// Cylinders larger than this (in slots) fall back to the legacy
 /// `Vec<Vec<Arc>>` packers rather than materialising per-register
-/// bitsets. Real schedules stay orders of magnitude below it (the
-/// corpus peaks at c = 64); only adversarial lifetimes with enormous
-/// spans reach the fallback.
+/// bitsets. Real schedules stay far below it: over the sweep grid,
+/// spill rounds included, the seed-1998 1180-loop corpus peaks at
+/// c = 304 (5 words, II 38 × K 8), and seeds 202, 7 and 31 at 320, 176
+/// and 224. Only adversarial lifetimes with enormous spans reach the
+/// fallback.
 const DENSE_SLOT_LIMIT: u64 = 1 << 14;
 
 /// Reusable working storage for [`allocate_in`]: arc tables, cylinder
@@ -303,7 +314,7 @@ pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> Reg
         .sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
 
     let (registers_used, triples) = if c <= DENSE_SLOT_LIMIT {
-        pack_best_dense(lifetimes, ii, k, c, s)
+        pack_best_dense(lifetimes, ii, k, c, ml, s)
     } else {
         pack_best_legacy(lifetimes, ii, k, c, s)
     };
@@ -335,14 +346,19 @@ fn arcs_push(arcs: &mut Vec<Arc>, lifetime: u32, instance: u32, start: u64, len:
     });
 }
 
-/// Runs all six packers on the dense (bitset) representation and
+/// Runs the six packers on the dense (bitset) representation and
 /// returns the tightest packing. Mirrors [`pack_best_legacy`] result
 /// for result, candidate order and strict-improvement tie-breaking.
+///
+/// The race stops once the best packing uses `max_lives` registers:
+/// every packing needs at least that many, and only a strictly smaller
+/// count replaces the best, so no later packer could change the answer.
 fn pack_best_dense<'a>(
     lifetimes: &[Lifetime],
     ii: u32,
     k: u32,
     c: u64,
+    max_lives: u32,
     s: &'a mut AllocScratch,
 ) -> (u32, &'a Packing) {
     let n = s.arcs.len();
@@ -385,7 +401,11 @@ fn pack_best_dense<'a>(
         &mut s.end_buckets,
         &mut s.best,
     );
+    debug_assert!(best_regs >= max_lives, "end-fit beat MaxLives");
     for which in 0..5 {
+        if best_regs == max_lives {
+            break;
+        }
         let regs = match which {
             0 => pack_first_fit_dense(&s.arcs, &s.idx_adj, &s.masks, wpc, &mut s.occ, &mut s.tmp),
             1 => pack_end_fit_dense(
@@ -402,6 +422,7 @@ fn pack_best_dense<'a>(
             3 => pack_cut_interval_dense(s, wpc, c),
             _ => pack_private_cyclic(lifetimes, ii, k, &mut s.tmp),
         };
+        debug_assert!(regs >= max_lives, "packer {which} beat MaxLives");
         if regs < best_regs {
             best_regs = regs;
             std::mem::swap(&mut s.best, &mut s.tmp);
@@ -649,18 +670,13 @@ fn pack_cut_interval_dense(s: &mut AllocScratch, wpc: usize, c: u64) -> u32 {
     // Greedy first-fit in linearised order: distance clockwise from the
     // cut. An arc's slot set is rotation-invariant, so segment
     // disjointness in linearised coordinates is exactly mask
-    // disjointness in cylinder coordinates.
+    // disjointness in cylinder coordinates. The arcs are in adjacency
+    // order, a total order on `(start, Reverse(len), lifetime,
+    // instance)`, so sorting by `((start − cut) mod c, …)` is a rotation:
+    // the arcs starting at or after the cut, then those before it.
+    let split = arcs.partition_point(|a| a.start < cut);
     idx_cut.clear();
-    idx_cut.extend(0..arcs.len() as u32);
-    idx_cut.sort_unstable_by_key(|&i| {
-        let a = &arcs[i as usize];
-        (
-            (a.start + c - cut) % c,
-            Reverse(a.len),
-            a.lifetime,
-            a.instance,
-        )
-    });
+    idx_cut.extend((split..arcs.len()).chain(0..split).map(|i| i as u32));
     if arcs.iter().any(|a| a.len == 0) {
         // Degenerate zero-length arcs: the original segment logic treats
         // the empty segment [s, s) as a blocking *point* (it refuses
@@ -989,8 +1005,15 @@ mod tests {
     fn dense_packers_match_reference_packers() {
         // Several lifetime mixes, including wrap-heavy and full-circle
         // shapes: every dense packer must reproduce its reference packer
-        // bit for bit (registers AND triples).
+        // bit for bit (registers AND triples), and so must the whole
+        // race, MaxLives exit included.
         let cases: Vec<(Vec<Lifetime>, u32)> = vec![
+            // End-fit needs MaxLives + 1 here and a later packer reaches
+            // MaxLives, so the race must not stop one register early.
+            (
+                vec![lt(0, 22, 45), lt(1, 17, 27), lt(2, 9, 11), lt(3, 4, 11)],
+                8,
+            ),
             (
                 (0..24)
                     .map(|i| lt(i, (i * 3) % 11, (i * 3) % 11 + 5 + (i % 7)))
@@ -1043,6 +1066,20 @@ mod tests {
             s.masks = masks.clone();
             let dr = pack_cut_interval_dense(&mut s, wpc, c);
             assert_eq!((rr, &ra), (dr, &s.tmp), "cut-interval case {case}");
+
+            let k = (c / u64::from(*ii)) as u32;
+            let ml = max_lives_with(lts, *ii, &mut Vec::new());
+            let mut dense = AllocScratch::new();
+            dense.arcs = arcs.clone();
+            let race = pack_best_dense(lts, *ii, k, c, ml, &mut dense);
+            let mut legacy = AllocScratch::new();
+            legacy.arcs = arcs.clone();
+            let reference = pack_best_legacy(lts, *ii, k, c, &mut legacy);
+            assert_eq!(race, reference, "race case {case}");
+            if case == 0 {
+                assert_eq!(pack_end_fit_ref(&arcs, c).0, ml + 1);
+                assert_eq!(race.0, ml);
+            }
         }
     }
 

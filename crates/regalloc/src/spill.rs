@@ -12,6 +12,27 @@
 //!   spills;
 //! * as an alternative (or fallback), *increase the II*, which shortens
 //!   relative lifetimes and lowers pressure without extra traffic.
+//!
+//! # The adaptive policy and its II cap
+//!
+//! [`SpillPolicy::Adaptive`] runs both pure policies and keeps the
+//! lower II, spill-first on ties. It runs II-increase first: that run
+//! never rewrites the graph, so it is cheap, and its II becomes a cap
+//! for the spill-first run. Spill-first stops at the start of any round
+//! whose lower bound `max(min_ii, MII(current graph))` exceeds the cap.
+//! From there it could only finish at a larger II, or fail, and lose
+//! either way. The cap compares a lower bound, never the II an earlier
+//! round achieved: a later round may achieve a lower II than an
+//! earlier one.
+//!
+//! The cap is exact because the lower bound never decreases between
+//! rounds. Spill rewrites only add memory operations, so `ResMII`
+//! cannot fall. Victims exclude `recurrence_nodes`, so no circuit
+//! changes and `RecMII` stays put. `min_ii` only grows. The test is a
+//! strict `>` because a spill-first result at the cap still wins the
+//! tie. Round 1 schedules the unmodified graph at `min_ii = 1` under
+//! either policy, so a II-increase fit at round 1 is also spill-first's
+//! answer and returns at once.
 
 use std::borrow::Cow;
 use std::error::Error;
@@ -30,8 +51,14 @@ use crate::lifetime::{lifetimes_into, Lifetime};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SpillPolicy {
     /// Try both pure policies and keep the better result (fewer failed
-    /// loops, then lower II). Llosa's MICRO-29 evaluates spilling *and*
-    /// II increase and picks per-loop; this is the default.
+    /// loops, then lower II, spill-first on ties). Llosa's MICRO-29
+    /// evaluates spilling *and* II increase and picks per-loop; this is
+    /// the default.
+    ///
+    /// II-increase runs first, and its II caps the spill-first run,
+    /// which stops as soon as its II lower bound exceeds the cap. The
+    /// result is the one running both policies in full would select
+    /// (see the module docs for why).
     #[default]
     Adaptive,
     /// Insert spill code first; increase II only when nothing is
@@ -204,47 +231,70 @@ pub fn schedule_with_registers_seeded(
     spill_opts: &SpillOptions,
     first: Option<FirstRound<'_>>,
 ) -> Result<PressureResult, RegallocError> {
-    if spill_opts.policy == SpillPolicy::Adaptive {
-        // Run the spill-first engine; if it needed pressure relief (or
-        // failed), also try pure II increase and keep the better result.
-        // Memory-bound machines often prefer the II increase: spill
-        // traffic competes for the very buses that set the II.
-        let spill = schedule_with_registers_seeded(
-            ddg,
-            cfg,
-            model,
-            sched_opts,
-            &SpillOptions {
-                policy: SpillPolicy::SpillFirst,
-                ..*spill_opts
-            },
-            first,
-        );
-        if matches!(&spill, Ok(r) if r.rounds == 1) {
-            return spill;
-        }
-        let stretch = schedule_with_registers_seeded(
-            ddg,
-            cfg,
-            model,
-            sched_opts,
-            &SpillOptions {
-                policy: SpillPolicy::IncreaseIiOnly,
-                ..*spill_opts
-            },
-            first,
-        );
-        return match (spill, stretch) {
-            (Ok(a), Ok(b)) => Ok(if a.schedule.ii() <= b.schedule.ii() {
-                a
-            } else {
-                b
-            }),
-            (Ok(a), Err(_)) => Ok(a),
-            (Err(_), Ok(b)) => Ok(b),
-            (Err(a), Err(_)) => Err(a),
-        };
+    if spill_opts.policy != SpillPolicy::Adaptive {
+        return run_policy(ddg, cfg, model, sched_opts, spill_opts, first, None);
     }
+    // Try pure II increase, then spill-first, and keep the better result.
+    // Memory-bound machines often prefer the II increase: spill traffic
+    // competes for the very buses that set the II.
+    let pure = |policy| SpillOptions {
+        policy,
+        ..*spill_opts
+    };
+    let stretch = run_policy(
+        ddg,
+        cfg,
+        model,
+        sched_opts,
+        &pure(SpillPolicy::IncreaseIiOnly),
+        first,
+        None,
+    );
+    // Round 1 is policy-independent, so a fit there is spill-first's
+    // answer too.
+    if matches!(&stretch, Ok(r) if r.rounds == 1) {
+        return stretch;
+    }
+    // A capped spill-first run that cannot win stops early with an error;
+    // the cap is only set when `stretch` succeeded, so that error always
+    // lands in the `(Err(_), Ok(b))` arm and is discarded.
+    let cap = stretch.as_ref().ok().map(|r| r.schedule.ii());
+    let spill = run_policy(
+        ddg,
+        cfg,
+        model,
+        sched_opts,
+        &pure(SpillPolicy::SpillFirst),
+        first,
+        cap,
+    );
+    match (spill, stretch) {
+        (Ok(a), Ok(b)) => Ok(if a.schedule.ii() <= b.schedule.ii() {
+            a
+        } else {
+            b
+        }),
+        (Ok(a), Err(_)) => Ok(a),
+        (Err(_), Ok(b)) => Ok(b),
+        (Err(a), Err(_)) => Err(a),
+    }
+}
+
+/// The round loop of one pure policy (`SpillFirst` or `IncreaseIiOnly`).
+///
+/// With `ii_cap = Some(cap)` the run gives up, returning an error, at
+/// the start of any round whose II lower bound exceeds `cap`: it could
+/// then only finish above `cap`. [`SpillPolicy::Adaptive`] sets the cap
+/// to the II-increase result's II (see the module docs).
+fn run_policy(
+    ddg: &Ddg,
+    cfg: &Configuration,
+    model: CycleModel,
+    sched_opts: &SchedulerOptions,
+    spill_opts: &SpillOptions,
+    first: Option<FirstRound<'_>>,
+    ii_cap: Option<u32>,
+) -> Result<PressureResult, RegallocError> {
     let scheduler = ModuloScheduler::with_options(*cfg, model, *sched_opts);
     let available = cfg.registers();
     // The graph is only cloned when spill code actually rewrites it; the
@@ -269,6 +319,9 @@ pub fn schedule_with_registers_seeded(
     // computation serves every round until spill code changes the graph
     // (min_ii bumps reuse it).
     let mut bounds: Option<MiiBounds> = None;
+    // The previous round's II lower bound, for the monotonicity check
+    // the cap relies on.
+    let mut prev_lower = 0u32;
 
     for round in 1..=spill_opts.max_rounds {
         let (schedule, alloc) = match seeded.take() {
@@ -279,6 +332,25 @@ pub fn schedule_with_registers_seeded(
             }
             None => {
                 let b = bounds.get_or_insert_with(|| MiiBounds::compute(&graph, cfg, model));
+                // Every later round schedules at II ≥ this bound: spill
+                // rewrites only add memory ops (ResMII cannot fall),
+                // victims exclude `recurrence_nodes` (no circuit changes,
+                // so RecMII stays put), and min_ii only grows. Once the
+                // bound exceeds the cap, this run can only lose. Round 1
+                // never trips the cap, which is an II of the unmodified
+                // graph, so a seeded round 1 skips the check.
+                let lower = min_ii.max(b.mii());
+                debug_assert!(
+                    lower >= prev_lower,
+                    "II lower bound fell from {prev_lower} to {lower}"
+                );
+                prev_lower = lower;
+                if ii_cap.is_some_and(|cap| lower > cap) {
+                    return Err(RegallocError::Pressure {
+                        needed: best_needed,
+                        available,
+                    });
+                }
                 let schedule = scheduler.schedule_with(&graph, b, min_ii, &mut sched_scratch)?;
                 lifetimes_into(&graph, &schedule, model, &mut lts_buf);
                 let alloc = allocate_in(&lts_buf, schedule.ii(), &mut alloc_scratch);

@@ -199,7 +199,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
             }
         }
         let mut n = 0;
-        walk(&dir.join("v1").join(kind), &mut n);
+        walk(&dir.join("v2").join(kind), &mut n);
         n
     };
     let publishes = |batch: bool| -> usize {

@@ -91,10 +91,11 @@
 //!   mass estimates) by measured latencies from a `perf calibrate`
 //!   report instead of the analytic priority; aggregates stay
 //!   bitwise-equal.
-//! * `repro cache stat` — per-kind file/byte usage and the generation
-//!   history of a cache directory.
-//! * `repro cache gc` — prune artifacts untouched for the last
-//!   `--keep-generations N` runs.
+//! * `repro cache stat` — per-kind artifact/byte usage (stages from
+//!   segment record headers, exchange kinds from files) and the
+//!   generation history of a cache directory.
+//! * `repro cache gc` — prune segments and exchange files untouched for
+//!   the last `--keep-generations N` runs.
 
 use std::process::ExitCode;
 
@@ -624,12 +625,12 @@ fn cache_main(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let mut r = widening::report::Report::new(format!("Cache store — {cache}"))
-                .with_columns(["kind", "files", "bytes"]);
+                .with_columns(["kind", "artifacts", "bytes"]);
             for k in &stat.kinds {
                 r.push_row([k.kind.clone(), k.files.to_string(), k.bytes.to_string()]);
             }
             r.push_note(format!(
-                "generation {} ({} run(s) recorded) · total {} file(s), {} byte(s)",
+                "generation {} ({} run(s) recorded) · total {} artifact(s), {} byte(s)",
                 stat.generation,
                 stat.runs_recorded,
                 stat.total_files(),

@@ -30,7 +30,6 @@ use widening_distrib::{
     run_sweep, CoordinatorConfig, DistribError, Launcher, SpawnContext, SweepManifest, SweepRun,
     BATCH_PARTS,
 };
-use widening_pipeline::codec::ddg_fingerprint;
 use widening_pipeline::exchange::{
     batch_result_key, decode_unit_batch, decode_unit_outcome, unit_result_key, BATCH_KIND,
     RESULT_KIND,
@@ -252,16 +251,8 @@ pub fn merge_published(
         .cache_dir
         .as_deref()
         .and_then(Exchange::open);
-    // Reuse the pipeline's fingerprint table where it exists (always,
-    // for the persistent stores every distributed sweep runs over).
-    let fingerprints: Vec<u128> = loops
-        .iter()
-        .enumerate()
-        .map(|(li, l)| {
-            eval.pipeline()
-                .content_fingerprint(li)
-                .unwrap_or_else(|| ddg_fingerprint(l.ddg()))
-        })
+    let fingerprints: Vec<u128> = (0..loops.len())
+        .map(|li| eval.pipeline().content_fingerprint(li))
         .collect();
 
     // The batch tier: unit id → outcome, loaded once per shard part.

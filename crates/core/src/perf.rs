@@ -5,10 +5,11 @@
 //!
 //! * `perf record` runs the standard sweep suite `--reps` times
 //!   (fresh evaluator per repetition, so every sample is a cold
-//!   compile) under an installed span recorder, and writes one
-//!   versioned `BENCH_<stamp>.json` capturing wall-time probes,
-//!   per-stage latency percentiles, store counters, per-unit
-//!   `(loop × config)` wall times, and fleet-event totals.
+//!   compile) under an installed span recorder, then the fleet probe
+//!   `--reps` times untraced, and writes one versioned
+//!   `BENCH_<stamp>.json` capturing wall-time probes, per-stage latency
+//!   percentiles, store counters, per-unit `(loop × config)` wall
+//!   times, and fleet-event totals.
 //! * `perf compare BASE CAND` diffs two recorded reports probe by
 //!   probe with the noise-aware min-of-N gate
 //!   ([`widening_obs::compare`]) and exits nonzero on any regression —
@@ -28,11 +29,14 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use widening_distrib::Launcher;
 use widening_obs as obs;
 use widening_obs::metrics::MetricValue;
 use widening_obs::report::{compare, CompareConfig, PerfReport, Verdict};
+use widening_pipeline::StoreConfig;
 use widening_workload::corpus::{generate, CorpusSpec};
 
+use crate::distributed::{sweep_distributed, DistributedOptions};
 use crate::evaluate::Evaluator;
 use crate::experiments::sweep_grid_specs;
 use crate::report::Report;
@@ -140,6 +144,28 @@ fn run_suite(
     snapshot
 }
 
+/// The fleet probe: the suite's grid as an in-process distributed sweep
+/// by two workers over a fresh store, so every sample pays the cold
+/// shared-store traffic a real fleet pays. Run untraced: the workers'
+/// unit spans would enter the calibration joint a second time.
+fn run_fleet(report: &mut PerfReport, loops: usize) {
+    let dir = std::env::temp_dir().join(format!("repro-perf-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let eval = Evaluator::new(generate(&CorpusSpec::small(loops, PERF_SEED)))
+        .with_store(StoreConfig::persistent(&dir));
+    let t = Instant::now();
+    let swept = sweep_distributed(
+        &eval,
+        &sweep_grid_specs(),
+        &DistributedOptions::new(2),
+        &Launcher::InProcess,
+    );
+    report.push_sample("sweep.sharded2.wall_ns", ns(t.elapsed()));
+    drop(eval);
+    let _ = std::fs::remove_dir_all(&dir);
+    swept.expect("perf suite fleet sweep");
+}
+
 /// `repro perf record` — run the suite and write the perf report.
 fn record_main(args: &[String]) -> ExitCode {
     let mut loops = DEFAULT_QUICK;
@@ -186,6 +212,9 @@ fn record_main(args: &[String]) -> ExitCode {
         last_snapshot = run_suite(&mut report, loops, threads);
     }
     obs::uninstall();
+    for _ in 0..reps {
+        run_fleet(&mut report, loops);
+    }
     report.absorb_snapshot(&last_snapshot);
     report.absorb_traces(&[recorder.snapshot()]);
 

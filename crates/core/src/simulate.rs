@@ -187,18 +187,16 @@ pub fn simulate_corpus(
     let out = pool::par_map(loops.len(), eval.threads(), |li| {
         let l = &loops[li];
         let trip = trip_override.unwrap_or_else(|| l.trip_count());
-        let key = exchange
-            .as_ref()
-            .zip(pipeline.content_fingerprint(li))
-            .map(|(_, fp)| {
-                // The backend is part of the summary key: a persisted
-                // interpreter run must never short-circuit a
-                // differential run (the whole point of which is to
-                // execute both engines).
-                let mut key = sim_summary_key(fp, &spec, trip);
-                key.extend_from_slice(backend.label().as_bytes());
-                key
-            });
+        let key = exchange.as_ref().map(|_| {
+            let fp = pipeline.content_fingerprint(li);
+            // The backend is part of the summary key: a persisted
+            // interpreter run must never short-circuit a
+            // differential run (the whole point of which is to
+            // execute both engines).
+            let mut key = sim_summary_key(fp, &spec, trip);
+            key.extend_from_slice(backend.label().as_bytes());
+            key
+        });
         if let (Some(ex), Some(key)) = (&exchange, &key) {
             if let Some((ii, stats)) = ex
                 .get(SIM_SUMMARY_KIND, key)

@@ -207,7 +207,7 @@ fn published_files(cache: &std::path::Path, kind: &str) -> usize {
         }
     }
     let mut count = 0;
-    walk(&cache.join("v1").join(kind), &mut count);
+    walk(&cache.join("v2").join(kind), &mut count);
     count
 }
 

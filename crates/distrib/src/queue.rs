@@ -763,6 +763,53 @@ mod tests {
         }
     }
 
+    // Claim and steal files are read back from a shared directory that
+    // other processes write and may tear: whatever bytes they hold,
+    // decoding returns a stamp or `None`, never a panic.
+    mod lease_stamp_decoding {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_claim() -> impl Strategy<Value = (LeaseStamp, String)> {
+            (any::<u64>(), any::<u64>(), 0usize..24)
+                .prop_map(|(counter, mass, tag)| (LeaseStamp { counter, mass }, "w".repeat(tag)))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+                let _ = LeaseStamp::decode(&bytes);
+            }
+
+            #[test]
+            fn truncation_is_rejected((s, tag) in arb_claim(), cut in any::<usize>()) {
+                let bytes = s.encode(&tag);
+                prop_assert_eq!(LeaseStamp::decode(&bytes), Some(s));
+                // The owner tag is informational: only a cut into the
+                // stamp itself loses it.
+                let at = cut % 24;
+                prop_assert_eq!(LeaseStamp::decode(&bytes[..at]), None);
+            }
+
+            #[test]
+            fn bit_flips_never_panic((s, tag) in arb_claim(), bit in any::<usize>()) {
+                let mut bytes = s.encode(&tag);
+                let at = bit % (bytes.len() * 8);
+                bytes[at / 8] ^= 1 << (at % 8);
+                let decoded = LeaseStamp::decode(&bytes);
+                // Magic or version flipped: rejected. A stamp field
+                // flipped: a different stamp. The tag: ignored.
+                match at / 8 {
+                    0..=7 => prop_assert_eq!(decoded, None),
+                    8..=23 => prop_assert!(decoded.is_some() && decoded != Some(s)),
+                    _ => prop_assert_eq!(decoded, Some(s)),
+                }
+            }
+        }
+    }
+
     #[test]
     fn open_round_trips_the_manifest() {
         let (dir, queue, manifest) = temp_queue(3);

@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use widening_obs as obs;
 use widening_obs::SpanKind;
-use widening_pipeline::codec::{self, Reader, Writer};
+use widening_pipeline::codec::{Reader, Writer};
 use widening_pipeline::exchange::{
     batch_result_key, decode_unit_batch, decode_unit_outcome, encode_unit_batch,
     encode_unit_outcome, unit_result_key, BATCH_KIND, RESULT_KIND,
@@ -907,18 +907,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, DistribError> {
         Arc::new(manifest.loops.clone()),
         StoreConfig::persistent(&cfg.cache_dir),
     );
-    // Result keys reuse the pipeline's fingerprint table (present for
-    // persistent stores); the fallback only runs if the disk tier
-    // failed to open, in which case keys must still be derivable.
-    let fingerprints: Vec<u128> = manifest
-        .loops
-        .iter()
-        .enumerate()
-        .map(|(li, l)| {
-            pipeline
-                .content_fingerprint(li)
-                .unwrap_or_else(|| codec::ddg_fingerprint(l.ddg()))
-        })
+    let fingerprints: Vec<u128> = (0..manifest.loops.len())
+        .map(|li| pipeline.content_fingerprint(li))
         .collect();
     let state = WorkerState {
         cfg,
@@ -1018,6 +1008,81 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, DistribError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A report whose stage counters are `counts`, in encoding order.
+    fn report(shard: u32, units: u32, hits: u32, counts: &[u64]) -> ShardReport {
+        let c = |i: usize| counts[i % counts.len()];
+        ShardReport {
+            shard,
+            units,
+            result_hits: hits,
+            stolen: units / 3,
+            counts: StageCounts {
+                widen_runs: c(0),
+                widen_requests: c(1),
+                widen_disk_hits: c(2),
+                mii_runs: c(3),
+                mii_requests: c(4),
+                mii_disk_hits: c(5),
+                base_schedule_runs: c(6),
+                base_schedule_requests: c(7),
+                base_schedule_disk_hits: c(8),
+                schedule_runs: c(9),
+                schedule_requests: c(10),
+                schedule_disk_hits: c(11),
+                schedule_evictions: c(12),
+                schedule_resident_bytes: c(13),
+                lower_runs: c(14),
+                lower_requests: c(15),
+                lower_disk_hits: c(16),
+            },
+        }
+    }
+
+    fn arb_report() -> impl Strategy<Value = ShardReport> {
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            proptest::collection::vec(any::<u64>(), 17),
+        )
+            .prop_map(|(shard, units, hits, counts)| report(shard, units, hits, &counts))
+    }
+
+    // Done markers are read back from a shared directory another
+    // process writes: whatever bytes they hold, decoding returns a
+    // report or `None`, never a panic.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+            let _ = ShardReport::decode(&bytes);
+        }
+
+        #[test]
+        fn truncation_is_rejected(r in arb_report(), cut in any::<usize>()) {
+            let bytes = r.encode();
+            let at = cut % bytes.len();
+            prop_assert_eq!(ShardReport::decode(&bytes[..at]), None);
+            prop_assert_eq!(ShardReport::decode(&bytes), Some(r));
+        }
+
+        #[test]
+        fn bit_flips_never_panic(r in arb_report(), bit in any::<usize>()) {
+            let mut bytes = r.encode();
+            let at = bit % (bytes.len() * 8);
+            bytes[at / 8] ^= 1 << (at % 8);
+            let decoded = ShardReport::decode(&bytes);
+            // A flipped version is skew; any other field decodes to a
+            // different report.
+            prop_assert!(decoded != Some(r));
+            if at < 32 {
+                prop_assert_eq!(decoded, None);
+            }
+        }
+    }
 
     #[test]
     fn shard_report_round_trips() {

@@ -300,6 +300,72 @@ mod tests {
         assert_eq!(ProcessTrace::decode(b""), None);
     }
 
+    // Worker traces are read back from a shared directory that other
+    // processes write: whatever bytes a file holds, decoding returns a
+    // trace or `None`, never a panic.
+    mod decoding {
+        use super::*;
+        use crate::span::ALL_KINDS;
+        use proptest::prelude::*;
+
+        fn arb_trace() -> impl Strategy<Value = ProcessTrace> {
+            let event = (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+                |(kind, start_ns, a, b)| Event {
+                    kind: SpanKind::from_u8(kind % ALL_KINDS.len() as u8).expect("in range"),
+                    start_ns,
+                    end_ns: start_ns.saturating_add(a % 1000),
+                    a,
+                    b,
+                },
+            );
+            let track = (
+                any::<u32>(),
+                0usize..12,
+                proptest::collection::vec(event, 0..6),
+            )
+                .prop_map(|(tid, label, events)| TrackTrace {
+                    tid,
+                    label: "t".repeat(label),
+                    events,
+                });
+            (
+                any::<u64>(),
+                any::<u64>(),
+                proptest::collection::vec(track, 0..4),
+            )
+                .prop_map(|(wall_anchor_ns, dropped, tracks)| ProcessTrace {
+                    process: "worker".into(),
+                    wall_anchor_ns,
+                    dropped,
+                    tracks,
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+                let _ = ProcessTrace::decode(&bytes);
+            }
+
+            #[test]
+            fn truncation_is_rejected(trace in arb_trace(), cut in any::<usize>()) {
+                let bytes = trace.encode();
+                prop_assert_eq!(ProcessTrace::decode(&bytes[..cut % bytes.len()]), None);
+                prop_assert_eq!(ProcessTrace::decode(&bytes), Some(trace));
+            }
+
+            #[test]
+            fn bit_flips_never_panic(trace in arb_trace(), bit in any::<usize>()) {
+                let mut bytes = trace.encode();
+                let at = bit % (bytes.len() * 8);
+                bytes[at / 8] ^= 1 << (at % 8);
+                prop_assert!(ProcessTrace::decode(&bytes) != Some(trace));
+            }
+        }
+    }
+
     #[test]
     fn trace_dir_round_trip() {
         let dir = std::env::temp_dir().join(format!("obs-trace-dir-{}", std::process::id()));

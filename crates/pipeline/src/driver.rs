@@ -1,10 +1,13 @@
 //! The memoized [`Pipeline`] driver: the two-tier stage store, the
-//! incremental corpus, and the multi-config sweep engine.
+//! incremental corpus, and the multi-config sweep engine. The disk tier
+//! is the pipeline's view of the segment log: the segments present when
+//! it opened, plus its own appends. Content fingerprints, the disk
+//! half of every stage key, are computed per loop on first use.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use widening_ir::{Ddg, Loop};
 use widening_machine::CycleModel;
@@ -17,9 +20,11 @@ use widening_transform::WideningOutcome;
 use widening_lower::WideProgram;
 
 use crate::codec;
-use crate::disk::{DiskTier, STAGE_BASE, STAGE_LOWER, STAGE_MII, STAGE_SCHED, STAGE_WIDEN};
 use crate::error::PipelineError;
 use crate::pool::par_map;
+use crate::segment::{
+    stage_key, SegmentLog, STAGE_BASE, STAGE_LOWER, STAGE_MII, STAGE_SCHED, STAGE_WIDEN,
+};
 use crate::stage::{
     stage_base_schedule, stage_mii, stage_schedule, stage_widen, BaseSchedule, CompiledLoop,
     PointSpec, ScheduledStage,
@@ -63,9 +68,10 @@ struct SchedKey {
 /// Configuration of a [`Pipeline`]'s artifact store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Root of the on-disk content-addressed tier. `None` (the default)
-    /// disables persistence: stage artifacts live only in memory, as in
-    /// the original per-process caches.
+    /// Root of the on-disk content-addressed tier, where the pipeline
+    /// appends its stage artifacts to a segment of its own. `None` (the
+    /// default) disables persistence: stage artifacts live only in
+    /// memory, as in the original per-process caches.
     pub cache_dir: Option<PathBuf>,
     /// Approximate byte budget for the in-memory schedule-stage tier.
     /// `None` (the default) pins every entry for the pipeline's
@@ -111,11 +117,14 @@ impl StoreConfig {
 ///   spill options.
 ///
 /// With a [`StoreConfig::cache_dir`], every artifact (including memoized
-/// failures) is additionally persisted on disk under its *content* key —
-/// the loop's graph fingerprint plus the design-point fields — so a
-/// second process over the same corpus decodes every stage instead of
-/// executing it. With a [`StoreConfig::memory_budget`], schedule-stage
-/// entries are LRU-evicted once sealed (see [`Pipeline::seal_point`]).
+/// failures) is additionally appended to the pipeline's own on-disk
+/// segment under its *content* key — the loop's graph fingerprint plus
+/// the design-point fields — so a second process over the same corpus
+/// decodes every stage instead of executing it. Opening the pipeline
+/// indexes the segments already in the directory; it sees those plus
+/// its own appends. With a [`StoreConfig::memory_budget`],
+/// schedule-stage entries are LRU-evicted once sealed (see
+/// [`Pipeline::seal_point`]) and re-fetched from the segments.
 ///
 /// The driver is `Sync`; corpus evaluation, simulation and
 /// [`Pipeline::sweep`] all hit the same stores from the worker pool.
@@ -131,9 +140,9 @@ pub struct Pipeline {
     /// indices never move, and callers work on cheap `Arc` snapshots.
     loops: RwLock<Arc<Vec<Loop>>>,
     /// Per-loop content fingerprints, parallel to `loops` (the disk
-    /// tier's half of every stage key).
-    fingerprints: RwLock<Arc<Vec<u128>>>,
-    disk: Option<DiskTier>,
+    /// tier's half of every stage key), each computed on first use.
+    fingerprints: RwLock<Arc<Vec<OnceLock<u128>>>>,
+    log: Option<SegmentLog>,
     /// The metrics registry behind every stage store's counters; also
     /// open to consumers for their own pipeline-scoped metrics.
     metrics: MetricsRegistry,
@@ -167,23 +176,13 @@ impl Pipeline {
     /// `cache_dir` (not creatable) degrades to the memory-only store.
     #[must_use]
     pub fn with_config(loops: Arc<Vec<Loop>>, config: StoreConfig) -> Self {
-        let disk = config.cache_dir.as_deref().and_then(DiskTier::open);
-        // Fingerprints only feed disk keys: without a disk tier the
-        // table stays empty so the default path never pays the
-        // full-corpus encode + hash.
-        let fingerprints: Vec<u128> = if disk.is_some() {
-            loops
-                .iter()
-                .map(|l| codec::ddg_fingerprint(l.ddg()))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let log = config.cache_dir.as_deref().and_then(SegmentLog::open);
+        let fingerprints = loops.iter().map(|_| OnceLock::new()).collect();
         let metrics = MetricsRegistry::new();
         Pipeline {
             loops: RwLock::new(loops),
             fingerprints: RwLock::new(Arc::new(fingerprints)),
-            disk,
+            log,
             widened: StageStore::pinned(StoreMetrics::for_stage(&metrics, "widen")),
             bounds: StageStore::pinned(StoreMetrics::for_stage(&metrics, "mii")),
             base: StageStore::pinned(StoreMetrics::for_stage(&metrics, "base-schedule")),
@@ -214,16 +213,17 @@ impl Pipeline {
         &self.config
     }
 
-    /// The content fingerprint of loop `li`'s graph — the disk tier's
-    /// half of every stage key. `None` when no disk tier is attached
-    /// (the fingerprint table is only built for persistent stores).
+    /// The content fingerprint of loop `li`'s graph
+    /// ([`codec::ddg_fingerprint`]) — the disk tier's half of every
+    /// stage key. Computed on first use and cached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `li` is out of corpus bounds.
     #[must_use]
-    pub fn content_fingerprint(&self, li: usize) -> Option<u128> {
-        self.fingerprints
-            .read()
-            .expect("fingerprint lock")
-            .get(li)
-            .copied()
+    pub fn content_fingerprint(&self, li: usize) -> u128 {
+        let cells = Arc::clone(&self.fingerprints.read().expect("fingerprint lock"));
+        *cells[li].get_or_init(|| codec::ddg_fingerprint(self.loops()[li].ddg()))
     }
 
     /// A snapshot of the corpus being compiled. Loop indices are stable:
@@ -249,21 +249,13 @@ impl Pipeline {
         let mut grown = Vec::with_capacity(start + more.len());
         grown.extend(loops.iter().cloned());
         let mut fp_grown = Vec::with_capacity(start + more.len());
-        fp_grown.extend(fps.iter().copied());
-        if self.disk.is_some() {
-            for l in &more {
-                fp_grown.push(codec::ddg_fingerprint(l.ddg()));
-            }
-        }
+        fp_grown.extend(fps.iter().cloned());
+        fp_grown.extend(more.iter().map(|_| OnceLock::new()));
         grown.extend(more);
         let end = grown.len();
         *loops = Arc::new(grown);
         *fps = Arc::new(fp_grown);
         start..end
-    }
-
-    fn fingerprint(&self, li: usize) -> u128 {
-        self.fingerprints.read().expect("fingerprint lock")[li]
     }
 
     /// Cumulative stage execution/lookup/disk counters.
@@ -295,7 +287,7 @@ impl Pipeline {
     /// shows up here first.
     #[must_use]
     pub fn disk_errors(&self) -> u64 {
-        self.disk.as_ref().map_or(0, DiskTier::errors)
+        self.log.as_ref().map_or(0, SegmentLog::errors)
     }
 
     /// Seals every schedule-stage entry of design point `spec`: its
@@ -341,7 +333,7 @@ impl Pipeline {
                 let key_bytes = || self.widen_key_bytes(li, width);
                 let (a, b) = (li as u64, u64::from(width));
                 let decode = obs::span(SpanKind::WidenDecode, a, b);
-                if let Some(out) = self.disk_load(STAGE_WIDEN, key_bytes, |bytes| {
+                if let Some(out) = self.disk_load(key_bytes, |bytes| {
                     codec::decode_widen(bytes, ddg.num_nodes(), width)
                 }) {
                     return (Arc::new(out), Fetch::Disk);
@@ -349,7 +341,7 @@ impl Pipeline {
                 decode.cancel();
                 let _run = obs::span(SpanKind::Widen, a, b);
                 let out = stage_widen(ddg, width);
-                self.disk_store(STAGE_WIDEN, key_bytes, || codec::encode_widen(&out));
+                self.disk_store(key_bytes, || codec::encode_widen(&out));
                 (Arc::new(out), Fetch::Computed)
             },
         )
@@ -379,7 +371,7 @@ impl Pipeline {
                 let key_bytes = || self.mii_key_bytes(li, replication, width, model);
                 let (a, b) = (li as u64, obs::pack_point(replication, width, None));
                 let decode = obs::span(SpanKind::MiiDecode, a, b);
-                if let Some(bounds) = self.disk_load(STAGE_MII, key_bytes, |bytes| {
+                if let Some(bounds) = self.disk_load(key_bytes, |bytes| {
                     codec::decode_mii(bytes, wide.ddg().num_nodes())
                 }) {
                     return (Arc::new(bounds), Fetch::Disk);
@@ -388,7 +380,7 @@ impl Pipeline {
                 let _run = obs::span(SpanKind::Mii, a, b);
                 let spec = PointSpec::peak(replication, width, model);
                 let bounds = stage_mii(wide.ddg(), &spec.machine(), model);
-                self.disk_store(STAGE_MII, key_bytes, || codec::encode_mii(&bounds));
+                self.disk_store(key_bytes, || codec::encode_mii(&bounds));
                 (Arc::new(bounds), Fetch::Computed)
             },
         )
@@ -424,7 +416,7 @@ impl Pipeline {
                     obs::pack_point(spec.replication, spec.width, None),
                 );
                 let decode = obs::span(SpanKind::BaseDecode, a, b);
-                if let Some(result) = self.disk_load(STAGE_BASE, key_bytes, |bytes| {
+                if let Some(result) = self.disk_load(key_bytes, |bytes| {
                     codec::decode_base(bytes, wide.ddg(), &spec.machine(), spec.model)
                 }) {
                     return (result, Fetch::Disk);
@@ -440,7 +432,7 @@ impl Pipeline {
                     &bounds,
                 )
                 .map(Arc::new);
-                self.disk_store(STAGE_BASE, key_bytes, || codec::encode_base(&result));
+                self.disk_store(key_bytes, || codec::encode_base(&result));
                 (result, Fetch::Computed)
             },
         )
@@ -470,13 +462,13 @@ impl Pipeline {
                     spill: spec.opts.spill,
                 };
                 let stage = self.scheduled.get_or_fetch(key, stage_bytes, || {
-                    let key_bytes = || self.sched_key_bytes(li, spec, registers);
+                    let key_bytes = || self.sched_key_bytes(STAGE_SCHED, li, spec, registers);
                     let (a, b) = (
                         li as u64,
                         obs::pack_point(spec.replication, spec.width, Some(registers)),
                     );
                     let decode = obs::span(SpanKind::SchedDecode, a, b);
-                    match self.disk_load(STAGE_SCHED, key_bytes, |bytes| {
+                    match self.disk_load(key_bytes, |bytes| {
                         codec::decode_sched(bytes, &spec.machine(), spec.model)
                     }) {
                         Some(codec::SchedPayload::Full(result)) => return (result, Fetch::Disk),
@@ -514,7 +506,7 @@ impl Pipeline {
                             .map(Arc::new)
                         }
                     });
-                    self.disk_store(STAGE_SCHED, key_bytes, || {
+                    self.disk_store(key_bytes, || {
                         // Persist fit stages as a marker, not a copy per
                         // register-file size: the base stage carries the
                         // bytes exactly once.
@@ -565,13 +557,13 @@ impl Pipeline {
             spill: spec.opts.spill,
         };
         self.lowered.get_or_fetch(key, program_bytes, || {
-            let key_bytes = || self.sched_key_bytes(li, spec, registers);
+            let key_bytes = || self.sched_key_bytes(STAGE_LOWER, li, spec, registers);
             let (a, b) = (
                 li as u64,
                 obs::pack_point(spec.replication, spec.width, Some(registers)),
             );
             let decode = obs::span(SpanKind::LowerDecode, a, b);
-            if let Some(result) = self.disk_load(STAGE_LOWER, key_bytes, codec::decode_lowered) {
+            if let Some(result) = self.disk_load(key_bytes, codec::decode_lowered) {
                 return (result, Fetch::Disk);
             }
             decode.cancel();
@@ -587,7 +579,7 @@ impl Pipeline {
                     &stage.result,
                 ))
             });
-            self.disk_store(STAGE_LOWER, key_bytes, || codec::encode_lowered(&result));
+            self.disk_store(key_bytes, || codec::encode_lowered(&result));
             (result, Fetch::Computed)
         })
     }
@@ -687,46 +679,40 @@ impl Pipeline {
     // -- disk plumbing -------------------------------------------------
 
     /// `key` is a closure so the (fingerprint-based) key material is
-    /// only ever built when a disk tier is actually attached — the
-    /// fingerprint table is empty otherwise.
+    /// only ever built when a disk tier is actually attached.
     fn disk_load<T>(
         &self,
-        stage: &str,
         key: impl FnOnce() -> Vec<u8>,
         decode: impl FnOnce(&[u8]) -> Option<T>,
     ) -> Option<T> {
-        let disk = self.disk.as_ref()?;
-        let key_bytes = key();
-        let payload = disk.load(stage, codec::fnv128(&key_bytes), &key_bytes)?;
-        decode(&payload)
+        let log = self.log.as_ref()?;
+        decode(&log.load(&key())?)
     }
 
-    fn disk_store(
-        &self,
-        stage: &str,
-        key: impl FnOnce() -> Vec<u8>,
-        encode: impl FnOnce() -> Vec<u8>,
-    ) {
-        if let Some(disk) = &self.disk {
-            let key_bytes = key();
-            disk.store(stage, codec::fnv128(&key_bytes), &key_bytes, &encode());
+    fn disk_store(&self, key: impl FnOnce() -> Vec<u8>, encode: impl FnOnce() -> Vec<u8>) {
+        if let Some(log) = &self.log {
+            log.append(&key(), &encode());
         }
     }
 
-    fn widen_key_bytes(&self, li: usize, width: u32) -> Vec<u8> {
-        let mut w = codec::Writer::new();
-        let fp = self.fingerprint(li);
+    /// A `stage` key of loop `li`: the stage name, then the loop's
+    /// content fingerprint. The caller appends the design-point fields.
+    fn key_of(&self, stage: &str, li: usize) -> codec::Writer {
+        let mut w = stage_key(stage);
+        let fp = self.content_fingerprint(li);
         w.u64(fp as u64);
         w.u64((fp >> 64) as u64);
+        w
+    }
+
+    fn widen_key_bytes(&self, li: usize, width: u32) -> Vec<u8> {
+        let mut w = self.key_of(STAGE_WIDEN, li);
         w.u32(width);
         w.into_bytes()
     }
 
     fn mii_key_bytes(&self, li: usize, replication: u32, width: u32, model: CycleModel) -> Vec<u8> {
-        let mut w = codec::Writer::new();
-        let fp = self.fingerprint(li);
-        w.u64(fp as u64);
-        w.u64((fp >> 64) as u64);
+        let mut w = self.key_of(STAGE_MII, li);
         w.u32(width);
         w.u32(replication);
         w.u8(codec::cycle_model_tag(model));
@@ -734,10 +720,7 @@ impl Pipeline {
     }
 
     fn base_key_bytes(&self, li: usize, spec: &PointSpec) -> Vec<u8> {
-        let mut w = codec::Writer::new();
-        let fp = self.fingerprint(li);
-        w.u64(fp as u64);
-        w.u64((fp >> 64) as u64);
+        let mut w = self.key_of(STAGE_BASE, li);
         w.u32(spec.width);
         w.u32(spec.replication);
         w.u8(codec::cycle_model_tag(spec.model));
@@ -745,11 +728,10 @@ impl Pipeline {
         w.into_bytes()
     }
 
-    fn sched_key_bytes(&self, li: usize, spec: &PointSpec, registers: u32) -> Vec<u8> {
-        let mut w = codec::Writer::new();
-        let fp = self.fingerprint(li);
-        w.u64(fp as u64);
-        w.u64((fp >> 64) as u64);
+    /// The key of a schedule-stage artifact; `stage` is `STAGE_SCHED`
+    /// or `STAGE_LOWER`, which share the rest of the key.
+    fn sched_key_bytes(&self, stage: &str, li: usize, spec: &PointSpec, registers: u32) -> Vec<u8> {
+        let mut w = self.key_of(stage, li);
         w.u32(spec.width);
         w.u32(spec.replication);
         w.u32(registers);

@@ -1,14 +1,17 @@
 //! The **artifact exchange**: the result tier of the shared store.
 //!
-//! The compilation stages persist under `<root>/v1/{widen,mii,base,
-//! sched}`; this module opens the *same* content-addressed container
-//! format for the records that ride on top of compilation — the
-//! per-unit sweep results distributed workers publish and the
-//! simulation summaries the evaluator warm-starts from. An [`Exchange`]
-//! is deliberately dumb: `(kind, key bytes) → payload bytes`, atomic
-//! temp+rename publication, checksummed and key-echoed on load, and
-//! strictly best-effort like the rest of the disk tier — a worker whose
-//! publish fails costs a recompute somewhere, never a wrong merge.
+//! The compilation stages append to per-pipeline segments under
+//! `<root>/v<FORMAT_VERSION>/segments`; this module stores the *same*
+//! content-addressed container format one file per record, for the
+//! records that ride on top of compilation — the per-unit sweep results
+//! distributed workers publish and the simulation summaries the
+//! evaluator warm-starts from. These must be visible to every process
+//! as soon as they are published, which a segment indexed at open is
+//! not. An [`Exchange`] is deliberately dumb: `(kind, key bytes) →
+//! payload bytes`, atomic temp+rename publication, checksummed and
+//! key-echoed on load, and strictly best-effort like the rest of the
+//! disk tier — a worker whose publish fails costs a recompute
+//! somewhere, never a wrong merge.
 //!
 //! Three record kinds are defined here:
 //!
@@ -66,9 +69,10 @@ pub const BATCH_VERSION: u16 = 1;
 
 /// A handle on the result tier of a shared cache directory.
 ///
-/// Opens the same `<root>/v1` subtree as the pipeline's stage store,
-/// under distinct kind directories, so one `--cache-dir` is the single
-/// artifact *and* result exchange between coordinator and workers.
+/// Opens the same `<root>/v<FORMAT_VERSION>` subtree as the pipeline's
+/// stage store, under one directory per kind, so one `--cache-dir` is
+/// the single artifact *and* result exchange between coordinator and
+/// workers.
 #[derive(Debug)]
 pub struct Exchange {
     tier: DiskTier,

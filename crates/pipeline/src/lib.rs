@@ -35,13 +35,14 @@
 //!   [`Pipeline::seal_point`]);
 //! * an optional **on-disk, content-addressed tier**
 //!   ([`StoreConfig::cache_dir`]) — every artifact, memoized failures
-//!   included, is persisted under its content key (the loop graph's
-//!   128-bit fingerprint plus the design-point fields) with a
-//!   hand-rolled versioned binary codec. A second process over the same
-//!   corpus decodes every stage instead of executing it; decoded
-//!   schedules are re-verified against their graph and machine, so a
-//!   corrupt or stale file degrades to a cache miss, never a wrong
-//!   result.
+//!   included, is appended to the pipeline's own segment file under its
+//!   content key (the loop graph's 128-bit fingerprint plus the
+//!   design-point fields) with a hand-rolled versioned binary codec.
+//!   Opening a pipeline indexes the record headers of the segments
+//!   already present, so a second process over the same corpus decodes
+//!   every stage instead of executing it; decoded schedules are
+//!   re-verified against their graph and machine, so a corrupt or stale
+//!   record degrades to a cache miss, never a wrong result.
 //!
 //! The corpus itself is growable: [`Pipeline::extend`] appends loops
 //! without invalidating any existing stage entry (indices are stable,
@@ -89,6 +90,7 @@ mod error;
 pub mod exchange;
 pub mod maint;
 pub mod pool;
+mod segment;
 mod stage;
 mod store;
 

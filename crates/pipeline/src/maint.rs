@@ -8,32 +8,34 @@
 //! * each cache-consuming *run* (a `repro` invocation with
 //!   `--cache-dir`, not each worker it spawns) calls [`record_run`],
 //!   which appends a `(generation, start-time)` entry to
-//!   `<root>/v1/generations`;
-//! * every artifact **read or write** refreshes the file's mtime (the
-//!   disk tier touches on load), so an artifact's mtime says which
-//!   generation last used it;
-//! * [`gc`] with `keep_generations = N` removes artifacts untouched
-//!   since the start of the `N`-th most recent generation — artifacts
-//!   no run of the last `N` used. [`stat`] reports usage without
-//!   deleting anything.
+//!   `<root>/v<FORMAT_VERSION>/generations`;
+//! * every **read or write** refreshes an mtime, so an mtime says which
+//!   generation last used what it stamps. Stage artifacts are stamped
+//!   per segment file: a pipeline's first load from a segment touches
+//!   it, and appends keep the writer's own segment current. Exchange
+//!   records are stamped per file, on every load;
+//! * [`gc`] with `keep_generations = N` removes whole segments and
+//!   exchange files untouched since the start of the `N`-th most recent
+//!   generation — those no run of the last `N` used. [`stat`] reports
+//!   usage without deleting anything: per-stage artifact counts and
+//!   bytes read from segment record headers, per-kind file counts and
+//!   bytes for the exchange.
 //!
 //! Everything is best-effort and concurrency-tolerant: a GC racing a
-//! live run can at worst delete an artifact the run was about to reuse,
-//! which the two-tier store treats as an ordinary miss.
+//! live run can at worst delete artifacts the run was about to reuse,
+//! which the two-tier store treats as ordinary misses.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::disk::FORMAT_VERSION;
+use crate::disk::versioned_root;
+use crate::segment::{self, SEGMENT_DIR};
 
 /// Name of the generation log inside the versioned root.
 const GENERATIONS_FILE: &str = "generations";
-
-fn versioned_root(root: &Path) -> PathBuf {
-    root.join(format!("v{FORMAT_VERSION}"))
-}
 
 /// One `(generation, start time)` entry of the generation log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,14 +99,16 @@ pub fn record_run(root: &Path) -> Option<u64> {
     Some(next)
 }
 
-/// Usage of one artifact kind directory (`widen`, `sched`, `result`, …).
+/// Usage of one artifact kind: a stage (`widen`, `sched`, …) or an
+/// exchange kind (`result`, `batch`, `simsum`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindUsage {
-    /// Directory name (stage or exchange kind).
+    /// Stage or exchange kind name.
     pub kind: String,
-    /// Artifact files present.
+    /// Artifacts present: segment records of a stage, files of an
+    /// exchange kind.
     pub files: u64,
-    /// Total payload bytes on disk (container headers included).
+    /// Total bytes on disk (container headers included).
     pub bytes: u64,
 }
 
@@ -120,7 +124,7 @@ pub struct CacheStat {
 }
 
 impl CacheStat {
-    /// Total artifact files across all kinds.
+    /// Total artifacts across all kinds.
     #[must_use]
     pub fn total_files(&self) -> u64 {
         self.kinds.iter().map(|k| k.files).sum()
@@ -133,8 +137,8 @@ impl CacheStat {
     }
 }
 
-/// Walks every artifact file under a kind directory, calling `visit`
-/// with the path and metadata.
+/// Walks every artifact file under an exchange kind directory, calling
+/// `visit` with the path and metadata.
 fn walk_kind(dir: &Path, visit: &mut impl FnMut(&Path, &fs::Metadata)) {
     let Ok(fanouts) = fs::read_dir(dir) else {
         return;
@@ -154,17 +158,23 @@ fn walk_kind(dir: &Path, visit: &mut impl FnMut(&Path, &fs::Metadata)) {
     }
 }
 
+/// The exchange kind directories under the versioned root, sorted.
 fn kind_dirs(root: &Path) -> Vec<PathBuf> {
     let Ok(entries) = fs::read_dir(versioned_root(root)) else {
         return Vec::new();
     };
     let mut dirs: Vec<PathBuf> = entries
         .flatten()
-        .filter(|e| e.file_type().is_ok_and(|t| t.is_dir()))
+        .filter(|e| e.file_type().is_ok_and(|t| t.is_dir()) && e.file_name() != SEGMENT_DIR)
         .map(|e| e.path())
         .collect();
     dirs.sort();
     dirs
+}
+
+/// The segment files of the store under `root`, oldest first.
+fn segment_files(root: &Path) -> Vec<PathBuf> {
+    segment::segment_paths(&versioned_root(root).join(SEGMENT_DIR))
 }
 
 /// Inspects a cache directory. `None` when `root` holds no versioned
@@ -175,23 +185,30 @@ pub fn stat(root: &Path) -> Option<CacheStat> {
         return None;
     }
     let generations = read_generations(root);
-    let mut kinds = Vec::new();
-    for dir in kind_dirs(root) {
-        let mut files = 0u64;
-        let mut bytes = 0u64;
-        walk_kind(&dir, &mut |_, meta| {
-            files += 1;
-            bytes += meta.len();
-        });
-        kinds.push(KindUsage {
-            kind: dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
-            files,
-            bytes,
+    let mut usage: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for path in segment_files(root) {
+        segment::scan(&path, |key, _, len| {
+            let stage = segment::stage_of(key).unwrap_or("?");
+            let (files, bytes) = usage.entry(stage.to_owned()).or_default();
+            *files += 1;
+            *bytes += u64::from(len);
         });
     }
+    for dir in kind_dirs(root) {
+        let kind = dir
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default();
+        let (files, bytes) = usage.entry(kind).or_default();
+        walk_kind(&dir, &mut |_, meta| {
+            *files += 1;
+            *bytes += meta.len();
+        });
+    }
+    let kinds = usage
+        .into_iter()
+        .map(|(kind, (files, bytes))| KindUsage { kind, files, bytes })
+        .collect();
     Some(CacheStat {
         generation: generations.last().map_or(0, |g| g.generation),
         runs_recorded: generations.len() as u64,
@@ -202,9 +219,10 @@ pub fn stat(root: &Path) -> Option<CacheStat> {
 /// What a garbage collection pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcOutcome {
-    /// Artifacts examined.
+    /// Artifacts examined: segment records and exchange files.
     pub examined: u64,
-    /// Artifacts removed (untouched for `keep_generations` runs).
+    /// Artifacts removed (untouched for `keep_generations` runs), with
+    /// the whole segment or file that held them.
     pub pruned: u64,
     /// Bytes reclaimed.
     pub pruned_bytes: u64,
@@ -214,10 +232,10 @@ pub struct GcOutcome {
     pub cutoff_generation: u64,
 }
 
-/// Removes every artifact untouched since the start of the
-/// `keep_generations`-th most recent recorded run. With fewer recorded
-/// runs than `keep_generations` nothing is pruned. `None` when `root`
-/// holds no versioned store.
+/// Removes every segment and exchange file untouched since the start of
+/// the `keep_generations`-th most recent recorded run. With fewer
+/// recorded runs than `keep_generations` nothing is pruned. `None` when
+/// `root` holds no versioned store.
 #[must_use]
 pub fn gc(root: &Path, keep_generations: u64) -> Option<GcOutcome> {
     if !versioned_root(root).is_dir() {
@@ -243,16 +261,25 @@ pub fn gc(root: &Path, keep_generations: u64) -> Option<GcOutcome> {
                 ),
         )
     };
+    let mut prune = |path: &Path, meta: &fs::Metadata, artifacts: u64| {
+        outcome.examined += artifacts;
+        let Some(cutoff) = cutoff else { return };
+        let untouched = meta.modified().is_ok_and(|mtime| mtime < cutoff);
+        if untouched && fs::remove_file(path).is_ok() {
+            outcome.pruned += artifacts;
+            outcome.pruned_bytes += meta.len();
+        }
+    };
+    for path in segment_files(root) {
+        let Ok(meta) = fs::metadata(&path) else {
+            continue;
+        };
+        let mut records = 0;
+        segment::scan(&path, |_, _, _| records += 1);
+        prune(&path, &meta, records);
+    }
     for dir in kind_dirs(root) {
-        walk_kind(&dir, &mut |path, meta| {
-            outcome.examined += 1;
-            let Some(cutoff) = cutoff else { return };
-            let untouched = meta.modified().is_ok_and(|mtime| mtime < cutoff);
-            if untouched && fs::remove_file(path).is_ok() {
-                outcome.pruned += 1;
-                outcome.pruned_bytes += meta.len();
-            }
-        });
+        walk_kind(&dir, &mut |path, meta| prune(path, meta, 1));
     }
     Some(outcome)
 }
@@ -260,6 +287,7 @@ pub fn gc(root: &Path, keep_generations: u64) -> Option<GcOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SegmentLog;
     use std::time::Duration;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -294,18 +322,46 @@ mod tests {
         let _ = fs::remove_dir_all(root);
     }
 
+    /// Appends one record per `(stage, payload length)` to a fresh
+    /// segment under `root`, returning the segment's path.
+    fn put_segment(root: &Path, records: &[(&str, usize)]) -> PathBuf {
+        let before = segment_files(root);
+        let log = SegmentLog::open(root).unwrap();
+        for (i, &(stage, len)) in records.iter().enumerate() {
+            let mut key = segment::stage_key(stage);
+            key.u32(i as u32);
+            log.append(&key.into_bytes(), &vec![0u8; len]);
+        }
+        let mut after = segment_files(root);
+        after.retain(|p| !before.contains(p));
+        assert_eq!(after.len(), 1);
+        after.remove(0)
+    }
+
     #[test]
     fn stat_counts_files_and_bytes_per_kind() {
         let root = temp_root("stat");
         record_run(&root).unwrap();
-        put_artifact(&root, "widen", "aa", &[0u8; 10]);
-        put_artifact(&root, "widen", "bb", &[0u8; 20]);
-        put_artifact(&root, "sched", "cc", &[0u8; 40]);
+        put_artifact(&root, "result", "aa", &[0u8; 10]);
+        put_artifact(&root, "result", "bb", &[0u8; 20]);
+        put_artifact(&root, "batch", "cc", &[0u8; 40]);
+        // Stage rows come from segment record headers: two segments,
+        // one of them holding two stages.
+        put_segment(&root, &[("widen", 3), ("sched", 5)]);
+        put_segment(&root, &[("widen", 7)]);
         let s = stat(&root).unwrap();
-        assert_eq!(s.total_files(), 3);
-        assert_eq!(s.total_bytes(), 70);
+        assert_eq!(s.total_files(), 6);
+        let result = s.kinds.iter().find(|k| k.kind == "result").unwrap();
+        assert_eq!((result.files, result.bytes), (2, 30));
+        // A stage record: header, key (stage name + u32), length, payload.
+        let record = |stage: &str, len: u64| 18 + 1 + stage.len() as u64 + 4 + 4 + len;
         let widen = s.kinds.iter().find(|k| k.kind == "widen").unwrap();
-        assert_eq!((widen.files, widen.bytes), (2, 30));
+        assert_eq!(
+            (widen.files, widen.bytes),
+            (2, record("widen", 3) + record("widen", 7))
+        );
+        let kinds: Vec<&str> = s.kinds.iter().map(|k| k.kind.as_str()).collect();
+        assert_eq!(kinds, ["batch", "result", "sched", "widen"]);
         let _ = fs::remove_dir_all(root);
     }
 
@@ -337,22 +393,31 @@ mod tests {
             ),
         )
         .unwrap();
-        let old = put_artifact(&root, "sched", "old", &[0u8; 8]);
-        let kept = put_artifact(&root, "sched", "kept", &[0u8; 8]);
+        let old = put_artifact(&root, "result", "old", &[0u8; 8]);
+        let kept = put_artifact(&root, "result", "kept", &[0u8; 8]);
         set_mtime(&old, t0 + Duration::from_secs(5));
         set_mtime(&kept, t0 + Duration::from_secs(25));
+        // Segments go whole, with every record they hold.
+        let old_segment = put_segment(&root, &[("widen", 4), ("mii", 4)]);
+        let kept_segment = put_segment(&root, &[("sched", 4)]);
+        set_mtime(&old_segment, t0 + Duration::from_secs(5));
+        set_mtime(&kept_segment, t0 + Duration::from_secs(25));
+        let old_segment_bytes = fs::metadata(&old_segment).unwrap().len();
 
         // Keeping 3 generations: the cutoff is gen 1's start, and
         // nothing predates it.
         let g3 = gc(&root, 3).unwrap();
         assert_eq!((g3.pruned, g3.cutoff_generation), (0, 1));
-        // Keeping 2: only the artifact untouched since gen 1 goes.
+        assert_eq!(g3.examined, 5);
+        // Keeping 2: only what was untouched since gen 1 goes.
         let g2 = gc(&root, 2).unwrap();
         assert_eq!(g2.cutoff_generation, 2);
-        assert_eq!(g2.pruned, 1);
-        assert_eq!(g2.pruned_bytes, 8);
+        assert_eq!(g2.pruned, 3);
+        assert_eq!(g2.pruned_bytes, 8 + old_segment_bytes);
         assert!(!old.exists());
         assert!(kept.exists());
+        assert!(!old_segment.exists());
+        assert!(kept_segment.exists());
         let _ = fs::remove_dir_all(root);
     }
 

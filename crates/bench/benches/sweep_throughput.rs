@@ -10,14 +10,10 @@
 //!
 //! The `single_process_1thread` / `sharded_2workers` pair measures the
 //! distributed engine's scaling claim on the 60-loop × 9-config grid:
-//! one evaluator on one thread versus a coordinator plus two sharded
-//! workers (each with its own pipeline, one thread apiece) exchanging
-//! artifacts through a cold shared store. With ≥ 2 CPUs the sharded
-//! run wins despite paying the store's publish overhead.
-//! `sharded_2workers_per_unit_publish` repeats the sharded case under
-//! the legacy one-file-per-unit result protocol, and a final publish
-//! audit counts the published result files both ways — batch records
-//! cut them well over 10× on this 540-unit grid.
+//! one evaluator on one thread versus a coordinator plus two workers
+//! (each with its own pipeline, one thread apiece) claiming guided
+//! self-scheduled shards and exchanging artifacts through a cold
+//! shared store.
 //!
 //! `traced_shared_cache_sweep` repeats the shared-cache batch with the
 //! span recorder installed: the delta against `shared_cache_sweep` is
@@ -146,8 +142,8 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     g.bench_function("sharded_2workers", |b| {
         b.iter(|| {
             // Cold shared store each iteration: the sharded figure pays
-            // manifest + queue + publish costs, honestly. (Batch result
-            // records — the default — one publish per shard part.)
+            // manifest + queue + publish costs, honestly (one batch
+            // result record per shard).
             let dir = unique_dir("shard");
             let ev = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&dir));
             let swept = sweep_distributed(
@@ -161,65 +157,10 @@ fn bench_sweep_throughput(c: &mut Criterion) {
             black_box(swept.aggregates.iter().map(|e| e.total_cycles).sum::<f64>())
         })
     });
-    g.bench_function("sharded_2workers_per_unit_publish", |b| {
-        b.iter(|| {
-            // The legacy protocol: one result-tier file per unit. Same
-            // fleet, same grid — the delta is pure publish syscalls.
-            let dir = unique_dir("shard-pu");
-            let ev = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&dir));
-            let mut opts = DistributedOptions::new(2);
-            opts.batch_results = false;
-            let swept = sweep_distributed(&ev, &specs, &opts, &Launcher::InProcess)
-                .expect("per-unit sharded sweep completes");
-            shard_dirs.borrow_mut().push(dir);
-            black_box(swept.aggregates.iter().map(|e| e.total_cycles).sum::<f64>())
-        })
-    });
     for dir in shard_dirs.into_inner() {
         let _ = std::fs::remove_dir_all(dir);
     }
     g.finish();
-
-    // Publish-cost audit (not a timing: a file count). One fleet each
-    // way over the 540-unit grid; each published file is one
-    // create+write+rename syscall round trip, so the ratio is the
-    // batch-record claim measured directly.
-    let count_bins = |dir: &std::path::Path, kind: &str| -> usize {
-        fn walk(dir: &std::path::Path, n: &mut usize) {
-            let Ok(entries) = std::fs::read_dir(dir) else {
-                return;
-            };
-            for e in entries.flatten() {
-                let p = e.path();
-                if p.is_dir() {
-                    walk(&p, n);
-                } else if p.extension().is_some_and(|x| x == "bin") {
-                    *n += 1;
-                }
-            }
-        }
-        let mut n = 0;
-        walk(&dir.join("v2").join(kind), &mut n);
-        n
-    };
-    let publishes = |batch: bool| -> usize {
-        let dir = unique_dir(if batch { "audit-b" } else { "audit-u" });
-        let ev = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&dir));
-        let mut opts = DistributedOptions::new(2);
-        opts.batch_results = batch;
-        sweep_distributed(&ev, &specs, &opts, &Launcher::InProcess).expect("audit sweep");
-        let n = count_bins(&dir, if batch { "batch" } else { "result" });
-        let _ = std::fs::remove_dir_all(dir);
-        n
-    };
-    let (per_unit, batched) = (publishes(false), publishes(true));
-    eprintln!(
-        "publish audit ({} units): per-unit {} files vs batch {} files ({}x fewer)",
-        loops.len() * SWEEP.len(),
-        per_unit,
-        batched,
-        per_unit / batched.max(1)
-    );
 
     // Per-stage latency table from one traced shared-cache sweep,
     // through the same export path `repro trace summarize` uses.

@@ -50,27 +50,28 @@
 //!   contents — and therefore every analytic result — are identical
 //!   with or without the flag; only the ingestion path differs.
 //! * `--shards N` — run the `sweep` experiment through the distributed
-//!   engine: the coordinator partitions the `(loop × config)` grid into
-//!   priority-ordered shards and auto-spawns `N` local worker processes
-//!   (`repro worker …`) over the shared `--cache-dir`. Merged
-//!   aggregates are bitwise-equal to the in-process sweep; a killed
-//!   worker's shard is requeued when its lease counter stalls.
+//!   engine: the coordinator cuts the `(loop × config)` grid into
+//!   guided self-scheduled shards of loop columns (each ⌈R/p⌉ of the R
+//!   columns left, p the fleet's worker ceiling) and auto-spawns `N`
+//!   local worker processes (`repro worker …`) over the shared
+//!   `--cache-dir`. Merged aggregates are bitwise-equal to the
+//!   in-process sweep; a killed worker's shard is requeued when its
+//!   lease counter stalls.
 //! * `--max-workers M` — raise the fleet's autoscale ceiling above
 //!   `--shards N`: the coordinator spawns extra workers (up to `M`)
 //!   while the queue's remaining-priority-mass estimate exceeds the
-//!   per-worker budget, and the extras retire when the queue drains.
+//!   per-worker budget; every worker exits when the queue drains.
 //! * `--chaos-exit-units N` — fault injection for smoke tests: the
 //!   first spawned worker abandons everything after `N` units (silent
 //!   lease, no completion marker), exercising the requeue path.
 //! * `repro worker` — standalone worker mode: claim shards from
-//!   `--queue`, publish batched results into `--cache-dir`
-//!   (`--per-unit-results` for the legacy one-file-per-unit protocol),
-//!   steal surplus tails when idle, exit when the queue completes.
-//!   Point several of these (on one machine or on hosts sharing a
-//!   filesystem) at one queue to scale a sweep out.
+//!   `--queue` in order, publish one batch result record per shard into
+//!   `--cache-dir`, exit when the queue completes. Point several of
+//!   these (on one machine or on hosts sharing a filesystem) at one
+//!   queue to scale a sweep out.
 //! * `--trace FILE` — record spans (stage executions, sweep units,
 //!   queue waits, store evictions; with `--shards` also worker
-//!   lifecycle, steals, heartbeats and fleet events) and write one
+//!   lifecycle, heartbeats and fleet events) and write one
 //!   merged Chrome trace-event JSON timeline to `FILE` on exit — open
 //!   it at <https://ui.perfetto.dev>. Distributed workers each write a
 //!   binary trace next to their results; the coordinator merges them
@@ -413,7 +414,6 @@ fn worker_main(args: &[String]) -> ExitCode {
     let mut threads: usize = 1;
     let mut lease_ttl_ms: u64 = 30_000;
     let mut requeue_foreign = true;
-    let mut batch_results = true;
     let mut die_after_units: Option<u64> = None;
     let mut trace_file: Option<String> = None;
     let mut it = args.iter();
@@ -433,9 +433,6 @@ fn worker_main(args: &[String]) -> ExitCode {
             // coordinator so its requeue counter stays exact; standalone
             // fleets keep the default self-healing behaviour.
             "--no-requeue" => requeue_foreign = false,
-            // The legacy one-record-per-unit publishing protocol, for
-            // mixed fleets and the publish-cost benchmark.
-            "--per-unit-results" => batch_results = false,
             // Fault injection: die (silent lease, no completion marker)
             // after N units.
             "--die-after-units" => match it.next().and_then(|s| s.parse().ok()) {
@@ -455,7 +452,6 @@ fn worker_main(args: &[String]) -> ExitCode {
     cfg.threads = threads;
     cfg.lease_ttl = std::time::Duration::from_millis(lease_ttl_ms.max(1));
     cfg.requeue_foreign = requeue_foreign;
-    cfg.batch_results = batch_results;
     cfg.die_after_units = die_after_units;
     let recorder = trace_file.as_ref().map(|_| {
         let r = obs::Recorder::new(&format!("repro-worker-{}", std::process::id()));
@@ -472,13 +468,10 @@ fn worker_main(args: &[String]) -> ExitCode {
     match result {
         Ok(summary) => {
             eprintln!(
-                "worker: {} shard(s), {} unit(s), {} result hit(s), {} steal(s) \
-                 ({} stolen unit(s)), {} live stage run(s)",
+                "worker: {} shard(s), {} unit(s), {} result hit(s), {} live stage run(s)",
                 summary.shards_completed,
                 summary.units,
                 summary.result_hits,
-                summary.steals,
-                summary.stolen_units,
                 summary.counts.live_runs(),
             );
             ExitCode::SUCCESS
@@ -568,7 +561,7 @@ fn trace_main(args: &[String]) -> ExitCode {
             r.push_row([name.clone(), count.to_string()]);
         }
         r.push_note(
-            "store evictions plus fleet lifecycle: steals, lease expiries, autoscale, respawns",
+            "store evictions plus fleet lifecycle: heartbeats, lease expiries, autoscale, respawns",
         );
         println!("{r}");
     }
@@ -722,7 +715,7 @@ fn usage(problem: &str) -> ExitCode {
     );
     eprintln!(
         "       repro worker --queue DIR --cache-dir DIR [--threads N] [--lease-ttl-ms MS] \
-         [--per-unit-results] [--die-after-units N] [--trace-file FILE]"
+         [--no-requeue] [--die-after-units N] [--trace-file FILE]"
     );
     eprintln!("       repro trace summarize FILE");
     eprintln!("       repro perf record [--quick[=N]] [--reps R] [--threads N] [--out FILE]");

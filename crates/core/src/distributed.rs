@@ -2,19 +2,19 @@
 //! grid across worker processes, then merge their published results
 //! into corpus aggregates **bitwise-equal** to [`Evaluator::sweep`].
 //!
-//! The heavy lifting — manifests, the filesystem job queue with
-//! lease-expiry requeue, worker supervision — lives in
+//! The heavy lifting — guided self-scheduled manifests, the filesystem
+//! job queue with lease-expiry requeue, worker supervision — lives in
 //! [`widening_distrib`]; this module supplies what only the evaluator
-//! can: the merge. Workers publish one [`UnitOutcome`] per unit into
-//! the shared store's result tier; [`sweep_distributed`] reads them
-//! back **in corpus order per design point** and folds them with the
-//! exact scoring arithmetic of the in-process evaluator
-//! (`score_eval` + left-to-right `fold_scores`), so the f64 association
-//! order — and therefore every bit of every aggregate — matches a
-//! single-process sweep over the same grid. Units whose result record
-//! is missing (a worker's best-effort publish was swallowed by a dying
-//! disk) are recompiled locally through the evaluator's own pipeline,
-//! so the merge is total.
+//! can: the merge. Workers publish one batch record of
+//! [`UnitOutcome`]s per shard into the shared store's result tier;
+//! [`sweep_distributed`] reads them back, then folds the outcomes **in
+//! corpus order per design point** with the exact scoring arithmetic of
+//! the in-process evaluator (`score_eval` + left-to-right
+//! `fold_scores`), so the f64 association order — and therefore every
+//! bit of every aggregate — matches a single-process sweep over the
+//! same grid. Units no batch record covers (a worker's best-effort
+//! publish was swallowed by a dying disk) are recompiled locally
+//! through the evaluator's own pipeline, so the merge is total.
 //!
 //! Merged aggregates are installed into the evaluator's aggregate memo:
 //! after a distributed sweep, `eval.scheduled(...)` for a swept point
@@ -28,12 +28,8 @@ use std::time::Duration;
 
 use widening_distrib::{
     run_sweep, CoordinatorConfig, DistribError, Launcher, SpawnContext, SweepManifest, SweepRun,
-    BATCH_PARTS,
 };
-use widening_pipeline::exchange::{
-    batch_result_key, decode_unit_batch, decode_unit_outcome, unit_result_key, BATCH_KIND,
-    RESULT_KIND,
-};
+use widening_pipeline::exchange::{decode_unit_batch, BATCH_KIND};
 use widening_pipeline::{Exchange, FailureCause, PointSpec, UnitOutcome};
 
 use crate::evaluate::{aggregate, score_eval, CorpusEval, Evaluator, LoopEval};
@@ -46,17 +42,13 @@ pub struct DistributedOptions {
     /// Autoscale ceiling: the coordinator grows the fleet toward this
     /// while the queue's remaining-priority-mass estimate exceeds the
     /// per-worker budget. Equal to `workers` (the default) means a
-    /// static fleet.
+    /// static fleet. It is also the divisor p of the guided
+    /// self-scheduled shards.
     pub max_workers: usize,
     /// Threads per worker for intra-shard fan-out.
     pub worker_threads: usize,
-    /// Shards per worker (finer = less work lost per killed worker).
-    pub shards_per_worker: usize,
     /// Lease TTL before a silent worker's shard is requeued.
     pub lease_ttl: Duration,
-    /// Whether workers publish per-shard batch result records (the
-    /// default) instead of one file per unit.
-    pub batch_results: bool,
     /// Fault-injection knob: the first spawned worker abandons its work
     /// after this many units (no completion marker, silent lease) — the
     /// CI chaos path. `None` in production.
@@ -74,8 +66,8 @@ pub struct DistributedOptions {
 }
 
 impl DistributedOptions {
-    /// Defaults for `workers` local workers: one thread each, 4 shards
-    /// per worker, 30 s lease TTL, batch records, no autoscaling.
+    /// Defaults for `workers` local workers: one thread each, 30 s lease
+    /// TTL, no autoscaling.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
@@ -83,9 +75,7 @@ impl DistributedOptions {
             workers,
             max_workers: workers,
             worker_threads: 1,
-            shards_per_worker: 4,
             lease_ttl: Duration::from_secs(30),
-            batch_results: true,
             chaos_die_after_units: None,
             trace_dir: None,
             cost_model: None,
@@ -159,9 +149,6 @@ pub fn worker_command(exe: PathBuf) -> impl Fn(&SpawnContext) -> Command {
             // The spawning coordinator supervises leases; see the
             // in-process launcher for the same choice.
             .arg("--no-requeue");
-        if !sc.batch_results {
-            cmd.arg("--per-unit-results");
-        }
         if let Some(limit) = sc.die_after_units {
             cmd.arg("--die-after-units").arg(limit.to_string());
         }
@@ -197,21 +184,18 @@ pub fn sweep_distributed(
     let mut cfg = CoordinatorConfig::new(&cache_dir, opts.workers);
     cfg.max_workers = opts.max_workers.max(opts.workers);
     cfg.worker_threads = opts.worker_threads.max(1);
-    cfg.shards_per_worker = opts.shards_per_worker.max(1);
     cfg.lease_ttl = opts.lease_ttl;
-    cfg.batch_results = opts.batch_results;
     cfg.chaos_die_after_units = opts.chaos_die_after_units;
     cfg.trace_dir = opts.trace_dir.clone();
     cfg.unit_cost = opts.cost_model.clone();
-    let shard_count = cfg.shard_count(loops.len() * specs.len());
+    let p = cfg.shard_count(loops.len() * specs.len());
     let manifest = match &opts.cost_model {
-        Some(model) => SweepManifest::partition_with(
-            (*loops).clone(),
-            specs.to_vec(),
-            shard_count,
-            |x, y, z| model.priority(x, y, z),
-        ),
-        None => SweepManifest::partition((*loops).clone(), specs.to_vec(), shard_count),
+        Some(model) => {
+            SweepManifest::partition_with((*loops).clone(), specs.to_vec(), p, |x, y, z| {
+                model.priority(x, y, z)
+            })
+        }
+        None => SweepManifest::partition((*loops).clone(), specs.to_vec(), p),
     };
     let run = run_sweep(&manifest, &cfg, launcher)?;
 
@@ -228,13 +212,12 @@ pub fn sweep_distributed(
 /// evaluator's aggregate memo. Returns the aggregates in spec order
 /// plus the local-fallback unit count.
 ///
-/// With a `manifest`, the merge consumes **batch result records**
-/// first: one exchange read per shard part replaces one per unit, and
-/// any unit a batch does not cover — a requeued partial shard, a
-/// pre-batch cache, a mixed old/new fleet — falls back to the per-unit
-/// tier and finally to local recompute. Coverage tiers never change
-/// *values* (every record of a unit holds identical bytes), so the
-/// merged aggregates are bitwise-equal whichever tier serves each unit.
+/// The merge reads the `manifest`'s **batch result records**: one
+/// exchange read per shard. Any unit no record covers — a lost
+/// publish, no manifest, a manifest whose corpus or grid differs from
+/// the evaluator's — is recompiled locally. Recompiling never changes
+/// *values* (a unit's outcome is a pure function of its content key),
+/// so the merged aggregates are bitwise-equal either way.
 ///
 /// Exposed separately so fault-injection tests can drive a queue by
 /// hand and still use the production merge.
@@ -255,25 +238,17 @@ pub fn merge_published(
         .map(|li| eval.pipeline().content_fingerprint(li))
         .collect();
 
-    // The batch tier: unit id → outcome, loaded once per shard part.
-    // Unit ids (and the key lists) are manifest-relative, so the tier
-    // only applies when the evaluator's corpus IS the manifest's corpus
-    // — an evaluator extended (or rebuilt) since the sweep falls back
-    // to the per-unit tier, whose keys are per-loop content addresses
-    // and immune to index drift. A spec absent from the manifest
-    // likewise finds no batch coverage.
+    // Unit id → outcome, one record per shard. Unit ids (and the key
+    // lists) are manifest-relative, so the records only apply when the
+    // evaluator's corpus IS the manifest's corpus — an evaluator
+    // extended (or rebuilt) since the sweep recompiles instead. A spec
+    // absent from the manifest likewise finds no coverage.
     let manifest = manifest.filter(|m| m.loops == **loops);
     let mut batched: std::collections::HashMap<u32, UnitOutcome> = std::collections::HashMap::new();
     if let (Some(man), Some(ex)) = (manifest, exchange.as_ref()) {
         for shard in 0..man.shards.len() {
-            let keys = man.shard_unit_keys(shard, &fingerprints);
-            // Part 0 is the owner's record; parts 1.. are thief records,
-            // one per recursive-halving steal round (capped — see
-            // `widening_distrib::BATCH_PARTS`).
-            for part in 0..BATCH_PARTS {
-                if let Some(bytes) = ex.get(BATCH_KIND, &batch_result_key(&keys, part)) {
-                    batched.extend(decode_unit_batch(&bytes).unwrap_or_default());
-                }
+            if let Some(bytes) = ex.get(BATCH_KIND, &man.batch_key(shard, &fingerprints)) {
+                batched.extend(decode_unit_batch(&bytes).unwrap_or_default());
             }
         }
     }
@@ -288,14 +263,8 @@ pub fn merge_published(
         // (the fold order, not the fetch order, is what the bitwise
         // contract constrains).
         let outcomes = widening_pipeline::pool::par_map(loops.len(), eval.threads(), |li| {
-            let from_batch =
+            let published =
                 spec_index.and_then(|si| batched.get(&((si * loops.len() + li) as u32)).copied());
-            let published = from_batch.or_else(|| {
-                exchange
-                    .as_ref()
-                    .and_then(|ex| ex.get(RESULT_KIND, &unit_result_key(fingerprints[li], spec)))
-                    .and_then(|bytes| decode_unit_outcome(&bytes))
-            });
             published.unwrap_or_else(|| {
                 // Best-effort publishes can vanish; the merge stays
                 // total by compiling the hole locally (warm in practice

@@ -201,7 +201,6 @@ pub fn shard_table(run: &SweepRun) -> Report {
         "shard",
         "units",
         "result hits",
-        "stolen",
         "live runs",
         "disk hits",
         "schedule runs",
@@ -212,7 +211,6 @@ pub fn shard_table(run: &SweepRun) -> Report {
                 i.to_string(),
                 s.units.to_string(),
                 s.result_hits.to_string(),
-                s.stolen.to_string(),
                 s.counts.live_runs().to_string(),
                 s.counts.disk_hits().to_string(),
                 s.counts.schedule_runs.to_string(),
@@ -224,20 +222,12 @@ pub fn shard_table(run: &SweepRun) -> Report {
                 "?".into(),
                 "?".into(),
                 "?".into(),
-                "?".into(),
             ]),
         }
     }
     r.push_note(format!(
-        "units {} · result hits {} · stolen {} · lease requeues {} · worker respawns {} · \
-         autoscale spawns {} · early retirements {}",
-        run.units,
-        run.result_hits,
-        run.stolen_units,
-        run.requeues,
-        run.respawns,
-        run.scale_ups,
-        run.scale_downs
+        "units {} · result hits {} · lease requeues {} · worker respawns {} · autoscale spawns {}",
+        run.units, run.result_hits, run.requeues, run.respawns, run.scale_ups
     ));
     r
 }

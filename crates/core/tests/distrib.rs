@@ -8,13 +8,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use widening::distrib::{
-    run_on_queue, run_worker, CoordinatorConfig, JobQueue, Launcher, ShardReport, SweepManifest,
-    WorkerConfig,
+    run_on_queue, run_worker, CoordinatorConfig, JobQueue, Launcher, SweepManifest, WorkerConfig,
 };
 use widening::distributed::{merge_published, sweep_distributed, DistributedOptions};
 use widening::{CorpusEval, EvalOptions, Evaluator};
 use widening_machine::{Configuration, CycleModel};
-use widening_pipeline::{PointSpec, StageCounts, StoreConfig};
+use widening_pipeline::{PointSpec, StoreConfig};
 use widening_workload::corpus::{generate, CorpusSpec};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -212,208 +211,6 @@ fn published_files(cache: &std::path::Path, kind: &str) -> usize {
 }
 
 #[test]
-fn work_stealing_splits_a_big_shard_and_merges_bitwise_equal() {
-    // One big shard, two standalone workers: whoever loses the claim
-    // race steals the surplus tail instead of idling, and the merged
-    // aggregates still match single-process bitwise.
-    let cache = temp_dir("steal");
-    let loops = generate(&CorpusSpec::small(15, 9));
-    let specs = specs();
-    let eval = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&cache));
-    let manifest = SweepManifest::partition(loops.clone(), specs.clone(), 1);
-    let unit_count = manifest.shards[0].len();
-    let queue_dir = cache.join("queue").join("steal");
-    let _queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
-
-    let worker_cfg = |tag: &str| {
-        let mut cfg = WorkerConfig::new(&queue_dir, &cache);
-        cfg.tag = tag.to_string();
-        cfg.lease_ttl = Duration::from_millis(300);
-        cfg.poll = Duration::from_millis(5);
-        cfg.surplus_after = 2;
-        cfg
-    };
-    let (a, b) = std::thread::scope(|scope| {
-        let ha = scope.spawn(|| run_worker(&worker_cfg("worker-a")).expect("a finishes"));
-        let hb = scope.spawn(|| run_worker(&worker_cfg("worker-b")).expect("b finishes"));
-        (ha.join().unwrap(), hb.join().unwrap())
-    });
-    assert_eq!(a.shards_completed + b.shards_completed, 1);
-    // Recursive halving: the first steal takes the tail half, and the
-    // owner may re-offer (and the idle worker re-steal) further halves
-    // of whatever it still holds — at least one steal of at least the
-    // original tail is guaranteed.
-    assert!(a.steals + b.steals >= 1, "the idle worker must steal");
-    let stolen = a.stolen_units + b.stolen_units;
-    assert!(
-        stolen >= unit_count / 2,
-        "at least the tail half was stolen (got {stolen} of {unit_count})"
-    );
-
-    let (aggregates, fallback) = merge_published(&eval, &specs, Some(&manifest));
-    assert_eq!(fallback, 0);
-    let reference = Evaluator::new(loops).sweep_specs(&specs);
-    for ((d, s), spec) in aggregates.iter().zip(&reference).zip(&specs) {
-        assert_bitwise_equal(d, s, &format!("{spec:?}"));
-    }
-    let _ = std::fs::remove_dir_all(cache);
-}
-
-#[test]
-fn dead_thief_is_reclaimed_by_the_owner_and_merges_bitwise_equal() {
-    // A thief claims the stolen tail and dies silently (SIGKILL
-    // mid-steal): the owner's lease watch must stall out, reclaim the
-    // stolen units itself, and complete the shard — ending in a
-    // bitwise-equal merge.
-    let cache = temp_dir("deadthief");
-    let loops = generate(&CorpusSpec::small(12, 17));
-    let specs = specs();
-    let eval = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&cache));
-    let manifest = SweepManifest::partition(loops.clone(), specs.clone(), 1);
-    let queue_dir = cache.join("queue").join("deadthief");
-    let queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
-
-    // Stage the theft BEFORE the owner starts: the offer is on disk and
-    // already claimed by a thief that will never heartbeat, so the
-    // owner deterministically skips the tail and must reclaim it.
-    let units = &manifest.shards[0];
-    let split = units.len() / 2;
-    assert!(queue.publish_surplus(0, split as u32, &units[split..]));
-    assert_eq!(
-        queue.claim_steal(0, "doomed-thief").as_deref(),
-        Some(&units[split..])
-    );
-
-    let mut cfg = WorkerConfig::new(&queue_dir, &cache);
-    cfg.lease_ttl = Duration::from_millis(150);
-    cfg.poll = Duration::from_millis(5);
-    let summary = run_worker(&cfg).expect("owner survives the dead thief");
-    assert_eq!(summary.shards_completed, 1);
-    assert!(queue.all_done());
-
-    let (aggregates, fallback) = merge_published(&eval, &specs, Some(&manifest));
-    assert_eq!(fallback, 0, "the reclaimed tail was published");
-    let reference = Evaluator::new(loops).sweep_specs(&specs);
-    for ((d, s), spec) in aggregates.iter().zip(&reference).zip(&specs) {
-        assert_bitwise_equal(d, s, &format!("{spec:?}"));
-    }
-    let _ = std::fs::remove_dir_all(cache);
-}
-
-#[test]
-fn recursive_halving_reoffers_the_tail_and_survives_a_dead_second_thief() {
-    // Round 0 of the steal protocol is staged as already *resolved*
-    // before the owner starts: offered, claimed, and carrying a durable
-    // sub-report. The owner must fold it on its first heartbeat and —
-    // recursive halving — re-offer half of what it still holds as a
-    // round-1 surplus under fresh marker names. A second thief claims
-    // that round and dies silently; the owner's lease watch reclaims it
-    // and the shard still completes.
-    let cache = temp_dir("halving");
-    let loops = generate(&CorpusSpec::small(12, 31));
-    let specs = specs();
-    let manifest = SweepManifest::partition(loops, specs, 1);
-    let queue_dir = cache.join("queue").join("halving");
-    let queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
-
-    let units = manifest.shards[0].clone();
-    let n = units.len();
-    let s0 = n - n / 2;
-    assert!(queue.publish_surplus_round(0, 0, s0 as u32, &units[s0..]));
-    assert_eq!(
-        queue.claim_steal_round(0, 0, "fast-thief").as_deref(),
-        Some(&units[s0..])
-    );
-    let fake = ShardReport {
-        shard: 0,
-        units: (n - s0) as u32,
-        result_hits: 0,
-        stolen: 0,
-        counts: StageCounts::zero(),
-    };
-    queue.complete_sub_round(0, 0, &fake.encode());
-
-    let mut cfg = WorkerConfig::new(&queue_dir, &cache);
-    cfg.lease_ttl = Duration::from_millis(150);
-    cfg.poll = Duration::from_millis(5);
-    cfg.surplus_after = 2;
-    let (summary, second) = std::thread::scope(|scope| {
-        let owner = scope.spawn(|| run_worker(&cfg).expect("owner survives both thieves"));
-        // Wait for the fold to publish the round-1 offer, then claim it
-        // as a thief that will never heartbeat.
-        let second = loop {
-            if queue.latest_surplus_round(0) == Some(1) {
-                break queue.claim_steal_round(0, 1, "doomed-second-thief");
-            }
-            if queue.all_done() {
-                break None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        (owner.join().unwrap(), second)
-    });
-    assert_eq!(summary.shards_completed, 1);
-    assert!(queue.all_done());
-    let second = second.expect("round 1 must be offered and claimable");
-    assert!(!second.is_empty() && second.len() < s0);
-    assert_eq!(*second.last().unwrap(), units[s0 - 1]);
-
-    let report = queue
-        .completion(0)
-        .and_then(|b| ShardReport::decode(&b))
-        .expect("decodable completion");
-    assert_eq!(report.units, n as u32);
-    // Only round 0's folded sub-report counts as stolen: round 1's
-    // thief died, so the owner reclaimed those units itself.
-    assert_eq!(report.stolen, (n - s0) as u32);
-    let _ = std::fs::remove_dir_all(cache);
-}
-
-#[test]
-fn idle_workers_retire_on_scale_down_tokens_and_the_merge_is_unaffected() {
-    // One tiny shard (below the steal threshold) and a three-worker
-    // fleet: whoever loses the claim race has nothing to claim and
-    // nothing to steal. The coordinator's mass estimate says one worker
-    // suffices, so it posts retirement tokens and the idle workers exit
-    // early instead of polling until the owner finishes.
-    let cache = temp_dir("scaledown");
-    let loops = generate(&CorpusSpec::small(1, 41));
-    let specs = specs();
-    let eval = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&cache));
-    let manifest = SweepManifest::partition(loops.clone(), specs.clone(), 1);
-    assert!(
-        manifest.shards[0].len() < 8,
-        "the shard must be too small to publish a steal offer"
-    );
-    let queue_dir = cache.join("queue").join("scaledown");
-    let queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
-
-    let mut cfg = CoordinatorConfig::new(&cache, 3);
-    cfg.max_workers = 3;
-    // A huge per-worker budget: the tail never justifies more than one
-    // worker, so the two spares are told to go home.
-    cfg.mass_per_worker = Some(u64::MAX);
-    cfg.lease_ttl = Duration::from_millis(500);
-    cfg.poll = Duration::from_millis(5);
-    let run = run_on_queue(&queue, &cfg, &Launcher::InProcess).expect("fleet drains");
-    assert!(queue.all_done());
-    assert!(
-        run.scale_downs >= 1,
-        "at least one idle worker must retire early (got {})",
-        run.scale_downs
-    );
-    assert_eq!(run.scale_ups, 0);
-
-    let (aggregates, fallback) = merge_published(&eval, &specs, Some(&manifest));
-    assert_eq!(fallback, 0);
-    let reference = Evaluator::new(loops).sweep_specs(&specs);
-    for ((d, s), spec) in aggregates.iter().zip(&reference).zip(&specs) {
-        assert_bitwise_equal(d, s, &format!("{spec:?}"));
-    }
-    let _ = std::fs::remove_dir_all(cache);
-}
-
-#[test]
 fn chaos_killed_worker_with_autoscaling_still_merges_bitwise_equal() {
     // The CI chaos path, in-process: worker 0 abandons everything after
     // a few units (silent lease, no marker); the coordinator requeues
@@ -484,82 +281,29 @@ fn undecodable_done_marker_is_requeued_not_merged() {
 }
 
 #[test]
-fn mixed_batch_and_per_unit_caches_merge_identically() {
-    // A pre-batch cache (per-unit records only) must merge bitwise-
-    // equal with no fallback; a batch-mode fleet over the same cache
-    // replays those records as hits and adds batch records on top —
-    // and the batch-first merge still agrees bit for bit.
-    let cache = temp_dir("mixed");
-    let loops = generate(&CorpusSpec::small(11, 31));
-    let specs = specs();
-    let eval = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&cache));
-    let manifest = SweepManifest::partition(loops.clone(), specs.clone(), 2);
-    let reference = Evaluator::new(loops).sweep_specs(&specs);
-
-    // Legacy fleet: per-unit records only.
-    let legacy_queue = cache.join("queue").join("legacy");
-    let queue = JobQueue::create(&legacy_queue, &manifest).expect("queue");
-    let mut cfg = WorkerConfig::new(&legacy_queue, &cache);
-    cfg.batch_results = false;
-    let summary = run_worker(&cfg).expect("legacy worker");
-    assert_eq!(summary.shards_completed, 2);
-    assert_eq!(published_files(&cache, "batch"), 0, "legacy publishes none");
-    let per_unit_files = published_files(&cache, "result");
-    assert_eq!(per_unit_files, manifest.unit_count());
-    drop(queue);
-    let (aggregates, fallback) = merge_published(&eval, &specs, Some(&manifest));
-    assert_eq!(fallback, 0, "per-unit tier alone serves the merge");
-    for ((d, s), spec) in aggregates.iter().zip(&reference).zip(&specs) {
-        assert_bitwise_equal(d, s, &format!("legacy {spec:?}"));
-    }
-
-    // Batch fleet over the same (mixed) cache: replays the per-unit
-    // records, publishes batch records on top.
-    let batch_queue = cache.join("queue").join("batch");
-    let _ = JobQueue::create(&batch_queue, &manifest).expect("queue");
-    let mut cfg = WorkerConfig::new(&batch_queue, &cache);
-    cfg.batch_results = true;
-    let summary = run_worker(&cfg).expect("batch worker");
-    assert_eq!(summary.result_hits, manifest.unit_count(), "all replayed");
-    assert!(published_files(&cache, "batch") >= 2, "batches published");
-    // A fresh evaluator (cold memo) merging batch-first must agree.
-    let eval2 = Evaluator::new(eval.loops().to_vec()).with_store(StoreConfig::persistent(&cache));
-    let (aggregates, fallback) = merge_published(&eval2, &specs, Some(&manifest));
-    assert_eq!(fallback, 0);
-    for ((d, s), spec) in aggregates.iter().zip(&reference).zip(&specs) {
-        assert_bitwise_equal(d, s, &format!("mixed {spec:?}"));
-    }
-    let _ = std::fs::remove_dir_all(cache);
-}
-
-#[test]
-fn stale_manifest_after_extend_falls_back_to_per_unit_tier() {
+fn stale_manifest_after_extend_recompiles_the_grid_locally() {
     // merge_published with a manifest whose corpus no longer matches
-    // the evaluator's (the PR-3 incremental path grew it since the
-    // sweep) must not mis-index batch records by unit id: the batch
-    // tier is skipped, old loops replay from the per-unit content
-    // addresses, and only the appended loops recompile locally.
+    // the evaluator's (the incremental path grew it since the sweep)
+    // must not mis-index batch records by unit id: the records are
+    // skipped and the whole grid recompiles locally, bitwise-equal.
     let cache = temp_dir("stale");
     let full = generate(&CorpusSpec::small(12, 43));
     let (initial, appended) = full.split_at(10);
     let specs = specs();
     let eval = Evaluator::new(initial.to_vec()).with_store(StoreConfig::persistent(&cache));
     let manifest = SweepManifest::partition(initial.to_vec(), specs.clone(), 2);
-    // Populate the per-unit tier (and run the fleet) on the old corpus.
-    let legacy_queue = cache.join("queue").join("stale");
-    let _ = JobQueue::create(&legacy_queue, &manifest).expect("queue");
-    let mut cfg = WorkerConfig::new(&legacy_queue, &cache);
-    cfg.batch_results = false;
-    run_worker(&cfg).expect("fleet");
+    // Publish the batch records (and run the fleet) on the old corpus.
+    let queue_dir = cache.join("queue").join("stale");
+    let _ = JobQueue::create(&queue_dir, &manifest).expect("queue");
+    run_worker(&WorkerConfig::new(&queue_dir, &cache)).expect("fleet");
 
     eval.extend(appended.to_vec());
     let loops = full.clone();
     let (aggregates, fallback) = merge_published(&eval, &specs, Some(&manifest));
-    // At most the appended loops recompile (fewer when an appended body
-    // duplicates an existing loop's content address).
-    assert!(
-        fallback <= 2 * specs.len(),
-        "only appended loops may recompile, got {fallback}"
+    assert_eq!(
+        fallback,
+        full.len() * specs.len(),
+        "a stale manifest's records must not be read"
     );
     let reference = Evaluator::new(loops).sweep_specs(&specs);
     for ((d, s), spec) in aggregates.iter().zip(&reference).zip(&specs) {
@@ -569,36 +313,74 @@ fn stale_manifest_after_extend_falls_back_to_per_unit_tier() {
 }
 
 #[test]
-fn batch_records_cut_publish_files_at_least_tenfold() {
-    // The acceptance bar: on a ≥ 50-unit grid, batch publication must
-    // write ≥ 10× fewer result-tier files (one create+write+rename
-    // syscall round trip each) than the per-unit protocol.
-    let loops = generate(&CorpusSpec::small(15, 41));
-    let specs = specs();
-    let unit_count = loops.len() * specs.len();
-    assert!(unit_count >= 50, "grid too small to be meaningful");
+fn a_cold_fleet_leaves_only_claims_done_markers_and_one_batch_per_shard() {
+    // The protocol's whole disk traffic: a manifest, then per shard one
+    // claim, one done marker and one batch result record.
+    let cache = temp_dir("traffic");
+    let loops = generate(&CorpusSpec::small(14, 3));
+    let manifest = SweepManifest::partition(loops, specs(), 2);
+    let queue_dir = cache.join("queue").join("traffic");
+    let queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
+    let run = run_on_queue(
+        &queue,
+        &CoordinatorConfig::new(&cache, 2),
+        &Launcher::InProcess,
+    )
+    .expect("fleet completes");
+    assert_eq!(run.units as usize, manifest.unit_count());
 
-    let run_fleet = |batch: bool, tag: &str| -> usize {
-        let cache = temp_dir(tag);
-        let manifest = SweepManifest::partition(loops.clone(), specs.clone(), 2);
-        let queue_dir = cache.join("queue").join(tag);
-        let _ = JobQueue::create(&queue_dir, &manifest).expect("queue");
-        let mut cfg = WorkerConfig::new(&queue_dir, &cache);
-        cfg.batch_results = batch;
-        let summary = run_worker(&cfg).expect("fleet");
-        assert_eq!(summary.units, unit_count);
-        let files = published_files(&cache, if batch { "batch" } else { "result" });
-        let _ = std::fs::remove_dir_all(cache);
-        files
-    };
-    let per_unit = run_fleet(false, "prunit");
-    let batched = run_fleet(true, "pbatch");
-    assert_eq!(per_unit, unit_count);
+    let mut left: Vec<String> = std::fs::read_dir(&queue_dir)
+        .expect("queue survives run_on_queue")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    left.sort();
+    let mut expected = vec!["manifest.bin".to_string()];
+    for shard in 0..manifest.shards.len() {
+        expected.push(format!("shard-{shard}.claim"));
+        expected.push(format!("shard-{shard}.done"));
+    }
+    expected.sort();
+    assert_eq!(left, expected);
+    assert_eq!(published_files(&cache, "batch"), manifest.shards.len());
     assert!(
-        per_unit >= 10 * batched.max(1),
-        "batching must cut publishes ≥ 10×: {per_unit} per-unit vs {batched} batch files"
+        !cache.join("v2").join("result").exists(),
+        "no per-unit result files"
     );
-    let _ = (per_unit, batched);
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
+fn the_manifest_rebuilt_from_the_coordinator_config_reads_every_batch() {
+    // A caller that rebuilds the fleet's manifest from
+    // `CoordinatorConfig::shard_count` (as a timed merge does) must
+    // find every unit in the fleet's batch records.
+    let cache = temp_dir("agree");
+    let loops = generate(&CorpusSpec::small(16, 5));
+    let specs = specs();
+    let workers = 2;
+    let eval = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&cache));
+    let swept = sweep_distributed(
+        &eval,
+        &specs,
+        &DistributedOptions::new(workers),
+        &Launcher::InProcess,
+    )
+    .expect("distributed sweep completes");
+
+    let units = loops.len() * specs.len();
+    let manifest = SweepManifest::partition(
+        loops.clone(),
+        specs.clone(),
+        CoordinatorConfig::new(&cache, workers).shard_count(units),
+    );
+    assert_eq!(manifest.shards.len(), swept.run.shard_reports.len());
+    let fresh = Evaluator::new(loops).with_store(StoreConfig::persistent(&cache));
+    let (aggregates, fallback) = merge_published(&fresh, &specs, Some(&manifest));
+    assert_eq!(fallback, 0, "every unit read from a batch record");
+    for ((m, d), spec) in aggregates.iter().zip(&swept.aggregates).zip(&specs) {
+        assert_bitwise_equal(m, d, &format!("{spec:?}"));
+    }
+    let _ = std::fs::remove_dir_all(cache);
 }
 
 #[test]

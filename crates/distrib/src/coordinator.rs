@@ -17,19 +17,11 @@
 //!
 //! **Autoscaling** reads the same lease stamps the stall detector does:
 //! every owner heartbeats the `sweep_priority` mass of its unprocessed
-//! units into its claim (thieves likewise into their steal files), and
-//! unclaimed shards count at their static manifest mass. While
-//! `estimated mass > mass_per_worker × live workers` and the fleet is
-//! under `max_workers`, the coordinator spawns one more worker per
-//! supervision tick. Scale-down mirrors it: when the estimate says the
-//! tail needs fewer hands than are live, the coordinator posts
-//! retirement tokens ([`JobQueue::post_retirements`]) and *idle*
-//! workers — nothing left to claim or steal — race to claim one and
-//! exit early instead of polling until the stragglers finish. Tokens
-//! left unclaimed when the fleet needs to grow again are voided
-//! (claimed by the coordinator itself) before any new worker spawns,
-//! so a newcomer cannot retire on a stale lull. Workers that never see
-//! a token still exit on their own once every shard is complete.
+//! units into its claim, and unclaimed shards count at their static
+//! manifest mass. While `estimated mass > mass_per_worker × live
+//! workers` and the fleet is under `max_workers`, the coordinator
+//! spawns one more worker per supervision tick. Workers exit on their
+//! own once every shard is complete.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -66,19 +58,12 @@ pub struct CoordinatorConfig {
     pub mass_per_worker: Option<u64>,
     /// Worker threads each worker uses for intra-shard fan-out.
     pub worker_threads: usize,
-    /// Shards per worker (finer shards = less work lost per kill, more
-    /// queue traffic). The shard count is `workers × shards_per_worker`,
-    /// capped by the unit count.
-    pub shards_per_worker: usize,
     /// Lease TTL before a silent worker's shard is requeued.
     pub lease_ttl: Duration,
     /// Supervision poll interval.
     pub poll: Duration,
     /// Workers the coordinator may respawn after the whole fleet died.
     pub max_respawns: usize,
-    /// Whether workers buffer and publish batch result records (the
-    /// default) instead of one per-unit record per unit.
-    pub batch_results: bool,
     /// Fault-injection hook: the *first* spawned worker abandons its
     /// work (no completion marker, lease goes silent) after this many
     /// units — the CI chaos knob. `None` in production.
@@ -100,8 +85,8 @@ pub struct CoordinatorConfig {
 
 impl CoordinatorConfig {
     /// A fleet of `workers` over `cache_dir` with defaults: one thread
-    /// per worker, 4 shards per worker, 30 s lease TTL, 20 ms poll, as
-    /// many respawns as workers, batch results, no autoscaling.
+    /// per worker, 30 s lease TTL, 20 ms poll, as many respawns as
+    /// workers, no autoscaling.
     #[must_use]
     pub fn new(cache_dir: impl Into<PathBuf>, workers: usize) -> Self {
         let workers = workers.max(1);
@@ -111,24 +96,22 @@ impl CoordinatorConfig {
             max_workers: workers,
             mass_per_worker: None,
             worker_threads: 1,
-            shards_per_worker: 4,
             lease_ttl: Duration::from_secs(30),
             poll: Duration::from_millis(20),
             max_respawns: workers,
-            batch_results: true,
             chaos_die_after_units: None,
             trace_dir: None,
             unit_cost: None,
         }
     }
 
-    /// The shard count this configuration implies for `units` work
-    /// units.
+    /// The divisor p this configuration partitions a grid of `units`
+    /// work units with ([`SweepManifest::partition`]): the fleet's
+    /// worker ceiling, at most `units`. A caller that rebuilds a fleet's
+    /// manifest (to merge its batch records) must pass this same p.
     #[must_use]
     pub fn shard_count(&self, units: usize) -> usize {
-        (self.workers * self.shards_per_worker.max(1))
-            .min(units)
-            .max(1)
+        self.max_workers.max(self.workers).clamp(1, units.max(1))
     }
 
     /// The static priority mass of one manifest shard under this
@@ -172,8 +155,6 @@ pub struct SpawnContext {
     pub threads: usize,
     /// Lease TTL the worker should assume.
     pub lease_ttl: Duration,
-    /// Whether the worker should publish batch result records.
-    pub batch_results: bool,
     /// Chaos hook: abandon after this many units (fault-injection runs
     /// set it on worker 0 only).
     pub die_after_units: Option<u64>,
@@ -209,9 +190,10 @@ pub struct SweepRun {
     pub worker_counts: StageCounts,
     /// Total units across all shards.
     pub units: u64,
-    /// Units served straight from the result tier.
+    /// Units served straight from published batch records.
     pub result_hits: u64,
-    /// Units completed by thieves via work stealing.
+    /// Always 0: fleets no longer steal work. Kept so callers that
+    /// report it still build.
     pub stolen_units: u64,
     /// Stalled leases the coordinator requeued (≥ 1 whenever a worker
     /// was killed mid-shard), including shards reset because their
@@ -221,9 +203,6 @@ pub struct SweepRun {
     pub respawns: u64,
     /// Workers added by autoscaling (beyond the initial fleet).
     pub scale_ups: u64,
-    /// Workers that retired early on a coordinator-posted token
-    /// (coordinator-voided tokens are not counted).
-    pub scale_downs: u64,
 }
 
 enum Handle {
@@ -283,9 +262,6 @@ fn spawn(
                 // out of it makes `SweepRun::requeues` exact.
                 requeue_foreign: false,
                 tag: format!("inproc-{}-{}", std::process::id(), ctx.index),
-                batch_results: ctx.batch_results,
-                steal: true,
-                surplus_after: 8,
                 die_after_units: ctx.die_after_units,
             };
             Ok(Handle::Thread(std::thread::spawn(move || run_worker(&cfg))))
@@ -371,7 +347,6 @@ pub fn run_on_queue(
         cache_dir: cfg.cache_dir.clone(),
         threads: cfg.worker_threads.max(1),
         lease_ttl: cfg.lease_ttl,
-        batch_results: cfg.batch_results,
         die_after_units: cfg.chaos_die_after_units.filter(|_| index == 0),
         trace_file: cfg
             .trace_dir
@@ -399,17 +374,7 @@ pub fn run_on_queue(
     let mut requeues = 0u64;
     let mut respawns = 0u64;
     let mut scale_ups = 0u64;
-    let mut tokens_posted = 0u32;
-    let mut tokens_voided = 0u32;
     let mut next_index = handles.len();
-    // Claims every outstanding retirement token as the coordinator's
-    // own, so a worker spawned after a lull cannot retire on a token
-    // posted for the *previous* fleet size.
-    let void_tokens = |queue: &JobQueue, voided: &mut u32| {
-        while queue.claim_retirement("coordinator-void").is_some() {
-            *voided += 1;
-        }
-    };
     loop {
         // A present-but-undecodable done marker (a torn write from a
         // crashed pre-fsync host, corruption at rest) must never be
@@ -464,7 +429,6 @@ pub fn run_on_queue(
             }
             // Replacements start with stalled foreign claims already
             // released above, so they pick the dead fleet's work up.
-            void_tokens(queue, &mut tokens_voided);
             respawns += 1;
             eprintln!("distrib: event=respawn worker={next_index}");
             obs::instant(SpanKind::Respawn, next_index as u64, 0);
@@ -473,13 +437,12 @@ pub fn run_on_queue(
                 Err(e) => return Err(abort_fleet(handles, e)),
             }
             next_index += 1;
-        } else {
+        } else if live < max_workers {
             let mass = remaining_mass_estimate(queue, &shard_masses);
-            if live < max_workers && mass > mass_per_worker.saturating_mul(live as u64) {
+            if mass > mass_per_worker.saturating_mul(live as u64) {
                 // Autoscale: one more pair of hands per tick while the
                 // estimated remaining mass exceeds the per-worker
                 // budget.
-                void_tokens(queue, &mut tokens_voided);
                 scale_ups += 1;
                 eprintln!("distrib: event=scale-up worker={next_index} live={live} mass={mass}");
                 obs::instant(SpanKind::ScaleUp, next_index as u64, mass);
@@ -488,27 +451,6 @@ pub fn run_on_queue(
                     Err(e) => return Err(abort_fleet(handles, e)),
                 }
                 next_index += 1;
-            } else {
-                // Scale down: near the drain the mass estimate says how
-                // many hands the tail still justifies; post exactly
-                // enough tokens that the spare workers (there is always
-                // one keeper) can retire instead of idling to the end.
-                let needed = usize::try_from(mass.div_ceil(mass_per_worker))
-                    .unwrap_or(usize::MAX)
-                    .max(1);
-                if live > needed {
-                    let spare = u32::try_from(live - needed).unwrap_or(u32::MAX);
-                    let target = queue.retirements_claimed().saturating_add(spare);
-                    if target > tokens_posted {
-                        tokens_posted = target;
-                        queue.post_retirements(tokens_posted);
-                        eprintln!(
-                            "distrib: event=scale-down tokens={tokens_posted} live={live} \
-                             needed={needed} mass={mass}"
-                        );
-                        obs::instant(SpanKind::ScaleDown, u64::from(tokens_posted), mass);
-                    }
-                }
             }
         }
         std::thread::sleep(cfg.poll);
@@ -527,7 +469,6 @@ pub fn run_on_queue(
         requeues,
         respawns,
         scale_ups,
-        scale_downs: u64::from(queue.retirements_claimed().saturating_sub(tokens_voided)),
     };
     for shard in 0..queue.shard_count() {
         let report = queue
@@ -537,33 +478,25 @@ pub fn run_on_queue(
             run.worker_counts = run.worker_counts.plus(&r.counts);
             run.units += u64::from(r.units);
             run.result_hits += u64::from(r.result_hits);
-            run.stolen_units += u64::from(r.stolen);
         }
         run.shard_reports.push(report);
     }
     Ok(run)
 }
 
-/// The queue's remaining-work estimate: per shard, a validated done
-/// marker counts zero, a live claim counts its last heartbeat's mass
-/// stamp (plus any thief's), and an unclaimed shard counts its static
-/// manifest mass. Fresh claims that have not heartbeated yet
-/// ([`MASS_UNKNOWN`]) fall back to the static estimate too.
+/// The queue's remaining-work estimate: per shard, a done marker
+/// counts zero, a live claim counts its last heartbeat's mass stamp,
+/// and an unclaimed shard counts its static manifest mass. Fresh claims
+/// that have not heartbeated yet ([`MASS_UNKNOWN`]) fall back to the
+/// static estimate too.
 fn remaining_mass_estimate(queue: &JobQueue, shard_masses: &[u64]) -> u64 {
-    let mut total = 0u64;
-    for (shard, &static_mass) in shard_masses.iter().enumerate() {
-        if queue.is_done(shard) {
-            continue;
-        }
-        let owner = match queue.read_claim(shard) {
+    shard_masses
+        .iter()
+        .enumerate()
+        .filter(|&(shard, _)| !queue.is_done(shard))
+        .map(|(shard, &static_mass)| match queue.read_claim(shard) {
             Some(stamp) if stamp.mass != MASS_UNKNOWN => stamp.mass,
             Some(_) | None => static_mass,
-        };
-        let thief = match queue.read_steal(shard) {
-            Some(stamp) if stamp.mass != MASS_UNKNOWN => stamp.mass,
-            _ => 0,
-        };
-        total = total.saturating_add(owner).saturating_add(thief);
-    }
-    total
+        })
+        .fold(0, u64::saturating_add)
 }

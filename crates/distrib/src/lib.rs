@@ -10,53 +10,39 @@
 //! pieces:
 //!
 //! * a [`SweepManifest`] that freezes the corpus, the design points and
-//!   a **priority-ordered sharding** of the unit grid: units are ranked
-//!   by [`widening_cost::sweep_priority`] (pressure/width-heavy points
-//!   first) and dealt round-robin, so no shard is left holding all the
-//!   spill-engine-bound stragglers — the LPT trick that cuts tail
-//!   latency;
+//!   a **guided self-scheduled** sharding of the unit grid
+//!   (Polychronopoulos & Kuck, IEEE TC 1987): shard *i* takes ⌈Rᵢ/p⌉ of
+//!   the Rᵢ loop columns not yet assigned, for a fleet of at most p
+//!   workers, so shards shrink as the sweep drains and the last ones
+//!   even out the finish. Inside a shard, units run heaviest design
+//!   point first ([`widening_cost::sweep_priority`]) — the LPT trick
+//!   that cuts tail latency;
 //! * a filesystem [`JobQueue`] with **atomic claim files, monotonic
-//!   counter leases and lease-stall requeue**: workers claim shards via
-//!   `create_new` and heartbeat a monotonic counter (plus a
+//!   counter leases and lease-stall requeue**: workers claim shards in
+//!   order via `create_new` and heartbeat a monotonic counter (plus a
 //!   remaining-priority-mass estimate) into the claim file; a shard
 //!   whose counter stops advancing across a TTL observation window —
 //!   on the *observer's* monotonic clock, immune to cross-host
 //!   wall-clock skew — is requeued for the survivors. Duplicate
 //!   execution after a requeue race is *idempotent by construction*,
 //!   because results are content-addressed — two workers publishing the
-//!   same unit write identical bytes under identical keys. The same
-//!   queue carries the **work-stealing** protocol: owners offer the
-//!   tail half of a big shard's priority-ordered unit list as a
-//!   write-once *surplus*, and an idle worker claims it atomically,
-//!   heartbeats its own steal lease, and completes the stolen units
-//!   with a durable sub-report the owner folds in. Steals *halve
-//!   recursively*: each fold re-offers half of whatever the owner
-//!   still holds as a fresh round-numbered surplus marker (round 0
-//!   keeps the legacy names), so idle workers keep converging on a
-//!   straggler shard until its remainder is too small to share;
+//!   same shard write identical bytes under identical keys;
 //! * a [`coordinator`](run_sweep) that writes the queue, spawns local
 //!   workers (in-process threads for tests and benches, real
 //!   `repro worker` processes from the CLI), supervises leases,
 //!   validates completion markers (an undecodable marker requeues its
 //!   shard instead of merging garbage), **autoscales** the fleet while
 //!   the lease stamps' remaining-mass estimate exceeds a per-worker
-//!   budget (up to `max_workers`) and **scales down** by posting
-//!   retirement tokens that idle workers claim to exit early once the
-//!   estimate says the tail needs fewer hands (workers retire
-//!   themselves anyway when the queue drains), respawns a worker if
-//!   the whole fleet dies, and
-//!   collects per-shard progress reports ([`ShardReport`]) whose stage
-//!   counters fold into the existing counter tables.
+//!   budget (up to `max_workers`), respawns a worker if the whole fleet
+//!   dies, and collects per-shard progress reports ([`ShardReport`])
+//!   whose stage counters fold into the existing counter tables.
 //!
-//! Workers buffer their units' [`widening_pipeline::UnitOutcome`]s and
-//! publish **one batch result record per shard** (or per stolen
-//! sub-shard) into the shared store's result tier
-//! ([`widening_pipeline::Exchange`]), keyed by the shard's
-//! unit-key-list hash — ~50× fewer publish syscalls than the per-unit
-//! tier, which remains as the compatibility fallback. The *merge* of
-//! those records into corpus aggregates lives with the evaluator (the
-//! `widening` crate), which guarantees the fold is bitwise-equal to a
-//! single-process `Evaluator::sweep`.
+//! Each shard ends with **one batch result record** in the shared
+//! store's result tier ([`widening_pipeline::Exchange`]), keyed by the
+//! shard's unit-key-list hash, and one durable done marker in the
+//! queue. The *merge* of those records into corpus aggregates lives
+//! with the evaluator (the `widening` crate), which guarantees the fold
+//! is bitwise-equal to a single-process `Evaluator::sweep`.
 //!
 //! The only shared medium is the cache directory: coordinator and
 //! workers never talk over sockets, so "distributed" degrades gracefully
@@ -75,8 +61,8 @@ pub use coordinator::{
     run_on_queue, run_sweep, CoordinatorConfig, Launcher, SpawnContext, SweepRun,
 };
 pub use manifest::SweepManifest;
-pub use queue::{JobQueue, LeaseObserver, LeaseStamp, LeaseWatch, MASS_UNKNOWN};
-pub use worker::{run_worker, ShardReport, WorkerConfig, WorkerSummary, BATCH_PARTS};
+pub use queue::{JobQueue, LeaseObserver, LeaseStamp, MASS_UNKNOWN};
+pub use worker::{run_worker, ShardReport, WorkerConfig, WorkerSummary};
 
 use std::fmt;
 use std::path::PathBuf;

@@ -1,16 +1,28 @@
 //! The sweep manifest: the frozen inputs of one distributed parameter
-//! study, plus its priority-ordered sharding of the unit grid.
+//! study, plus its guided self-scheduled sharding of the unit grid.
 
-use widening_cost::{sweep_mass, sweep_priority};
+use widening_cost::sweep_priority;
 use widening_ir::{Loop, LoopBuilder};
 use widening_pipeline::codec::{self, Reader, Writer};
-use widening_pipeline::exchange::{decode_point_spec, encode_point_spec, unit_result_key};
+use widening_pipeline::exchange::{
+    batch_result_key, decode_point_spec, encode_point_spec, unit_result_key,
+};
 use widening_pipeline::PointSpec;
 
-/// Bump on any change to the manifest encoding: stale queues then read
-/// as unreadable instead of mis-decoding.
-const MANIFEST_VERSION: u32 = 1;
+/// Bump on any change to the manifest encoding or to the meaning of its
+/// shards: stale queues (and workers built before the change) then read
+/// the manifest as unreadable instead of mis-decoding it.
+const MANIFEST_VERSION: u32 = 2;
 const MAGIC: [u8; 4] = *b"WSWP";
+
+/// Fewest bytes one encoded loop can take: name length, trip count and
+/// weight (the name and graph may add more).
+const MIN_LOOP_BYTES: usize = 4 + 8 + 8;
+/// Fewest bytes one encoded design point can take: replication, width,
+/// the register-file tag, cycle model, strategy and spill options.
+const MIN_SPEC_BYTES: usize = 4 + 4 + 1 + 1 + 1 + 9;
+/// Bytes one unit id (or one length prefix) takes.
+const U32_BYTES: usize = 4;
 
 /// Everything a worker needs to run its share of a sweep: the corpus,
 /// the design points, and which `(loop × design point)` units each
@@ -32,52 +44,59 @@ pub struct SweepManifest {
 }
 
 impl SweepManifest {
-    /// Builds a manifest partitioning the `loops × specs` grid into
-    /// `shard_count` shards, two-axis:
+    /// Builds a manifest cutting the `loops × specs` grid into
+    /// **guided self-scheduled** shards for a fleet of at most `workers`
+    /// workers (Polychronopoulos & Kuck, IEEE TC 1987):
     ///
-    /// * **loop-major sharding** — a loop's entire design-point column
-    ///   lands in one shard (loops dealt round-robin), so its widened
-    ///   graphs, MII bounds and base schedules are computed by exactly
-    ///   one worker instead of being raced by all of them through the
-    ///   disk tier;
+    /// * **columns** — a loop's entire design-point column lands in one
+    ///   shard, so its widened graphs, MII bounds and base schedules are
+    ///   computed by exactly one worker instead of being raced by all of
+    ///   them through the disk tier;
+    /// * **shrinking shards** — shard *i* takes ⌈Rᵢ/p⌉ of the Rᵢ columns
+    ///   not yet assigned, in corpus order, where p = `workers`. Workers
+    ///   claim shards in order, so the big early shards keep them busy
+    ///   and the small late ones even out the finish, with no stealing;
     /// * **priority-ordered units** — within each shard, units run
     ///   heaviest design point first ([`sweep_priority`]: pressure- and
     ///   width-heavy points lead, peak points trail), the
     ///   longest-processing-time ordering that cuts tail latency. Ties
     ///   keep corpus order.
     #[must_use]
-    pub fn partition(loops: Vec<Loop>, specs: Vec<PointSpec>, shard_count: usize) -> Self {
-        Self::partition_with(loops, specs, shard_count, sweep_priority)
+    pub fn partition(loops: Vec<Loop>, specs: Vec<PointSpec>, workers: usize) -> Self {
+        Self::partition_with(loops, specs, workers, sweep_priority)
     }
 
     /// [`SweepManifest::partition`] with a caller-supplied priority
     /// function — how a measured [`widening_cost::CalibratedModel`]
     /// replaces the analytic surrogate for LPT ordering. The sharding
-    /// *shape* (loop-major round-robin) is priority-independent; only
-    /// the within-shard unit order changes, so aggregates remain
-    /// bitwise-equal under any priority.
+    /// *shape* is priority-independent; only the within-shard unit
+    /// order changes, so aggregates remain bitwise-equal under any
+    /// priority.
     #[must_use]
     pub fn partition_with(
         loops: Vec<Loop>,
         specs: Vec<PointSpec>,
-        shard_count: usize,
+        workers: usize,
         priority: impl Fn(u32, u32, Option<u32>) -> u64,
     ) -> Self {
-        let n = loops.len() as u32;
+        let n = loops.len();
         // Design points, heaviest first (stable: ties keep input order).
         let mut spec_order: Vec<u32> = (0..specs.len() as u32).collect();
         spec_order.sort_by_key(|&si| {
             let spec = &specs[si as usize];
             std::cmp::Reverse(priority(spec.replication, spec.width, spec.registers))
         });
-        let shard_count = shard_count.max(1).min(loops.len().max(1));
-        let mut shards = vec![Vec::new(); shard_count];
-        for (s, shard) in shards.iter_mut().enumerate() {
-            for &si in &spec_order {
-                for li in (s as u32..n).step_by(shard_count) {
-                    shard.push(si * n + li);
-                }
-            }
+        let p = workers.max(1);
+        let mut shards = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let columns = start as u32..(start + (n - start).div_ceil(p)) as u32;
+            start = columns.end as usize;
+            let shard = spec_order
+                .iter()
+                .flat_map(|&si| columns.clone().map(move |li| si * n as u32 + li))
+                .collect();
+            shards.push(shard);
         }
         SweepManifest {
             loops,
@@ -112,33 +131,23 @@ impl SweepManifest {
         sweep_priority(spec.replication, spec.width, spec.registers)
     }
 
-    /// The total priority mass of an arbitrary unit list (a shard, a
-    /// stolen tail, a suffix of either) — the remaining-work estimate
-    /// lease stamps and the autoscaler trade in.
-    #[must_use]
-    pub fn units_mass(&self, units: &[u32]) -> u64 {
-        sweep_mass(units.iter().map(|&u| {
-            let spec = &self.specs[self.spec_of(u)];
-            (spec.replication, spec.width, spec.registers)
-        }))
-    }
-
-    /// The static priority mass of one shard's full unit list.
+    /// The static priority mass of one shard's full unit list — the
+    /// remaining-work estimate lease stamps and the autoscaler trade in.
     #[must_use]
     pub fn shard_mass(&self, shard: usize) -> u64 {
-        self.units_mass(&self.shards[shard])
+        self.shard_mass_with(shard, sweep_priority)
     }
 
-    /// [`SweepManifest::units_mass`] under a caller-supplied priority
+    /// [`SweepManifest::shard_mass`] under a caller-supplied priority
     /// function (e.g. a measured [`widening_cost::CalibratedModel`]).
     /// Saturating, like the analytic mass.
     #[must_use]
-    pub fn units_mass_with(
+    pub fn shard_mass_with(
         &self,
-        units: &[u32],
+        shard: usize,
         priority: impl Fn(u32, u32, Option<u32>) -> u64,
     ) -> u64 {
-        units
+        self.shards[shard]
             .iter()
             .map(|&u| {
                 let spec = &self.specs[self.spec_of(u)];
@@ -147,28 +156,18 @@ impl SweepManifest {
             .fold(0u64, u64::saturating_add)
     }
 
-    /// [`SweepManifest::shard_mass`] under a caller-supplied priority
-    /// function.
+    /// The exchange key of a shard's batch result record: the
+    /// [`batch_result_key`] of every unit's content-addressed result
+    /// key, in the shard's list order. Publisher and merge both derive
+    /// it from the manifest alone. `fingerprints` is the per-loop graph
+    /// fingerprint table, parallel to [`SweepManifest::loops`].
     #[must_use]
-    pub fn shard_mass_with(
-        &self,
-        shard: usize,
-        priority: impl Fn(u32, u32, Option<u32>) -> u64,
-    ) -> u64 {
-        self.units_mass_with(&self.shards[shard], priority)
-    }
-
-    /// The content-addressed result key of every unit in a shard's
-    /// list, in list order — the material both batch publication and
-    /// the batch-consuming merge derive their record keys from.
-    /// `fingerprints` is the per-loop graph fingerprint table, parallel
-    /// to [`SweepManifest::loops`].
-    #[must_use]
-    pub fn shard_unit_keys(&self, shard: usize, fingerprints: &[u128]) -> Vec<Vec<u8>> {
-        self.shards[shard]
+    pub fn batch_key(&self, shard: usize, fingerprints: &[u128]) -> Vec<u8> {
+        let keys: Vec<Vec<u8>> = self.shards[shard]
             .iter()
             .map(|&u| unit_result_key(fingerprints[self.loop_of(u)], &self.specs[self.spec_of(u)]))
-            .collect()
+            .collect();
+        batch_result_key(&keys)
     }
 
     /// Content fingerprint of the whole manifest (used to name queue
@@ -210,7 +209,8 @@ impl SweepManifest {
     /// Decodes and validates a manifest: every graph re-runs full
     /// validation, loop statistics must be sane (decoding can never
     /// panic a worker), and the sharding must cover every unit exactly
-    /// once. `None` on any mismatch.
+    /// once. `None` on any mismatch. Counts read from the bytes never
+    /// size an allocation beyond what the bytes left could hold.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
@@ -218,7 +218,7 @@ impl SweepManifest {
             return None;
         }
         let nloops = r.len()?;
-        let mut loops = Vec::with_capacity(nloops);
+        let mut loops = Vec::with_capacity(nloops.min(r.remaining() / MIN_LOOP_BYTES));
         for _ in 0..nloops {
             let name_len = r.len()?;
             let name = std::str::from_utf8(r.take(name_len)?).ok()?;
@@ -236,17 +236,23 @@ impl SweepManifest {
             );
         }
         let nspecs = r.len()?;
-        let mut specs = Vec::with_capacity(nspecs);
+        let mut specs = Vec::with_capacity(nspecs.min(r.remaining() / MIN_SPEC_BYTES));
         for _ in 0..nspecs {
             specs.push(decode_point_spec(&mut r)?);
         }
         let nshards = r.len()?;
+        // Every unit must appear in some shard's list, 4 bytes each: a
+        // grid the rest of the buffer cannot cover is rejected before
+        // its coverage map is allocated.
         let total = nloops.checked_mul(nspecs)?;
+        if total > r.remaining() / U32_BYTES {
+            return None;
+        }
         let mut seen = vec![false; total];
-        let mut shards = Vec::with_capacity(nshards);
+        let mut shards = Vec::with_capacity(nshards.min(r.remaining() / U32_BYTES));
         for _ in 0..nshards {
             let len = r.len()?;
-            let mut shard = Vec::with_capacity(len);
+            let mut shard = Vec::with_capacity(len.min(r.remaining() / U32_BYTES));
             for _ in 0..len {
                 let u = r.u32()?;
                 let slot = seen.get_mut(u as usize)?;
@@ -288,6 +294,19 @@ mod tests {
             .collect()
     }
 
+    /// The loop columns of each shard, in shard order.
+    fn columns(m: &SweepManifest) -> Vec<Vec<usize>> {
+        m.shards
+            .iter()
+            .map(|shard| {
+                let mut cols: Vec<usize> = shard.iter().map(|&u| m.loop_of(u)).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                cols
+            })
+            .collect()
+    }
+
     #[test]
     fn round_trips_and_validates() {
         let m = SweepManifest::partition(kernels::all(), specs(), 3);
@@ -304,53 +323,78 @@ mod tests {
 
     #[test]
     fn partition_covers_every_unit_exactly_once() {
-        let m = SweepManifest::partition(kernels::all(), specs(), 5);
-        let mut seen = vec![0u32; m.unit_count()];
-        for shard in &m.shards {
-            for &u in shard {
-                seen[u as usize] += 1;
+        for p in [1, 2, 3, 5, 64] {
+            let m = SweepManifest::partition(kernels::all(), specs(), p);
+            let mut seen = vec![0u32; m.unit_count()];
+            for shard in &m.shards {
+                for &u in shard {
+                    seen[u as usize] += 1;
+                }
             }
+            assert!(seen.iter().all(|&c| c == 1), "p = {p}");
         }
-        assert!(seen.iter().all(|&c| c == 1));
-        // Loop-major balance: shard sizes differ by at most one loop's
-        // worth of units.
-        let (min, max) = m.shards.iter().fold((usize::MAX, 0), |(lo, hi), s| {
-            (lo.min(s.len()), hi.max(s.len()))
-        });
-        assert!(max - min <= m.specs.len());
     }
 
     #[test]
     fn sharding_is_loop_major() {
         // A loop's whole design-point column must stay in one shard, so
         // exactly one worker ever derives its widen/MII/base stages.
-        let m = SweepManifest::partition(kernels::all(), specs(), 5);
-        for (s, shard) in m.shards.iter().enumerate() {
-            for &u in shard {
-                let li = m.loop_of(u);
-                assert_eq!(li % m.shards.len(), s, "loop {li} leaked across shards");
-            }
+        let m = SweepManifest::partition(kernels::all(), specs(), 3);
+        for (shard, cols) in m.shards.iter().zip(columns(&m)) {
+            assert_eq!(shard.len(), cols.len() * m.specs.len(), "{cols:?}");
         }
+    }
+
+    #[test]
+    fn shards_follow_guided_self_scheduling() {
+        // Shard i takes ⌈Rᵢ/p⌉ of the Rᵢ columns left, in corpus order,
+        // so column counts never increase.
+        for p in [1, 2, 3, 7] {
+            let m = SweepManifest::partition(kernels::all(), specs(), p);
+            let mut next = 0;
+            let mut counts = Vec::new();
+            for cols in columns(&m) {
+                let left = m.loops.len() - next;
+                assert_eq!(cols, (next..next + left.div_ceil(p)).collect::<Vec<_>>());
+                next += cols.len();
+                counts.push(cols.len());
+            }
+            assert_eq!(next, m.loops.len(), "p = {p}: every column assigned");
+            assert!(counts.windows(2).all(|w| w[0] >= w[1]), "{counts:?}");
+        }
+        // The fleet_sweep shape: 300 loops over p = 2.
+        let loops: Vec<Loop> = (0..300).map(|i| kernels::all()[i % 4].clone()).collect();
+        let m = SweepManifest::partition(loops, specs(), 2);
+        let counts: Vec<usize> = columns(&m).iter().map(Vec::len).collect();
+        assert_eq!(counts, [150, 75, 38, 19, 9, 5, 2, 1, 1]);
+    }
+
+    #[test]
+    fn one_worker_gets_one_shard_and_a_wide_fleet_one_column_each() {
+        let n = kernels::all().len();
+        let single = SweepManifest::partition(kernels::all(), specs(), 1);
+        assert_eq!(single.shards.len(), 1);
+        assert_eq!(single.shards[0].len(), single.unit_count());
+        // Fewer loops than p: one column per shard.
+        let wide = SweepManifest::partition(kernels::all(), specs(), n + 3);
+        assert_eq!(wide.shards.len(), n);
+        assert!(columns(&wide).iter().all(|cols| cols.len() == 1));
     }
 
     #[test]
     fn heavy_units_lead_every_shard() {
         // 8w1(32:1) outranks 4w2(64:1) outranks 1w1(256:1): each
         // shard's unit list must be priority-sorted, heaviest first.
-        let m = SweepManifest::partition(kernels::all(), specs(), 4);
-        for shard in &m.shards {
-            let prios: Vec<u64> = shard
-                .iter()
-                .map(|&u| {
-                    let s = &m.specs[m.spec_of(u)];
-                    widening_cost::sweep_priority(s.replication, s.width, s.registers)
-                })
-                .collect();
-            assert!(prios.windows(2).all(|w| w[0] >= w[1]), "{prios:?}");
+        for p in [1, 2, 4] {
+            let m = SweepManifest::partition(kernels::all(), specs(), p);
+            for shard in &m.shards {
+                let prios: Vec<u64> = shard.iter().map(|&u| m.unit_priority(u)).collect();
+                assert!(prios.windows(2).all(|w| w[0] >= w[1]), "{prios:?}");
+                // And the heaviest spec, the pressure-starved 8w1(32),
+                // opens every shard.
+                assert_eq!(m.spec_of(shard[0]), 1);
+            }
         }
-        // And the overall heaviest spec is the pressure-starved 8w1(32).
-        let first = m.shards[0][0];
-        assert_eq!(m.spec_of(first), 1);
     }
 
     #[test]
@@ -373,5 +417,77 @@ mod tests {
         // stable.
         let flat = SweepManifest::partition_with(kernels::all(), specs(), 3, |_, _, _| 7);
         assert_eq!(flat.spec_of(flat.shards[0][0]), 0);
+    }
+
+    #[test]
+    fn absurd_counts_are_rejected_before_allocating() {
+        // A header claiming 2²⁴ loops, then nothing: rejected by the
+        // first loop's read, with a capacity bounded by the empty tail.
+        let mut w = Writer::new();
+        w.bytes(&MAGIC);
+        w.u32(MANIFEST_VERSION);
+        w.u32(1 << 24);
+        assert!(SweepManifest::decode(&w.into_bytes()).is_none());
+        // A real corpus and grid whose shard lists are missing: the
+        // coverage map is never sized from the claimed grid.
+        let m = SweepManifest::partition(kernels::all(), specs(), 2);
+        let mut bytes = m.encode();
+        let shards_at = bytes.len() - 4 * (m.unit_count() + m.shards.len() + 1);
+        bytes.truncate(shards_at);
+        bytes.extend_from_slice(&(1u32 << 24).to_le_bytes());
+        assert!(SweepManifest::decode(&bytes).is_none());
+    }
+
+    // Manifests are read back from a shared queue directory: whatever
+    // bytes they hold, decoding returns exactly the manifest the bytes
+    // encode, or `None` — never a panic.
+    mod decoding {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_manifest() -> impl Strategy<Value = SweepManifest> {
+            (1usize..5, 1usize..4, 1usize..4).prop_map(|(nloops, nspecs, p)| {
+                let loops = kernels::all().into_iter().cycle().take(nloops).collect();
+                let specs = specs().into_iter().take(nspecs).collect();
+                SweepManifest::partition(loops, specs, p)
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+                let _ = SweepManifest::decode(&bytes);
+                // With a valid header, the counts behind it are random.
+                let mut framed = MAGIC.to_vec();
+                framed.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+                framed.extend_from_slice(&bytes);
+                if let Some(m) = SweepManifest::decode(&framed) {
+                    prop_assert_eq!(m.encode(), framed);
+                }
+            }
+
+            #[test]
+            fn truncation_is_rejected(m in arb_manifest()) {
+                let bytes = m.encode();
+                prop_assert_eq!(SweepManifest::decode(&bytes), Some(m));
+                for cut in 0..bytes.len() {
+                    prop_assert_eq!(SweepManifest::decode(&bytes[..cut]), None);
+                }
+            }
+
+            #[test]
+            fn bit_flips_never_panic(m in arb_manifest(), bit in any::<usize>()) {
+                let mut bytes = m.encode();
+                let at = bit % (bytes.len() * 8);
+                bytes[at / 8] ^= 1 << (at % 8);
+                // A flip decodes to the manifest the flipped bytes
+                // encode, or to nothing.
+                if let Some(decoded) = SweepManifest::decode(&bytes) {
+                    prop_assert_eq!(decoded.encode(), bytes);
+                }
+            }
+        }
     }
 }

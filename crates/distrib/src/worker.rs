@@ -1,101 +1,60 @@
 //! The sweep worker: claims shards, runs the staged pipeline over
-//! their units, steals surplus work when idle, and publishes batched
-//! results into the shared store.
+//! their units, and publishes one batch result record per shard into
+//! the shared store.
 //!
 //! A worker is launched with nothing but a queue directory and a cache
 //! directory (`repro worker --queue … --cache-dir …`, or an in-process
 //! thread). It reads the manifest, builds its own [`Pipeline`] over the
 //! manifest corpus with the shared persistent store — so compiled stage
 //! artifacts are exchanged with every other worker through the disk
-//! tier — and loops over three behaviours:
+//! tier — and loops:
 //!
-//! * **own a shard** — claim it, offer the tail half of its
-//!   priority-ordered unit list as a steal *surplus* (when the shard is
-//!   big enough to share), compile the units front-to-back while a
+//! * **own a shard** — claim the next one in manifest order, compile
+//!   its units front-to-back (heaviest design point first) while a
 //!   heartbeat thread advances the claim's monotonic lease counter and
-//!   remaining-mass estimate, and durably complete the shard with a
-//!   [`ShardReport`]. Stealing is *recursive*: each time a thief's
-//!   sub-report for the offered tail lands while the owner still holds
-//!   enough unprocessed units, the owner folds the report in and
-//!   re-offers the tail half of its remainder as the next round's
-//!   surplus — halving that converges every idle worker on the last
-//!   straggler shard;
-//! * **steal** — with every shard claimed and none stalled, take a
-//!   surplus shard's offered tail via the atomically-claimed steal
-//!   file, heartbeat a lease of its own while working the stolen units,
-//!   and complete them with a durable sub-shard report the owner folds
-//!   into the shard's — instead of spinning on `claim_next`;
-//! * **idle** — requeue stalled foreign leases (unless a coordinator
-//!   reserved that job), retire early when the coordinator posted a
-//!   scale-down token (remaining mass near zero, nothing stealable),
-//!   and poll.
+//!   remaining-mass estimate, publish the shard's batch record, and
+//!   durably complete it with a [`ShardReport`]. The heartbeat waits on
+//!   a stop signal, so it ends the moment the shard's work does;
+//! * **idle** — with every shard claimed, poll until every shard is done
+//!   or the queue is retired. A standalone worker also requeues stalled
+//!   leases on the way; a coordinator-supervised one leaves that to the
+//!   coordinator.
 //!
-//! Results are **batched**: outcomes are buffered per shard (or per
-//! stolen sub-shard) and published as one batch record keyed by the
-//! shard's unit-key-list hash — one publish per shard instead of one
-//! per `(loop × config)` unit, ~50× fewer result-tier syscalls on big
-//! grids. Units already covered by a batch record or the per-unit tier
-//! are skipped (re-runs and requeued shards cost lookups, not
-//! compiles); the legacy per-unit publishing mode remains available
-//! ([`WorkerConfig::batch_results`]` = false`) for mixed fleets and
-//! the publish-cost benchmark.
+//! A shard whose batch record is already in the store (a re-run, or a
+//! requeued shard whose first owner published before dying) replays it
+//! instead of compiling.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use widening_obs as obs;
 use widening_obs::SpanKind;
 use widening_pipeline::codec::{Reader, Writer};
-use widening_pipeline::exchange::{
-    batch_result_key, decode_unit_batch, decode_unit_outcome, encode_unit_batch,
-    encode_unit_outcome, unit_result_key, BATCH_KIND, RESULT_KIND,
-};
+use widening_pipeline::exchange::{decode_unit_batch, encode_unit_batch, BATCH_KIND};
 use widening_pipeline::{Exchange, Pipeline, StageCounts, StoreConfig, UnitOutcome};
 
 use crate::manifest::SweepManifest;
-use crate::queue::{JobQueue, LeaseObserver, LeaseStamp, LeaseWatch};
+use crate::queue::{JobQueue, LeaseObserver, LeaseStamp};
 use crate::DistribError;
 
 /// Version of the [`ShardReport`] encoding.
-const REPORT_VERSION: u32 = 3;
-
-/// Batch part tag of the shard owner's record.
-const PART_OWNER: u8 = 0;
-/// Batch part tag of a thief's stolen-sub-shard record (steal round 0).
-const PART_THIEF: u8 = 1;
-/// Distinct thief batch-part tags: steal rounds 0..MAX_THIEF_PARTS-1
-/// each get their own record; deeper rounds (vanishingly small tails)
-/// share the last tag. A shared tag can overwrite a sibling round's
-/// record, which costs a result-tier recompute on replay — never
-/// correctness, because unit results are content-addressed.
-const MAX_THIEF_PARTS: u32 = 8;
-
-/// How many batch-record parts a shard can publish under: the owner's
-/// part 0 plus one per thief round (capped). Merge-side readers probe
-/// every part below this bound.
-pub const BATCH_PARTS: u8 = PART_THIEF + MAX_THIEF_PARTS as u8;
-
-/// The batch part tag for a thief's record at a given steal round.
-fn thief_part(round: u32) -> u8 {
-    PART_THIEF + round.min(MAX_THIEF_PARTS - 1) as u8
-}
+const REPORT_VERSION: u32 = 4;
 
 /// How a worker runs.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
     /// The queue directory (manifest + claim/done markers).
     pub queue_dir: PathBuf,
-    /// The shared cache directory (stage artifacts + unit results).
+    /// The shared cache directory (stage artifacts + batch results).
     pub cache_dir: PathBuf,
     /// Worker threads for intra-shard fan-out.
     pub threads: usize,
     /// Lease TTL: how long another worker's heartbeat counter must sit
     /// still before this worker (idling, out of claimable shards)
-    /// requeues its shard, and how long an owner waits on a silent
-    /// thief before reclaiming its stolen units.
+    /// requeues its shard.
     pub lease_ttl: Duration,
     /// Idle poll interval while waiting for stragglers or requeues.
     pub poll: Duration,
@@ -107,15 +66,6 @@ pub struct WorkerConfig {
     pub requeue_foreign: bool,
     /// Diagnostic tag stamped into claim files.
     pub tag: String,
-    /// Publish one batch result record per shard / sub-shard instead of
-    /// one per-unit record per unit (the default). Off = the legacy
-    /// per-unit publishing protocol.
-    pub batch_results: bool,
-    /// Whether this worker offers its shards' tails for stealing and
-    /// steals others' surplus when idle.
-    pub steal: bool,
-    /// Minimum shard size (in units) worth offering a surplus for.
-    pub surplus_after: usize,
     /// Fault-injection hook: abandon everything (without completing the
     /// current shard — exactly what SIGKILL leaves behind) after
     /// processing this many units. `None` in production.
@@ -124,8 +74,7 @@ pub struct WorkerConfig {
 
 impl WorkerConfig {
     /// A worker over `queue_dir` and `cache_dir` with defaults: one
-    /// thread, 30 s lease TTL, 50 ms poll, pid-based tag, batched
-    /// results, stealing on for shards of 8+ units.
+    /// thread, 30 s lease TTL, 50 ms poll, pid-based tag.
     #[must_use]
     pub fn new(queue_dir: impl Into<PathBuf>, cache_dir: impl Into<PathBuf>) -> Self {
         WorkerConfig {
@@ -136,9 +85,6 @@ impl WorkerConfig {
             poll: Duration::from_millis(50),
             requeue_foreign: true,
             tag: format!("pid-{}", std::process::id()),
-            batch_results: true,
-            steal: true,
-            surplus_after: 8,
             die_after_units: None,
         }
     }
@@ -147,35 +93,27 @@ impl WorkerConfig {
 /// What one worker did over its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSummary {
-    /// Shards this worker completed as owner.
+    /// Shards this worker completed.
     pub shards_completed: usize,
-    /// Units processed (compiled or replayed) as shard owner.
+    /// Units processed (compiled or replayed).
     pub units: usize,
-    /// Units served straight from the result tier (no compile at all).
+    /// Units served straight from a batch record (no compile at all).
     pub result_hits: usize,
-    /// Surplus offers this worker stole.
-    pub steals: usize,
-    /// Units processed as a thief.
-    pub stolen_units: usize,
     /// The worker pipeline's cumulative stage counters.
     pub counts: StageCounts,
 }
 
 /// One shard's completion report, published through the queue's done
 /// marker so the coordinator can fold per-shard progress into the
-/// existing stage-counter table. (Thieves publish the same shape as
-/// their sub-shard report, with `shard` naming the robbed shard and
-/// `stolen = 0`.)
+/// existing stage-counter table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
     /// The shard index.
     pub shard: u32,
     /// Units the shard held.
     pub units: u32,
-    /// Units served from the result tier without compiling.
+    /// Units served from a batch record without compiling.
     pub result_hits: u32,
-    /// Units completed by a thief (folded in from its sub-report).
-    pub stolen: u32,
     /// Stage-counter delta attributable to this shard.
     pub counts: StageCounts,
 }
@@ -189,7 +127,6 @@ impl ShardReport {
         w.u32(self.shard);
         w.u32(self.units);
         w.u32(self.result_hits);
-        w.u32(self.stolen);
         let c = &self.counts;
         for v in [
             c.widen_runs,
@@ -222,7 +159,7 @@ impl ShardReport {
         if r.u32()? != REPORT_VERSION {
             return None;
         }
-        let (shard, units, result_hits, stolen) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+        let (shard, units, result_hits) = (r.u32()?, r.u32()?, r.u32()?);
         let counts = StageCounts {
             widen_runs: r.u64()?,
             widen_requests: r.u64()?,
@@ -246,13 +183,12 @@ impl ShardReport {
             shard,
             units,
             result_hits,
-            stolen,
             counts,
         })
     }
 }
 
-/// Everything a worker's shard/steal runs share.
+/// Everything a worker's shard runs share.
 struct WorkerState<'a> {
     cfg: &'a WorkerConfig,
     queue: &'a JobQueue,
@@ -282,32 +218,17 @@ impl WorkerState<'_> {
         self.poisoned()
     }
 
-    fn unit_key(&self, unit: u32) -> Vec<u8> {
-        let li = self.manifest.loop_of(unit);
-        let spec = &self.manifest.specs[self.manifest.spec_of(unit)];
-        unit_result_key(self.fingerprints[li], spec)
-    }
-
-    /// Resolves one unit: batch prefill, then the per-unit result tier,
-    /// then a live compile (published per-unit in legacy mode).
+    /// Resolves one unit: from the shard's published batch record if it
+    /// holds the unit, by a live compile otherwise.
     fn unit_outcome(
         &self,
         unit: u32,
-        prefill: &HashMap<u32, UnitOutcome>,
+        published: &HashMap<u32, UnitOutcome>,
         hits: &AtomicUsize,
     ) -> UnitOutcome {
-        if let Some(o) = prefill.get(&unit) {
+        if let Some(o) = published.get(&unit) {
             hits.fetch_add(1, Ordering::Relaxed);
             return *o;
-        }
-        let key = self.unit_key(unit);
-        if let Some(o) = self
-            .exchange
-            .get(RESULT_KIND, &key)
-            .and_then(|b| decode_unit_outcome(&b))
-        {
-            hits.fetch_add(1, Ordering::Relaxed);
-            return o;
         }
         let li = self.manifest.loop_of(unit);
         let spec = &self.manifest.specs[self.manifest.spec_of(unit)];
@@ -316,83 +237,7 @@ impl WorkerState<'_> {
             li as u64,
             obs::pack_point(spec.replication, spec.width, spec.registers),
         );
-        let outcome = UnitOutcome::of(&self.pipeline.compile(li, spec));
-        if !self.cfg.batch_results {
-            self.exchange
-                .put(RESULT_KIND, &key, &encode_unit_outcome(&outcome));
-        }
-        outcome
-    }
-
-    /// Loads a shard's existing batch records (owner and thief parts)
-    /// into a unit → outcome map, restricted to `wanted` units. Batch
-    /// mode only; the legacy mode reads the per-unit tier exactly as it
-    /// always did.
-    fn batch_prefill(&self, shard: usize, wanted: &[u32]) -> HashMap<u32, UnitOutcome> {
-        let mut map = HashMap::new();
-        if !self.cfg.batch_results {
-            return map;
-        }
-        let keys = self.manifest.shard_unit_keys(shard, self.fingerprints);
-        let wanted: HashSet<u32> = wanted.iter().copied().collect();
-        for part in PART_OWNER..BATCH_PARTS {
-            let Some(bytes) = self
-                .exchange
-                .get(BATCH_KIND, &batch_result_key(&keys, part))
-            else {
-                continue;
-            };
-            for (unit, outcome) in decode_unit_batch(&bytes).unwrap_or_default() {
-                if wanted.contains(&unit) {
-                    map.insert(unit, outcome);
-                }
-            }
-        }
-        map
-    }
-
-    /// Publishes the batch record for `(shard, part)` covering
-    /// `entries` (unit id → outcome), sorted so identical coverage is
-    /// byte-identical.
-    fn publish_batch(&self, shard: usize, part: u8, mut entries: Vec<(u32, UnitOutcome)>) {
-        if !self.cfg.batch_results || entries.is_empty() {
-            return;
-        }
-        entries.sort_by_key(|&(unit, _)| unit);
-        let keys = self.manifest.shard_unit_keys(shard, self.fingerprints);
-        self.exchange.put(
-            BATCH_KIND,
-            &batch_result_key(&keys, part),
-            &encode_unit_batch(&entries),
-        );
-    }
-
-    /// Scans for a stealable surplus: an incomplete shard whose latest
-    /// steal round holds an unclaimed offer (earlier rounds are always
-    /// claimed — a new round only opens after the previous one
-    /// resolved). Returns the round and the stolen units on success.
-    fn find_steal(&self) -> Option<(usize, u32, Vec<u32>)> {
-        for shard in 0..self.queue.shard_count() {
-            if self.queue.is_done(shard) {
-                continue;
-            }
-            let Some(round) = self.queue.latest_surplus_round(shard) else {
-                continue;
-            };
-            if self.queue.steal_claimed_round(shard, round) {
-                continue;
-            }
-            if let Some(units) = self.queue.claim_steal_round(shard, round, &self.cfg.tag) {
-                eprintln!(
-                    "distrib: event=steal-claim shard={shard} round={round} units={} tag={}",
-                    units.len(),
-                    self.cfg.tag
-                );
-                obs::instant(SpanKind::StealClaim, shard as u64, units.len() as u64);
-                return Some((shard, round, units));
-            }
-        }
-        None
+        UnitOutcome::of(&self.pipeline.compile(li, spec))
     }
 }
 
@@ -403,125 +248,44 @@ fn heartbeat_interval(ttl: Duration) -> Duration {
     (ttl / 4).clamp(Duration::from_millis(5), Duration::from_secs(5))
 }
 
-/// Sleeps up to `interval` in small steps, returning early when `stop`
-/// flips — so heartbeat threads exit promptly at shard completion.
-fn chopped_sleep(interval: Duration, stop: &AtomicBool) {
-    let mut slept = Duration::ZERO;
-    while slept < interval && !stop.load(Ordering::Relaxed) {
-        let step = Duration::from_millis(10).min(interval - slept);
-        std::thread::sleep(step);
-        slept += step;
+/// A stop flag a waiting heartbeat wakes on at once, instead of
+/// noticing it at its next poll.
+#[derive(Debug, Default)]
+struct StopSignal {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    /// Raises the flag and wakes every waiter.
+    fn stop(&self) {
+        *self.stopped.lock().expect("stop lock") = true;
+        self.wake.notify_all();
+    }
+
+    /// Waits up to `timeout` for the flag; returns whether it is raised.
+    /// The flag is checked under the lock, so a stop raised before or
+    /// during the wait is never missed.
+    fn wait(&self, timeout: Duration) -> bool {
+        let stopped = self.stopped.lock().expect("stop lock");
+        let (stopped, _) = self
+            .wake
+            .wait_timeout_while(stopped, timeout, |stopped| !*stopped)
+            .expect("stop lock");
+        *stopped
     }
 }
 
-/// How one owned-shard (or stolen-sub-shard) run ended.
-enum RunEnd {
-    /// Everything processed; counters for the summary.
-    Completed {
-        result_hits: usize,
-        stolen: u32,
-        thief_counts: StageCounts,
-    },
-    /// The chaos hook tripped (or the queue was retired mid-shard):
-    /// abandon without completing — the lease goes silent and someone
-    /// else requeues the work.
-    Abandoned,
-}
-
-/// The owner-side lifecycle of a shard's offered tail, advanced round
-/// by round as thieves claim and complete it (recursive halving).
-struct TailState {
-    /// Round number of the current offer.
-    round: u32,
-    /// An offer for `round` is on disk and unresolved.
-    offered: bool,
-    /// That offer has been claimed by a thief.
-    claimed: bool,
-    /// Units completed by thieves across all resolved rounds.
-    stolen: u32,
-    /// Stage counters folded in from thieves' sub-reports.
-    thief_counts: StageCounts,
-}
-
-/// Runs one owned shard to completion: offer a surplus, compile with a
-/// counter heartbeat, honour a thief's claim on the offered tail (fold
-/// its sub-report and re-offer the remaining tail half as the next
-/// round — recursive halving; reclaim its units if its lease stalls),
-/// publish the owner batch and the durable done marker.
-fn run_owned_shard(state: &WorkerState<'_>, shard: usize) -> RunEnd {
+/// Runs one claimed shard to completion: compile its units with a
+/// counter heartbeat, publish the batch record and the durable done
+/// marker. Returns the units served from an existing batch record, or
+/// `None` when the chaos hook tripped and the shard was abandoned (the
+/// lease goes silent and someone else requeues the work).
+fn run_shard(state: &WorkerState<'_>, shard: usize) -> Option<usize> {
     let cfg = state.cfg;
-    let queue = state.queue;
     let units = &state.manifest.shards[shard];
     let n = units.len();
     let _shard_span = obs::span(SpanKind::WorkerShard, shard as u64, n as u64);
-
-    // Two boundaries fence the owner's unit range. `hard_end` is the
-    // start of the resolved region: everything at or past it was
-    // completed by thieves of already-folded rounds, and the owner
-    // never enters it. `soft_split` is the start of the *open* round's
-    // offer, binding only once a thief claims it (`steal_live`); until
-    // then the offer is just an option and the owner keeps compiling
-    // into it.
-    let hits = AtomicUsize::new(0);
-    let hard_end = AtomicUsize::new(n);
-    let soft_split = AtomicUsize::new(n);
-    let steal_live = AtomicBool::new(false);
-    let tail = Mutex::new(TailState {
-        round: 0,
-        offered: false,
-        claimed: false,
-        stolen: 0,
-        thief_counts: StageCounts::zero(),
-    });
-
-    // The initial steal offer: the tail half of the priority-ordered
-    // list (cheap units — the owner keeps the heavy head it starts
-    // on). A re-claimed shard inherits the previous owner's offer
-    // chain instead, so in-flight thieves stay coherent: resolved
-    // rounds fold in from their durable sub-reports and the open round
-    // resumes where the dead owner left it.
-    if cfg.steal {
-        if let Some(latest) = queue.latest_surplus_round(shard) {
-            let mut t = tail.lock().expect("tail lock");
-            for round in 0..latest {
-                if let Some(report) = queue
-                    .sub_completion_round(shard, round)
-                    .and_then(|b| ShardReport::decode(&b))
-                {
-                    t.stolen += report.units;
-                    t.thief_counts = t.thief_counts.plus(&report.counts);
-                    hits.fetch_add(report.result_hits as usize, Ordering::Relaxed);
-                }
-            }
-            if let Some((s, _)) = queue.read_surplus_round(shard, latest) {
-                t.round = latest;
-                t.offered = true;
-                soft_split.store((s as usize).min(n), Ordering::Relaxed);
-                // The open round's offer ends where the previous
-                // round's began (rounds bite off the tail, so round
-                // k + 1 sits strictly below round k's split).
-                let hi = if latest == 0 {
-                    n
-                } else {
-                    queue
-                        .read_surplus_round(shard, latest - 1)
-                        .map_or(n, |(p, _)| (p as usize).min(n))
-                };
-                hard_end.store(hi, Ordering::Relaxed);
-                if queue.steal_claimed_round(shard, latest) {
-                    t.claimed = true;
-                    steal_live.store(true, Ordering::Relaxed);
-                }
-            }
-        } else if n >= cfg.surplus_after.max(2) {
-            let s = n - n / 2;
-            if queue.publish_surplus_round(shard, 0, s as u32, &units[s..]) {
-                tail.lock().expect("tail lock").offered = true;
-                soft_split.store(s, Ordering::Relaxed);
-                obs::instant(SpanKind::StealOffer, shard as u64, (n - s) as u64);
-            }
-        }
-    }
 
     // Suffix priority mass, for the lease's remaining-work stamp:
     // `suffix[i]` = mass of `units[i..]`.
@@ -531,10 +295,18 @@ fn run_owned_shard(state: &WorkerState<'_>, shard: usize) -> RunEnd {
     }
 
     let before = state.pipeline.stage_counts();
-    let prefill = state.batch_prefill(shard, units);
-    let slots: Vec<Mutex<Option<UnitOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let batch_key = state.manifest.batch_key(shard, state.fingerprints);
+    let published: HashMap<u32, UnitOutcome> = state
+        .exchange
+        .get(BATCH_KIND, &batch_key)
+        .and_then(|bytes| decode_unit_batch(&bytes))
+        .unwrap_or_default()
+        .into_iter()
+        .collect();
+    let slots: Vec<OnceLock<UnitOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
+    let hits = AtomicUsize::new(0);
     let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
+    let stop = StopSignal::default();
 
     let work = || loop {
         if state.poisoned() {
@@ -544,80 +316,14 @@ fn run_owned_shard(state: &WorkerState<'_>, shard: usize) -> RunEnd {
         if i >= n {
             break;
         }
-        if i >= hard_end.load(Ordering::Relaxed)
-            || (steal_live.load(Ordering::Relaxed) && i >= soft_split.load(Ordering::Relaxed))
-        {
-            continue; // a thief owns (or owned) this range
-        }
-        let outcome = state.unit_outcome(units[i], &prefill, &hits);
-        *slots[i].lock().expect("slot lock") = Some(outcome);
+        let _ = slots[i].set(state.unit_outcome(units[i], &published, &hits));
         if state.note_processed() {
             break;
         }
     };
     let work = &work;
 
-    // Advances the open offer's lifecycle (called from the heartbeat
-    // thread each beat, and from the post-work wait loop): notice a
-    // thief's claim, fold its durable sub-report when it lands, and —
-    // while this owner still holds enough unprocessed units — re-offer
-    // the tail half of the remainder as the next round's surplus.
-    // Recursive halving: idle workers keep converging on a straggler
-    // shard until its remainder is too small to share.
-    let poll_tail = || {
-        let mut t = tail.lock().expect("tail lock");
-        if !t.offered {
-            return;
-        }
-        if !t.claimed && queue.steal_claimed_round(shard, t.round) {
-            t.claimed = true;
-            steal_live.store(true, Ordering::Relaxed);
-        }
-        if !t.claimed {
-            return;
-        }
-        let Some(report) = queue
-            .sub_completion_round(shard, t.round)
-            .and_then(|b| ShardReport::decode(&b))
-        else {
-            return;
-        };
-        t.stolen += report.units;
-        t.thief_counts = t.thief_counts.plus(&report.counts);
-        hits.fetch_add(report.result_hits as usize, Ordering::Relaxed);
-        obs::instant(SpanKind::StealFold, shard as u64, u64::from(report.units));
-        // The folded range joins the resolved region; the offer slot
-        // is free again.
-        let resolved = soft_split.load(Ordering::Relaxed);
-        hard_end.store(resolved, Ordering::Relaxed);
-        steal_live.store(false, Ordering::Relaxed);
-        t.claimed = false;
-        t.offered = false;
-        // `cursor` counts grabbed units, so everything in
-        // [cursor, resolved) is untouched — re-offer its tail half.
-        let c = cursor.load(Ordering::Relaxed).min(resolved);
-        let remaining = resolved - c;
-        if remaining >= cfg.surplus_after.max(2) {
-            let s = c + (remaining - remaining / 2);
-            if queue.publish_surplus_round(shard, t.round + 1, s as u32, &units[s..resolved]) {
-                t.round += 1;
-                t.offered = true;
-                soft_split.store(s, Ordering::Relaxed);
-                eprintln!(
-                    "distrib: event=steal-reoffer shard={shard} round={} units={} tag={}",
-                    t.round,
-                    resolved - s,
-                    cfg.tag
-                );
-                obs::instant(SpanKind::StealOffer, shard as u64, (resolved - s) as u64);
-            }
-        } else {
-            soft_split.store(resolved, Ordering::Relaxed);
-        }
-    };
-
-    let mut unclaimed_offer: Option<u32> = None;
-    let end = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Time-based heartbeat on its own thread: liveness must not
         // depend on unit granularity — one pressure-starved unit can
         // legitimately out-compile any sane TTL, and tying renewal to
@@ -626,267 +332,60 @@ fn run_owned_shard(state: &WorkerState<'_>, shard: usize) -> RunEnd {
         scope.spawn(|| {
             let interval = heartbeat_interval(cfg.lease_ttl);
             let mut beat = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 beat += 1;
-                if cfg.steal {
-                    poll_tail();
-                }
-                let c = cursor.load(Ordering::Relaxed).min(n);
-                // A live steal's mass belongs to the thief's lease, and
-                // the resolved region past `hard_end` is someone else's
-                // finished work — neither counts against this owner.
-                let e = if steal_live.load(Ordering::Relaxed) {
-                    soft_split.load(Ordering::Relaxed)
-                } else {
-                    hard_end.load(Ordering::Relaxed)
+                let mass = suffix[cursor.load(Ordering::Relaxed).min(n)];
+                let stamp = LeaseStamp {
+                    counter: beat,
+                    mass,
                 };
-                let mass = suffix[c.min(e)].saturating_sub(suffix[e]);
-                queue.renew_lease(
-                    shard,
-                    &cfg.tag,
-                    LeaseStamp {
-                        counter: beat,
-                        mass,
-                    },
-                );
+                state.queue.renew_lease(shard, &cfg.tag, stamp);
                 obs::instant(SpanKind::Heartbeat, shard as u64, mass);
-                chopped_sleep(interval, &stop);
+                if stop.wait(interval) {
+                    break;
+                }
             }
         });
-
         let extra: Vec<_> = (1..cfg.threads.max(1)).map(|_| scope.spawn(work)).collect();
         work();
         for h in extra {
             let _ = h.join();
         }
-
-        if state.poisoned() {
-            stop.store(true, Ordering::Relaxed);
-            return RunEnd::Abandoned;
-        }
-
-        // Settle the open round: fold its durable sub-report — or
-        // reclaim its units when its lease counter stalls for a full
-        // TTL (the thief died mid-steal). Earlier rounds were folded by
-        // `poll_tail` as their reports landed; with the cursor drained
-        // no new round can be offered, so this loop converges.
-        if cfg.steal {
-            let mut watch = LeaseWatch::new();
-            loop {
-                poll_tail();
-                let (round, offered, claimed) = {
-                    let t = tail.lock().expect("tail lock");
-                    (t.round, t.offered, t.claimed)
-                };
-                if !offered {
-                    break;
-                }
-                if !claimed {
-                    // Nobody bit; the offer dies with the shard (the
-                    // marker is retracted after the completion lands).
-                    unclaimed_offer = Some(round);
-                    break;
-                }
-                let lo = soft_split.load(Ordering::Relaxed);
-                let hi = hard_end.load(Ordering::Relaxed);
-                let missing = (lo..hi).any(|i| slots[i].lock().expect("slot lock").is_none());
-                if !missing {
-                    // This owner raced past the claim and resolved the
-                    // whole range itself; the thief's late report is
-                    // redundant (results are content-addressed).
-                    break;
-                }
-                if queue.is_retired() {
-                    stop.store(true, Ordering::Relaxed);
-                    return RunEnd::Abandoned;
-                }
-                let stalled = match queue.steal_observation_round(shard, round) {
-                    // Steal file gone (or unreadable sub-report raced
-                    // in): reclaim immediately.
-                    None => true,
-                    Some(obs) => watch.observe(obs, cfg.lease_ttl),
-                };
-                if stalled {
-                    // Reclaim the stolen range ourselves. Sequential:
-                    // this is the rare thief-death path, and the
-                    // heartbeat thread is still renewing our lease.
-                    for i in lo..hi {
-                        if state.poisoned() {
-                            stop.store(true, Ordering::Relaxed);
-                            return RunEnd::Abandoned;
-                        }
-                        let filled = slots[i].lock().expect("slot lock").is_some();
-                        if !filled {
-                            let outcome = state.unit_outcome(units[i], &prefill, &hits);
-                            *slots[i].lock().expect("slot lock") = Some(outcome);
-                            if state.note_processed() {
-                                stop.store(true, Ordering::Relaxed);
-                                return RunEnd::Abandoned;
-                            }
-                        }
-                    }
-                    let mut t = tail.lock().expect("tail lock");
-                    t.claimed = false;
-                    t.offered = false;
-                    steal_live.store(false, Ordering::Relaxed);
-                    break;
-                }
-                std::thread::sleep(cfg.poll);
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        let (stolen, thief_counts) = {
-            let t = tail.lock().expect("tail lock");
-            (t.stolen, t.thief_counts)
-        };
-        RunEnd::Completed {
-            result_hits: hits.load(Ordering::Relaxed),
-            stolen,
-            thief_counts,
-        }
+        stop.stop();
     });
+    if state.poisoned() {
+        return None;
+    }
 
-    let RunEnd::Completed {
-        result_hits,
-        stolen,
-        thief_counts,
-    } = end
-    else {
-        return RunEnd::Abandoned;
-    };
-
-    // Publish the owner batch (everything this worker resolved) and the
-    // durable completion marker carrying fleet-foldable counters.
-    let entries: Vec<(u32, UnitOutcome)> = (0..n)
-        .filter_map(|i| slots_get(&slots, i).map(|o| (units[i], o)))
+    // Publish the batch record (sorted by unit id, so identical
+    // coverage is byte-identical) and the durable completion marker
+    // carrying fleet-foldable counters.
+    let mut entries: Vec<(u32, UnitOutcome)> = units
+        .iter()
+        .zip(&slots)
+        .map(|(&u, slot)| (u, *slot.get().expect("every unit resolved")))
         .collect();
-    state.publish_batch(shard, PART_OWNER, entries);
+    entries.sort_by_key(|&(unit, _)| unit);
+    state
+        .exchange
+        .put(BATCH_KIND, &batch_key, &encode_unit_batch(&entries));
+    let result_hits = hits.into_inner();
     let report = ShardReport {
         shard: shard as u32,
         units: n as u32,
         result_hits: result_hits as u32,
-        stolen,
-        counts: state
-            .pipeline
-            .stage_counts()
-            .minus(&before)
-            .plus(&thief_counts),
+        counts: state.pipeline.stage_counts().minus(&before),
     };
-    queue.complete(shard, &report.encode());
-    if let Some(round) = unclaimed_offer {
-        if !queue.steal_claimed_round(shard, round) {
-            queue.retract_surplus_round(shard, round);
-        }
-    }
-    RunEnd::Completed {
-        result_hits,
-        stolen,
-        thief_counts,
-    }
-}
-
-fn slots_get(slots: &[Mutex<Option<UnitOutcome>>], i: usize) -> Option<UnitOutcome> {
-    *slots[i].lock().expect("slot lock")
-}
-
-/// Works a stolen sub-shard: heartbeat the steal lease, resolve the
-/// stolen units, publish the thief batch and the durable sub-report the
-/// owner folds into its shard completion. Returns the units processed.
-fn run_stolen(
-    state: &WorkerState<'_>,
-    shard: usize,
-    round: u32,
-    stolen_units: &[u32],
-) -> Option<usize> {
-    let cfg = state.cfg;
-    let queue = state.queue;
-    let n = stolen_units.len();
-    let _steal_span = obs::span(SpanKind::WorkerSteal, shard as u64, n as u64);
-    let mut suffix = vec![0u64; n + 1];
-    for i in (0..n).rev() {
-        suffix[i] = suffix[i + 1].saturating_add(state.manifest.unit_priority(stolen_units[i]));
-    }
-    let prefill = state.batch_prefill(shard, stolen_units);
-    let slots: Vec<Mutex<Option<UnitOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let hits = AtomicUsize::new(0);
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let abandoned = AtomicBool::new(false);
-
-    let work = || loop {
-        if state.poisoned() || abandoned.load(Ordering::Relaxed) {
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        // The owner may have presumed us dead, reclaimed the tail
-        // and completed the shard — stop wasting work if so.
-        if queue.is_done(shard) {
-            abandoned.store(true, Ordering::Relaxed);
-            break;
-        }
-        let outcome = state.unit_outcome(stolen_units[i], &prefill, &hits);
-        *slots[i].lock().expect("slot lock") = Some(outcome);
-        if state.note_processed() {
-            break;
-        }
-    };
-    let work = &work;
-
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let interval = heartbeat_interval(cfg.lease_ttl);
-            let mut beat = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                beat += 1;
-                let c = cursor.load(Ordering::Relaxed).min(n);
-                queue.renew_steal_round(
-                    shard,
-                    round,
-                    &cfg.tag,
-                    LeaseStamp {
-                        counter: beat,
-                        mass: suffix[c],
-                    },
-                );
-                obs::instant(SpanKind::Heartbeat, shard as u64, suffix[c]);
-                chopped_sleep(interval, &stop);
-            }
-        });
-        let extra: Vec<_> = (1..cfg.threads.max(1)).map(|_| scope.spawn(work)).collect();
-        work();
-        for h in extra {
-            let _ = h.join();
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-
-    if state.poisoned() || abandoned.load(Ordering::Relaxed) {
-        return None;
-    }
-    let entries: Vec<(u32, UnitOutcome)> = (0..n)
-        .filter_map(|i| slots_get(&slots, i).map(|o| (stolen_units[i], o)))
-        .collect();
-    state.publish_batch(shard, thief_part(round), entries);
-    let report = ShardReport {
-        shard: shard as u32,
-        units: n as u32,
-        result_hits: hits.load(Ordering::Relaxed) as u32,
-        stolen: 0,
-        counts: StageCounts::zero(),
-    };
-    queue.complete_sub_round(shard, round, &report.encode());
-    Some(n)
+    state.queue.complete(shard, &report.encode());
+    Some(result_hits)
 }
 
 /// Runs a worker until the queue is fully complete. Returns a summary
 /// of the work done.
 ///
-/// The worker never exits while *any* shard lacks a completion marker:
-/// out of claimable shards it steals published surplus tails, requeues
-/// stalled foreign leases (unless a coordinator reserved that job), and
+/// The worker never exits while *any* shard lacks a completion marker
+/// (unless the queue is retired): out of claimable shards it requeues
+/// stalled foreign leases (unless a coordinator reserved that job) and
 /// idles — so a fleet of standalone workers (no coordinator at all)
 /// still drains a queue whose members die, as long as one survives.
 ///
@@ -925,24 +424,17 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, DistribError> {
         shards_completed: 0,
         units: 0,
         result_hits: 0,
-        steals: 0,
-        stolen_units: 0,
         counts: StageCounts::zero(),
     };
     let mut observer = LeaseObserver::new();
     loop {
-        if state.poisoned() {
-            break;
-        }
         if let Some(shard) = queue.claim_next(&cfg.tag) {
-            match run_owned_shard(&state, shard) {
-                RunEnd::Completed { result_hits, .. } => {
-                    summary.shards_completed += 1;
-                    summary.units += manifest.shards[shard].len();
-                    summary.result_hits += result_hits;
-                }
-                RunEnd::Abandoned => break,
-            }
+            let Some(result_hits) = run_shard(&state, shard) else {
+                break;
+            };
+            summary.shards_completed += 1;
+            summary.units += manifest.shards[shard].len();
+            summary.result_hits += result_hits;
             continue;
         }
         if queue.is_retired() {
@@ -972,27 +464,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, DistribError> {
             }
             continue;
         }
-        if cfg.steal {
-            if let Some((shard, round, stolen_units)) = state.find_steal() {
-                if let Some(done) = run_stolen(&state, shard, round, &stolen_units) {
-                    summary.steals += 1;
-                    summary.stolen_units += done;
-                }
-                if state.poisoned() {
-                    break;
-                }
-                continue;
-            }
-        }
-        // Idle with nothing to claim and nothing to steal: if the
-        // coordinator posted retirement tokens (the remaining mass no
-        // longer justifies this many workers), grab one and exit early
-        // instead of polling until the stragglers finish.
-        if let Some(token) = queue.claim_retirement(&cfg.tag) {
-            eprintln!("distrib: event=retire token={token} tag={}", cfg.tag);
-            obs::instant(SpanKind::ScaleDown, u64::from(token), 0);
-            break;
-        }
         // Someone else holds the remaining shards. If their lease
         // counters stall, put their shards back up for grabs (unless a
         // coordinator reserved that job for itself).
@@ -1017,7 +488,6 @@ mod tests {
             shard,
             units,
             result_hits: hits,
-            stolen: units / 3,
             counts: StageCounts {
                 widen_runs: c(0),
                 widen_requests: c(1),
@@ -1085,12 +555,40 @@ mod tests {
     }
 
     #[test]
+    fn stop_signal_wakes_a_waiting_heartbeat_at_once() {
+        // A heartbeat waits out a 5 s interval; the stop raised mid-wait
+        // must end it far sooner. A lost wakeup would sit the full 5 s.
+        let stop = StopSignal::default();
+        let waited = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let start = std::time::Instant::now();
+                let stopped = stop.wait(Duration::from_secs(5));
+                (stopped, start.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            stop.stop();
+            waiter.join().unwrap()
+        });
+        assert!(waited.0, "the wait must report the stop");
+        assert!(
+            waited.1 < Duration::from_secs(1),
+            "woke after {:?}",
+            waited.1
+        );
+        // A stop raised before the wait is seen without waiting at all.
+        let start = std::time::Instant::now();
+        assert!(stop.wait(Duration::from_secs(5)));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        // Without a stop, the wait runs out its timeout.
+        assert!(!StopSignal::default().wait(Duration::from_millis(5)));
+    }
+
+    #[test]
     fn shard_report_round_trips() {
         let report = ShardReport {
             shard: 3,
             units: 120,
             result_hits: 7,
-            stolen: 21,
             counts: StageCounts::zero().plus(&StageCounts {
                 widen_runs: 40,
                 widen_requests: 360,

@@ -9,10 +9,7 @@ use widening_distrib::{
 };
 use widening_machine::CycleModel;
 use widening_pipeline::codec::ddg_fingerprint;
-use widening_pipeline::exchange::{
-    batch_result_key, decode_unit_batch, decode_unit_outcome, unit_result_key, BATCH_KIND,
-    RESULT_KIND,
-};
+use widening_pipeline::exchange::{decode_unit_batch, BATCH_KIND};
 use widening_pipeline::{CompileOptions, Exchange, PointSpec, UnitOutcome};
 use widening_workload::corpus::{generate, CorpusSpec};
 
@@ -41,9 +38,8 @@ fn specs() -> Vec<PointSpec> {
         .collect()
 }
 
-/// Every unit's result must be recoverable from the exchange after a
-/// run — from the batch tier (what workers publish by default) or the
-/// per-unit fallback tier, exactly the two tiers the merge consults.
+/// Every unit's result must be recoverable from the shards' batch
+/// records after a run — exactly what the merge consults.
 fn assert_all_results_published(
     cache: &std::path::Path,
     manifest: &SweepManifest,
@@ -56,23 +52,17 @@ fn assert_all_results_published(
         .collect();
     let mut batched = std::collections::HashMap::new();
     for shard in 0..manifest.shards.len() {
-        let keys = manifest.shard_unit_keys(shard, &fingerprints);
-        for part in [0u8, 1u8] {
-            if let Some(bytes) = ex.get(BATCH_KIND, &batch_result_key(&keys, part)) {
-                batched.extend(decode_unit_batch(&bytes).expect("batch decodes"));
-            }
-        }
+        let bytes = ex
+            .get(BATCH_KIND, &manifest.batch_key(shard, &fingerprints))
+            .unwrap_or_else(|| panic!("shard {shard} published no batch record"));
+        batched.extend(decode_unit_batch(&bytes).expect("batch decodes"));
     }
     let n = manifest.loops.len() as u32;
     let mut outcomes = Vec::new();
-    for (si, spec) in manifest.specs.iter().enumerate() {
+    for si in 0..manifest.specs.len() {
         for (li, l) in manifest.loops.iter().enumerate() {
             let unit = si as u32 * n + li as u32;
-            let outcome = batched.get(&unit).copied().or_else(|| {
-                let key = unit_result_key(fingerprints[li], spec);
-                ex.get(RESULT_KIND, &key)
-                    .and_then(|bytes| decode_unit_outcome(&bytes))
-            });
+            let outcome = batched.get(&unit).copied();
             outcomes.push(
                 outcome.unwrap_or_else(|| panic!("missing result for {} at spec {si}", l.name())),
             );
@@ -86,11 +76,10 @@ fn fleet_completes_and_publishes_every_unit() {
     let cache = temp_dir("fleet");
     let loops = generate(&CorpusSpec::small(14, 3));
     let manifest = SweepManifest::partition(loops, specs(), 6);
-    let mut cfg = CoordinatorConfig::new(&cache, 2);
-    cfg.shards_per_worker = 3;
+    let cfg = CoordinatorConfig::new(&cache, 2);
     let run = run_sweep(&manifest, &cfg, &Launcher::InProcess).expect("sweep completes");
     assert_eq!(run.units as usize, manifest.unit_count());
-    assert_eq!(run.shard_reports.iter().flatten().count(), 6);
+    assert_eq!(run.shard_reports.iter().flatten().count(), 9);
     assert_eq!(run.respawns, 0);
     // The queue is ephemeral; the results are not.
     assert!(!run.queue_dir.exists());
@@ -144,8 +133,9 @@ fn ghost_holding_every_shard_is_fully_requeued() {
     // fleet) expires both leases — the coordinator's requeue counter is
     // therefore exactly 2.
     let cache = temp_dir("ghost");
-    let loops = generate(&CorpusSpec::small(6, 11));
+    let loops = generate(&CorpusSpec::small(3, 11));
     let manifest = SweepManifest::partition(loops, specs(), 2);
+    assert_eq!(manifest.shards.len(), 2, "2 columns, then 1");
     let queue_dir = cache.join("queue").join("ghosted");
     let queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
     assert_eq!(queue.claim_next("ghost"), Some(0));
@@ -215,7 +205,8 @@ fn fleet_that_keeps_dying_exhausts_the_respawn_budget() {
         .expect_err("must give up eventually");
     match err {
         widening_distrib::DistribError::WorkersExhausted { remaining } => {
-            assert_eq!(remaining, 2);
+            // Every shard: 2, 1 and 1 of the 4 loop columns.
+            assert_eq!(remaining, 3);
         }
         other => panic!("unexpected error {other}"),
     }

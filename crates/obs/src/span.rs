@@ -60,14 +60,19 @@ pub enum SpanKind {
     /// A worker running an owned shard. `a` = shard, `b` = unit count.
     WorkerShard = 10,
     /// A worker running a stolen slice. `a` = shard, `b` = unit count.
+    /// No longer emitted (the fleet does not steal); the id stays
+    /// reserved because it is part of the trace format.
     WorkerSteal = 11,
     /// Instant: LRU eviction pass. `a` = entries evicted, `b` = resident bytes after.
     Evict = 12,
-    /// Instant: surplus published for stealing. `a` = shard, `b` = units offered.
+    /// Instant: surplus published for stealing. `a` = shard, `b` = units
+    /// offered. No longer emitted; the id stays reserved.
     StealOffer = 13,
-    /// Instant: a thief claimed a surplus. `a` = shard, `b` = units claimed.
+    /// Instant: a thief claimed a surplus. `a` = shard, `b` = units
+    /// claimed. No longer emitted; the id stays reserved.
     StealClaim = 14,
-    /// Instant: an owner folded a thief's result. `a` = shard, `b` = units folded.
+    /// Instant: an owner folded a thief's result. `a` = shard, `b` =
+    /// units folded. No longer emitted; the id stays reserved.
     StealFold = 15,
     /// Instant: lease heartbeat renewal. `a` = shard, `b` = remaining mass.
     Heartbeat = 16,
@@ -79,7 +84,8 @@ pub enum SpanKind {
     Respawn = 19,
     /// Instant: scale-down — the coordinator posted retirement tokens
     /// (`a` = token total, `b` = mass estimate) or a worker retired on
-    /// one (`a` = token claimed, `b` = 0).
+    /// one (`a` = token claimed, `b` = 0). No longer emitted; the id
+    /// stays reserved.
     ScaleDown = 20,
     /// Live lower-stage execution (schedule → wide bytecode).
     /// `a` = loop, `b` = packed point.

@@ -115,6 +115,13 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes not yet consumed — the most any count read from the buffer
+    /// can honestly describe, so decoders bound preallocations by it.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Consumes and returns the next `n` raw bytes.
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
@@ -347,7 +354,9 @@ pub fn encode_ddg(w: &mut Writer, ddg: &Ddg) {
 /// validation — a corrupt buffer yields `None`, never an invalid graph.
 pub fn decode_ddg(r: &mut Reader<'_>) -> Option<Ddg> {
     let n = r.len()?;
-    let mut ops = Vec::with_capacity(n);
+    // An op takes at least 2 bytes and an edge 13: counts never size an
+    // allocation past what the buffer could hold.
+    let mut ops = Vec::with_capacity(n.min(r.remaining() / 2));
     for _ in 0..n {
         let kind = op_kind_from(r.u8()?)?;
         let flags = r.u8()?;
@@ -369,7 +378,7 @@ pub fn decode_ddg(r: &mut Reader<'_>) -> Option<Ddg> {
         ops.push(op);
     }
     let m = r.len()?;
-    let mut edges = Vec::with_capacity(m);
+    let mut edges = Vec::with_capacity(m.min(r.remaining() / 13));
     for _ in 0..m {
         edges.push(Edge {
             src: NodeId(r.u32()?),

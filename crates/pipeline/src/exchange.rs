@@ -3,7 +3,7 @@
 //! The compilation stages append to per-pipeline segments under
 //! `<root>/v<FORMAT_VERSION>/segments`; this module stores the *same*
 //! content-addressed container format one file per record, for the
-//! records that ride on top of compilation — the per-unit sweep results
+//! records that ride on top of compilation — the batched sweep results
 //! distributed workers publish and the simulation summaries the
 //! evaluator warm-starts from. These must be visible to every process
 //! as soon as they are published, which a segment indexed at open is
@@ -13,35 +13,29 @@
 //! disk tier — a worker whose publish fails costs a recompute
 //! somewhere, never a wrong merge.
 //!
-//! Three record kinds are defined here:
+//! Two record kinds are defined here:
 //!
-//! * [`RESULT_KIND`] — a versioned [`UnitOutcome`]: the projection of
-//!   one compiled `(loop × design point)` unit that corpus aggregation
-//!   needs (II, MII, registers, spill ops — or the structured failure
-//!   cause). Keys are [`unit_result_key`]: the loop graph's content
-//!   fingerprint plus every design-point field, so workers on different
-//!   hosts (or re-runs of a killed shard) publish *identical bytes
+//! * [`BATCH_KIND`] — a **batch result record**: the [`UnitOutcome`]s
+//!   of one distributed shard in one published file. An outcome is the
+//!   projection of one compiled `(loop × design point)` unit that
+//!   corpus aggregation needs (II, MII, registers, spill ops — or the
+//!   structured failure cause). The record is keyed by
+//!   [`batch_result_key`]: the content hash of the shard's ordered list
+//!   of [`unit_result_key`]s, each the loop graph's content fingerprint
+//!   plus every design-point field. Workers on different hosts (or
+//!   re-runs of a killed shard) therefore publish *identical bytes
 //!   under identical keys* — double execution after a lease-expiry
-//!   requeue is idempotent by construction.
-//! * [`BATCH_KIND`] — a **batch result record**: many unit outcomes in
-//!   one published file, keyed by [`batch_result_key`] — the content
-//!   hash of a shard's full ordered per-unit key list plus a part tag
-//!   (owner vs. thief). Workers buffer outcomes and publish one batch
-//!   per shard (or per stolen sub-shard) instead of one file per unit,
-//!   cutting publish syscalls ~50× on huge grids. Each entry is tagged
-//!   with its manifest unit id, so a batch may cover any *subset* of
-//!   the keyed list (a partially-reclaimed shard, a stolen tail); the
-//!   merge treats batches as a first tier and falls back to the
-//!   per-unit tier — so mixed old/new caches stay merge-equivalent.
+//!   requeue is idempotent by construction. Each entry is tagged with
+//!   its manifest unit id.
 //! * [`SIM_SUMMARY_KIND`] — simulation summaries, keyed by
 //!   [`sim_summary_key`] (the unit key plus the simulated trip count).
 //!   The payload codec lives with the simulator's consumer; this module
 //!   only reserves the kind.
 //!
-//! All payloads carry their own format version ([`RESULT_VERSION`],
-//! [`BATCH_VERSION`]) *inside* the container, on top of the disk tier's
-//! container-level `FORMAT_VERSION`, so result records can evolve
-//! without invalidating compiled stage artifacts.
+//! Batch payloads carry their own format version ([`BATCH_VERSION`])
+//! *inside* the container, on top of the disk tier's container-level
+//! `FORMAT_VERSION`, so result records can evolve without invalidating
+//! compiled stage artifacts.
 
 use std::path::Path;
 
@@ -50,18 +44,11 @@ use crate::disk::DiskTier;
 use crate::error::{FailureCause, PipelineError};
 use crate::stage::{CompiledLoop, PointSpec};
 
-/// Exchange kind for per-unit sweep results.
-pub const RESULT_KIND: &str = "result";
-
 /// Exchange kind for per-shard batch result records.
 pub const BATCH_KIND: &str = "batch";
 
 /// Exchange kind for per-unit simulation summaries.
 pub const SIM_SUMMARY_KIND: &str = "simsum";
-
-/// Version of the [`UnitOutcome`] payload encoding; bump on any shape
-/// change so stale records read as misses.
-pub const RESULT_VERSION: u16 = 1;
 
 /// Version of the batch result record encoding; bump on any shape
 /// change so stale records read as misses.
@@ -109,11 +96,11 @@ impl Exchange {
     }
 }
 
-/// The per-unit result a distributed worker publishes: everything
-/// corpus aggregation needs from one compiled `(loop × design point)`
-/// unit. Weights and trip counts do **not** travel here — they are
-/// properties of the loop the merging coordinator already holds, which
-/// is what keeps the record content-addressable by graph fingerprint.
+/// One unit's entry in a batch result record: everything corpus
+/// aggregation needs from one compiled `(loop × design point)` unit.
+/// Weights and trip counts do **not** travel here — they are properties
+/// of the loop the merging coordinator already holds, which is what
+/// keeps the record content-addressable by graph fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitOutcome {
     /// The unit compiled (or bounded, in peak mode).
@@ -212,8 +199,7 @@ pub fn sim_summary_key(fingerprint: u128, spec: &PointSpec, trip: u64) -> Vec<u8
     w.into_bytes()
 }
 
-/// Encodes an outcome body (no version prefix — per-unit and batch
-/// records share this, each under its own version header).
+/// Encodes one outcome of a batch record.
 fn encode_outcome_body(w: &mut Writer, outcome: &UnitOutcome) {
     match outcome {
         UnitOutcome::Ok {
@@ -266,33 +252,12 @@ fn decode_outcome_body(r: &mut Reader<'_>) -> Option<UnitOutcome> {
     })
 }
 
-/// Encodes a unit outcome as a self-versioned record.
-#[must_use]
-pub fn encode_unit_outcome(outcome: &UnitOutcome) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(u32::from(RESULT_VERSION));
-    encode_outcome_body(&mut w, outcome);
-    w.into_bytes()
-}
-
-/// Decodes a unit outcome; version or tag mismatches read as misses.
-#[must_use]
-pub fn decode_unit_outcome(bytes: &[u8]) -> Option<UnitOutcome> {
-    let mut r = Reader::new(bytes);
-    if r.u32()? != u32::from(RESULT_VERSION) {
-        return None;
-    }
-    let outcome = decode_outcome_body(&mut r)?;
-    r.exhausted().then_some(outcome)
-}
-
 /// The content key of a batch result record: the 128-bit hash of a
-/// shard's full, ordered per-unit key list, a part tag (0 = the shard
-/// owner's batch, 1 = a thief's stolen-sub-shard batch), and the list
-/// length. Publisher and merger both derive it from the manifest alone
-/// — no side channel names which batches exist.
+/// shard's full, ordered per-unit key list, and the list length.
+/// Publisher and merger both derive it from the manifest alone — no
+/// side channel names which batches exist.
 #[must_use]
-pub fn batch_result_key(unit_keys: &[Vec<u8>], part: u8) -> Vec<u8> {
+pub fn batch_result_key(unit_keys: &[Vec<u8>]) -> Vec<u8> {
     let mut cat = Writer::new();
     for k in unit_keys {
         cat.bytes(k);
@@ -301,7 +266,6 @@ pub fn batch_result_key(unit_keys: &[Vec<u8>], part: u8) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(h as u64);
     w.u64((h >> 64) as u64);
-    w.u8(part);
     w.u32(unit_keys.len() as u32);
     w.into_bytes()
 }
@@ -330,7 +294,8 @@ pub fn decode_unit_batch(bytes: &[u8]) -> Option<Vec<(u32, UnitOutcome)>> {
         return None;
     }
     let n = r.len()?;
-    let mut entries = Vec::with_capacity(n);
+    // An entry takes at least 6 bytes (unit id, tags).
+    let mut entries = Vec::with_capacity(n.min(r.remaining() / 6));
     for _ in 0..n {
         let unit = r.u32()?;
         entries.push((unit, decode_outcome_body(&mut r)?));
@@ -357,11 +322,8 @@ mod tests {
     fn exchange_round_trips_payloads() {
         let root = temp_root("rt");
         let ex = Exchange::open(&root).expect("temp dir");
-        ex.put(RESULT_KIND, b"key", b"payload");
-        assert_eq!(
-            ex.get(RESULT_KIND, b"key").as_deref(),
-            Some(&b"payload"[..])
-        );
+        ex.put(BATCH_KIND, b"key", b"payload");
+        assert_eq!(ex.get(BATCH_KIND, b"key").as_deref(), Some(&b"payload"[..]));
         // Kinds are separate namespaces.
         assert_eq!(ex.get(SIM_SUMMARY_KIND, b"key"), None);
         let _ = std::fs::remove_dir_all(root);
@@ -390,13 +352,13 @@ mod tests {
             },
         ];
         for o in cases {
-            let bytes = encode_unit_outcome(&o);
-            assert_eq!(decode_unit_outcome(&bytes), Some(o));
+            let bytes = encode_unit_batch(&[(11, o)]);
+            assert_eq!(decode_unit_batch(&bytes), Some(vec![(11, o)]));
             // Truncation and version skew are misses, not panics.
-            assert_eq!(decode_unit_outcome(&bytes[..bytes.len() - 1]), None);
+            assert_eq!(decode_unit_batch(&bytes[..bytes.len() - 1]), None);
             let mut skew = bytes.clone();
             skew[0] ^= 0xff;
-            assert_eq!(decode_unit_outcome(&skew), None);
+            assert_eq!(decode_unit_batch(&skew), None);
         }
     }
 
@@ -428,11 +390,12 @@ mod tests {
         let mut skew = bytes.clone();
         skew[0] ^= 0xff;
         assert_eq!(decode_unit_batch(&skew), None);
-        // Owner and thief parts of the same unit list use distinct keys;
-        // different lists use distinct keys.
+        // Different unit lists — other shards, a prefix, another order —
+        // use distinct keys.
         let keys = vec![b"unit-a".to_vec(), b"unit-b".to_vec()];
-        assert_ne!(batch_result_key(&keys, 0), batch_result_key(&keys, 1));
-        assert_ne!(batch_result_key(&keys, 0), batch_result_key(&keys[..1], 0));
+        let swapped = vec![keys[1].clone(), keys[0].clone()];
+        assert_ne!(batch_result_key(&keys), batch_result_key(&keys[..1]));
+        assert_ne!(batch_result_key(&keys), batch_result_key(&swapped));
     }
 
     #[test]

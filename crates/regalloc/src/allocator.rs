@@ -34,6 +34,11 @@
 //!   and stopping at the first slot holding a disjoint register finds
 //!   the minimiser of `(start + c − end) mod c` directly — the cost is
 //!   the winning gap, not a scan of every register and occupant;
+//! * before that walk, end-fit checks for a **free register**: one AND
+//!   per register and word against the arc's mask. Every register has
+//!   an occupant end in some bucket, so the walk succeeds iff a
+//!   register is disjoint from the arc. When none is, the arc opens a
+//!   register at once instead of walking all `c` buckets to learn that;
 //! * the min-density cut evaluates candidate points (`{0} ∪ starts`)
 //!   against two **sorted endpoint arrays** — density at `p` is
 //!   `#{segment starts ≤ p} − #{segment ends ≤ p}` plus the full-circle
@@ -537,7 +542,9 @@ fn pack_first_fit_dense(
 /// bucket and the walk would already have stopped there — hence any
 /// disjoint register met at slot distance `g` has true gap `g`. The
 /// per-arc cost is the winning gap plus the endpoint entries passed
-/// over, instead of a scan of every register.
+/// over, instead of a scan of every register. An arc that fits no
+/// register skips the walk: a first pass of one AND per register and
+/// word finds no disjoint register.
 #[allow(clippy::too_many_arguments)]
 fn pack_end_fit_dense(
     arcs: &[Arc],
@@ -561,8 +568,15 @@ fn pack_end_fit_dense(
     for &i in order {
         let arc = &arcs[i as usize];
         let mask = &masks[i as usize * wpc..(i as usize + 1) * wpc];
+        // The walk finds a register iff one is disjoint from the arc:
+        // every register has an occupant end in some bucket.
+        let any_free = if wpc == 1 {
+            occ.iter().any(|&w| w & mask[0] == 0)
+        } else {
+            occ.chunks_exact(wpc).any(|row| words::disjoint(row, mask))
+        };
         let mut best: Option<usize> = None;
-        if nregs > 0 {
+        if any_free {
             'walk: for g in 0..c {
                 let p = (arc.start + c - g) % c;
                 // Lowest disjoint register in this bucket wins the tie.
@@ -807,6 +821,7 @@ fn pack_cut_interval_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use widening_ir::NodeId;
 
     fn lt(id: u32, start: u32, end: u32) -> Lifetime {
@@ -1037,49 +1052,106 @@ mod tests {
             ),
         ];
         for (case, (lts, ii)) in cases.iter().enumerate() {
-            let (arcs, masks, wpc, c) = dense_inputs(lts, *ii);
-            let idx: Vec<u32> = (0..arcs.len() as u32).collect();
-            let mut occ = Vec::new();
-            let mut buckets: Vec<Vec<u32>> = Vec::new();
-            let mut out = Vec::new();
-
-            let (rr, ra) = pack_first_fit_ref(&arcs, c);
-            let dr = pack_first_fit_dense(&arcs, &idx, &masks, wpc, &mut occ, &mut out);
-            assert_eq!((rr, &ra), (dr, &out), "first-fit case {case}");
-
-            let (rr, ra) = pack_end_fit_ref(&arcs, c);
-            let dr = pack_end_fit_dense(
-                &arcs,
-                &idx,
-                &masks,
-                wpc,
-                c,
-                &mut occ,
-                &mut buckets,
-                &mut out,
-            );
-            assert_eq!((rr, &ra), (dr, &out), "end-fit case {case}");
-
-            let (rr, ra) = pack_cut_interval_ref(&arcs, c);
-            let mut s = AllocScratch::new();
-            s.arcs = arcs.clone();
-            s.masks = masks.clone();
-            let dr = pack_cut_interval_dense(&mut s, wpc, c);
-            assert_eq!((rr, &ra), (dr, &s.tmp), "cut-interval case {case}");
-
-            let k = (c / u64::from(*ii)) as u32;
-            let ml = max_lives_with(lts, *ii, &mut Vec::new());
-            let mut dense = AllocScratch::new();
-            dense.arcs = arcs.clone();
-            let race = pack_best_dense(lts, *ii, k, c, ml, &mut dense);
-            let mut legacy = AllocScratch::new();
-            legacy.arcs = arcs.clone();
-            let reference = pack_best_legacy(lts, *ii, k, c, &mut legacy);
-            assert_eq!(race, reference, "race case {case}");
+            let (race_regs, _) = assert_dense_matches_reference(lts, *ii, &format!("case {case}"));
             if case == 0 {
+                let (arcs, _, _, c) = dense_inputs(lts, *ii);
+                let ml = max_lives_with(lts, *ii, &mut Vec::new());
                 assert_eq!(pack_end_fit_ref(&arcs, c).0, ml + 1);
-                assert_eq!(race.0, ml);
+                assert_eq!(race_regs, ml);
             }
+        }
+    }
+
+    /// Asserts that every dense packer reproduces its reference packer
+    /// bit for bit (registers AND triples), and so does the whole race,
+    /// MaxLives exit included. Returns the race's register count and
+    /// the cylinder's words per register.
+    fn assert_dense_matches_reference(lts: &[Lifetime], ii: u32, what: &str) -> (u32, usize) {
+        let (arcs, masks, wpc, c) = dense_inputs(lts, ii);
+        let idx: Vec<u32> = (0..arcs.len() as u32).collect();
+        let mut occ = Vec::new();
+        let mut buckets: Vec<Vec<u32>> = Vec::new();
+        let mut out = Vec::new();
+
+        let (rr, ra) = pack_first_fit_ref(&arcs, c);
+        let dr = pack_first_fit_dense(&arcs, &idx, &masks, wpc, &mut occ, &mut out);
+        assert_eq!((rr, &ra), (dr, &out), "first-fit {what}");
+
+        let (rr, ra) = pack_end_fit_ref(&arcs, c);
+        let dr = pack_end_fit_dense(
+            &arcs,
+            &idx,
+            &masks,
+            wpc,
+            c,
+            &mut occ,
+            &mut buckets,
+            &mut out,
+        );
+        assert_eq!((rr, &ra), (dr, &out), "end-fit {what}");
+
+        let (rr, ra) = pack_cut_interval_ref(&arcs, c);
+        let mut s = AllocScratch::new();
+        s.arcs = arcs.clone();
+        s.masks = masks;
+        let dr = pack_cut_interval_dense(&mut s, wpc, c);
+        assert_eq!((rr, &ra), (dr, &s.tmp), "cut-interval {what}");
+
+        let k = (c / u64::from(ii)) as u32;
+        let ml = max_lives_with(lts, ii, &mut Vec::new());
+        let mut dense = AllocScratch::new();
+        dense.arcs = arcs.clone();
+        let race = pack_best_dense(lts, ii, k, c, ml, &mut dense);
+        let mut legacy = AllocScratch::new();
+        legacy.arcs = arcs;
+        let reference = pack_best_legacy(lts, ii, k, c, &mut legacy);
+        assert_eq!(race, reference, "race {what}");
+        (race.0, wpc)
+    }
+
+    /// Random lifetimes on a cylinder of 65–600 slots, so the dense
+    /// packers take their multi-word (`wpc ≥ 2`) paths. The first
+    /// lifetime spans more than half the cylinder, which pins the
+    /// expansion degree to `k`; the rest start anywhere and span up to
+    /// the whole cylinder.
+    fn arb_wide_cylinder() -> impl Strategy<Value = (Vec<Lifetime>, u32)> {
+        (0u32..=4)
+            .prop_flat_map(|log_k| {
+                let k = 1u32 << log_k;
+                (
+                    Just(k),
+                    65u32.div_ceil(k)..=600 / k,
+                    proptest::collection::vec((0u32..1200, any::<u32>()), 1..24),
+                )
+            })
+            .prop_map(|(k, ii, raw)| {
+                let c = k * ii;
+                let half = c / 2;
+                let lts = raw
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (start, seed))| {
+                        let len = if i == 0 {
+                            half + 1 + seed % (c - half)
+                        } else {
+                            1 + seed % c
+                        };
+                        lt(i as u32, start, start + len)
+                    })
+                    .collect();
+                (lts, ii)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The multi-word (`wpc ≥ 2`) paths of every dense packer, and
+        /// of the race, must match the reference packers too.
+        #[test]
+        fn multi_word_dense_packers_match_reference_packers((lts, ii) in arb_wide_cylinder()) {
+            let (_, wpc) = assert_dense_matches_reference(&lts, ii, "on a wide cylinder");
+            prop_assert!(wpc >= 2, "wpc = {wpc}");
         }
     }
 

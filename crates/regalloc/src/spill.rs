@@ -33,6 +33,24 @@
 //! tie. Round 1 schedules the unmodified graph at `min_ii = 1` under
 //! either policy, so a II-increase fit at round 1 is also spill-first's
 //! answer and returns at once.
+//!
+//! # Hopeless II-increase rounds skip the allocator
+//!
+//! Inside Adaptive, only a *fit* of the II-increase run is ever read:
+//! its II becomes the cap, and its failure is discarded (spill-first's
+//! result, or its error, wins). A II-increase round whose `MaxLives`
+//! exceeds the file size cannot fit, because `MaxLives` bounds every
+//! packing from below. Such a round skips the six-packer race and only
+//! raises `min_ii`, exactly as the failed race would have. The run's
+//! failure then carries no register count: the skipped rounds never
+//! produced one.
+//!
+//! The pure policies keep the race in every round. Their failure
+//! reports the smallest register count over all rounds, which the
+//! pipeline persists as a failure cause and the ablation reports; a
+//! skipped round might have held that minimum. Spill-first also needs
+//! each round's exact count, because its excess over the file picks the
+//! victims.
 
 use std::borrow::Cow;
 use std::error::Error;
@@ -45,7 +63,7 @@ use widening_sched::{
 };
 
 use crate::allocator::{allocate_in, AllocScratch, RegisterAllocation};
-use crate::lifetime::{lifetimes_into, Lifetime};
+use crate::lifetime::{lifetimes_into, max_lives_with, Lifetime};
 
 /// What to do when register pressure exceeds the file size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -56,7 +74,8 @@ pub enum SpillPolicy {
     /// the default.
     ///
     /// II-increase runs first, and its II caps the spill-first run,
-    /// which stops as soon as its II lower bound exceeds the cap. The
+    /// which stops as soon as its II lower bound exceeds the cap. Its
+    /// rounds skip the allocator when `MaxLives` exceeds the file. The
     /// result is the one running both policies in full would select
     /// (see the module docs for why).
     #[default]
@@ -232,7 +251,7 @@ pub fn schedule_with_registers_seeded(
     first: Option<FirstRound<'_>>,
 ) -> Result<PressureResult, RegallocError> {
     if spill_opts.policy != SpillPolicy::Adaptive {
-        return run_policy(ddg, cfg, model, sched_opts, spill_opts, first, None);
+        return run_policy(ddg, cfg, model, sched_opts, spill_opts, first, Goal::Exact);
     }
     // Try pure II increase, then spill-first, and keep the better result.
     // Memory-bound machines often prefer the II increase: spill traffic
@@ -241,24 +260,27 @@ pub fn schedule_with_registers_seeded(
         policy,
         ..*spill_opts
     };
-    let stretch = run_policy(
+    let stretch = match run_policy(
         ddg,
         cfg,
         model,
         sched_opts,
         &pure(SpillPolicy::IncreaseIiOnly),
         first,
-        None,
-    );
-    // Round 1 is policy-independent, so a fit there is spill-first's
-    // answer too.
-    if matches!(&stretch, Ok(r) if r.rounds == 1) {
-        return stretch;
-    }
+        Goal::FitOnly,
+    ) {
+        // Round 1 is policy-independent, so a fit there is spill-first's
+        // answer too.
+        Ok(r) if r.rounds == 1 => return Ok(r),
+        // Only a fit is read below; a failure carries nothing.
+        outcome => outcome.ok(),
+    };
     // A capped spill-first run that cannot win stops early with an error;
-    // the cap is only set when `stretch` succeeded, so that error always
-    // lands in the `(Err(_), Ok(b))` arm and is discarded.
-    let cap = stretch.as_ref().ok().map(|r| r.schedule.ii());
+    // the cap is only set when `stretch` succeeded, so that error is
+    // always discarded.
+    let goal = stretch
+        .as_ref()
+        .map_or(Goal::Exact, |r| Goal::BeatCap(r.schedule.ii()));
     let spill = run_policy(
         ddg,
         cfg,
@@ -266,26 +288,36 @@ pub fn schedule_with_registers_seeded(
         sched_opts,
         &pure(SpillPolicy::SpillFirst),
         first,
-        cap,
+        goal,
     );
     match (spill, stretch) {
-        (Ok(a), Ok(b)) => Ok(if a.schedule.ii() <= b.schedule.ii() {
+        (Ok(a), Some(b)) => Ok(if a.schedule.ii() <= b.schedule.ii() {
             a
         } else {
             b
         }),
-        (Ok(a), Err(_)) => Ok(a),
-        (Err(_), Ok(b)) => Ok(b),
-        (Err(a), Err(_)) => Err(a),
+        (Err(_), Some(b)) => Ok(b),
+        (spill, None) => spill,
     }
 }
 
-/// The round loop of one pure policy (`SpillFirst` or `IncreaseIiOnly`).
-///
-/// With `ii_cap = Some(cap)` the run gives up, returning an error, at
-/// the start of any round whose II lower bound exceeds `cap`: it could
-/// then only finish above `cap`. [`SpillPolicy::Adaptive`] sets the cap
-/// to the II-increase result's II (see the module docs).
+/// What [`SpillPolicy::Adaptive`] needs from one pure-policy run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Goal {
+    /// The policy's own answer; a failure reports the smallest register
+    /// count over all rounds.
+    Exact,
+    /// Only an answer at II ≤ the cap can win: give up, returning an
+    /// error, at the start of any round whose II lower bound exceeds it.
+    BeatCap(u32),
+    /// Only a fit is read. A round whose `MaxLives` exceeds the file
+    /// cannot fit, so it skips the allocator; a failure's register count
+    /// misses those rounds and must be discarded.
+    FitOnly,
+}
+
+/// The round loop of one pure policy (`SpillFirst` or `IncreaseIiOnly`),
+/// doing only the work `goal` needs (see [`Goal`] and the module docs).
 fn run_policy(
     ddg: &Ddg,
     cfg: &Configuration,
@@ -293,8 +325,12 @@ fn run_policy(
     sched_opts: &SchedulerOptions,
     spill_opts: &SpillOptions,
     first: Option<FirstRound<'_>>,
-    ii_cap: Option<u32>,
+    goal: Goal,
 ) -> Result<PressureResult, RegallocError> {
+    debug_assert!(
+        goal != Goal::FitOnly || spill_opts.policy == SpillPolicy::IncreaseIiOnly,
+        "only II increase can skip a round: spill-first picks victims by its count"
+    );
     let scheduler = ModuloScheduler::with_options(*cfg, model, *sched_opts);
     let available = cfg.registers();
     // The graph is only cloned when spill code actually rewrites it; the
@@ -314,6 +350,7 @@ fn run_policy(
     let mut sched_scratch = SchedScratch::new();
     let mut alloc_scratch = AllocScratch::new();
     let mut lts_buf: Vec<Lifetime> = Vec::new();
+    let mut rows: Vec<i64> = Vec::new();
     let mut rewrite = RewriteScratch::default();
     // MII bounds are a deterministic function of the graph alone, so one
     // computation serves every round until spill code changes the graph
@@ -345,7 +382,7 @@ fn run_policy(
                     "II lower bound fell from {prev_lower} to {lower}"
                 );
                 prev_lower = lower;
-                if ii_cap.is_some_and(|cap| lower > cap) {
+                if matches!(goal, Goal::BeatCap(cap) if lower > cap) {
                     return Err(RegallocError::Pressure {
                         needed: best_needed,
                         available,
@@ -353,6 +390,14 @@ fn run_policy(
                 }
                 let schedule = scheduler.schedule_with(&graph, b, min_ii, &mut sched_scratch)?;
                 lifetimes_into(&graph, &schedule, model, &mut lts_buf);
+                if goal == Goal::FitOnly
+                    && max_lives_with(&lts_buf, schedule.ii(), &mut rows) > available
+                {
+                    // No packing beats MaxLives: the race cannot fit, so
+                    // skip it and raise the II as its failure would.
+                    min_ii = schedule.ii() + 1;
+                    continue;
+                }
                 let alloc = allocate_in(&lts_buf, schedule.ii(), &mut alloc_scratch);
                 (schedule, alloc)
             }

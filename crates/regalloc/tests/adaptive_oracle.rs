@@ -7,6 +7,12 @@
 //! Adaptive runs II-increase first and caps the spill-first run at its
 //! II; this test checks that the cap never changes an answer, through both
 //! the plain and the seeded entry points.
+//!
+//! Adaptive's II-increase run also skips the allocator in rounds whose
+//! `MaxLives` exceeds the file. That skip must not reach the pure
+//! policy, whose failure reports the smallest register count the full
+//! allocator reached over its rounds; a second test replays those
+//! rounds through the public API.
 
 use widening_ir::Ddg;
 use widening_machine::{Configuration, CycleModel};
@@ -175,4 +181,63 @@ fn adaptive_matches_both_policies_run_in_full() {
         "spill-first never wins a tie: {tally:?}"
     );
     assert!(tally.both_fail > 0, "both policies never fail: {tally:?}");
+}
+
+/// Replays pure II increase round by round: schedule at `min_ii`, run
+/// the full allocator race, stop at a fit, else retry above this II.
+/// Returns the outcome as `Ok(ii)` or the error the policy must report,
+/// plus the `MaxLives` of the round whose count is reported.
+fn replay_increase_ii(ddg: &Ddg, cfg: &Configuration) -> (Result<u32, RegallocError>, u32) {
+    let scheduler = ModuloScheduler::with_options(*cfg, MODEL, SchedulerOptions::default());
+    let available = cfg.registers();
+    let mut min_ii = 1;
+    let mut needed = u32::MAX;
+    let mut needed_max_lives = 0;
+    for _ in 0..SpillOptions::default().max_rounds {
+        let schedule = match scheduler.schedule_with_min_ii(ddg, min_ii) {
+            Ok(s) => s,
+            Err(e) => return (Err(RegallocError::Schedule(e)), needed_max_lives),
+        };
+        let allocation = allocate(&lifetimes(ddg, &schedule, MODEL), schedule.ii());
+        if allocation.registers_used() <= available {
+            return (Ok(schedule.ii()), allocation.max_lives());
+        }
+        if allocation.registers_used() < needed {
+            needed = allocation.registers_used();
+            needed_max_lives = allocation.max_lives();
+        }
+        min_ii = schedule.ii() + 1;
+    }
+    (
+        Err(RegallocError::Pressure { needed, available }),
+        needed_max_lives,
+    )
+}
+
+#[test]
+fn pure_increase_ii_failure_reports_the_smallest_race_count() {
+    let loops = generate(&CorpusSpec::small(100, 1998));
+    let cfg = Configuration::monolithic(4, 2, 4).expect("valid");
+    let opts = policy(SpillPolicy::IncreaseIiOnly);
+    // Failures whose reported count comes from a round with MaxLives
+    // above the file: the rounds Adaptive's II-increase run skips.
+    let mut hopeless_minimum = 0;
+    for (i, l) in loops.iter().take(4).enumerate() {
+        let wide = widen(l.ddg(), 2);
+        let (want, max_lives) = replay_increase_ii(wide.ddg(), &cfg);
+        let got =
+            schedule_with_registers(wide.ddg(), &cfg, MODEL, &SchedulerOptions::default(), &opts);
+        assert_eq!(
+            got.map(|r| r.schedule.ii()),
+            want,
+            "loop {i} on {cfg}: pure II increase"
+        );
+        if matches!(want, Err(RegallocError::Pressure { .. })) && max_lives > cfg.registers() {
+            hopeless_minimum += 1;
+        }
+    }
+    assert!(
+        hopeless_minimum > 0,
+        "no reported count came from a round whose MaxLives exceeds the file"
+    );
 }

@@ -23,9 +23,11 @@
 //! between attempts: the MRT grids, the ASAP/ALAP tables, the
 //! time/placement tables, the HRMS frontier and priority sets, the IMS
 //! priority queue and eviction lists. Work that does not depend on the
-//! candidate II — edge delays, node latencies, the reachability closure
-//! and the HRMS priority sets, the SCC condensation — is hoisted out of
-//! the II loop entirely and computed once per call. After warm-up a
+//! candidate II — edge delays, node latencies, the HRMS priority sets,
+//! the SCC condensation — is hoisted out of the II loop entirely and
+//! computed once per call. The reachability closure behind the HRMS
+//! path closure is built only for loops with two or more recurrences:
+//! only the second and later recurrences read it. After warm-up a
 //! steady-state II attempt performs no heap allocation (asserted by the
 //! `zero_alloc` integration test).
 
@@ -112,7 +114,8 @@ pub struct SchedScratch {
     delays: Vec<i64>,
     /// `lat[v]` = issue latency of node `v`.
     lat: Vec<i64>,
-    /// Reachability closure (HRMS path closure between recurrences).
+    /// Reachability closure (HRMS path closure between recurrences);
+    /// stale unless the current loop has two or more recurrences.
     reach: BitMatrix,
     /// BFS worklist for `reach`.
     queue: Vec<u32>,
@@ -335,8 +338,9 @@ impl ModuloScheduler {
     }
 
     /// Fills the II-independent scratch tables: edge delays, node
-    /// latencies, and the strategy's pre-order inputs (HRMS
-    /// reachability and priority sets, ASAP's SCC condensation).
+    /// latencies, and the strategy's pre-order inputs (HRMS priority
+    /// sets, plus their reachability closure when the loop has two or
+    /// more recurrences; ASAP's SCC condensation).
     /// Everything here used to be recomputed inside the II loop; none
     /// of it depends on II.
     fn prepare(&self, ddg: &Ddg, bounds: &MiiBounds, s: &mut SchedScratch) {
@@ -690,10 +694,14 @@ fn normalize(time: &[Option<i64>]) -> Vec<u32> {
 /// `set_ends`): each recurrence (sorted by criticality) plus the
 /// path-closure nodes linking it to the previously selected region;
 /// finally everything else. II-independent, so computed once per
-/// schedule call.
+/// schedule call. Only the second and later recurrences take a path
+/// closure, so the reachability matrix is built only when there are
+/// at least two.
 fn hrms_prepare_sets(ddg: &Ddg, bounds: &MiiBounds, s: &mut SchedScratch) {
     let n = ddg.num_nodes();
-    compute_reachability(ddg, &mut s.reach, &mut s.queue);
+    if bounds.recurrences().len() >= 2 {
+        compute_reachability(ddg, &mut s.reach, &mut s.queue);
+    }
     let SchedScratch {
         reach,
         selected,
@@ -1039,6 +1047,46 @@ mod tests {
                 .any(|w| prior.contains(&w));
             assert!(adjacent, "node {v} ordered with no placed neighbour");
         }
+    }
+
+    #[test]
+    fn path_between_two_recurrences_joins_the_second_set() {
+        // x → a ⟲ → p → r ⟲ → s. The second recurrence {r} must take p,
+        // which lies on a path from the selected region {a} to it; x and
+        // s lie on no such path and land in the final set. Two
+        // recurrences are the fewest that read the reachability closure.
+        let mut b = DdgBuilder::new();
+        let x = b.load(1);
+        let a = b.op(OpKind::FAdd);
+        let p = b.op(OpKind::FMul);
+        let r = b.op(OpKind::FAdd);
+        let s = b.store(1);
+        b.flow(x, a);
+        b.carried_flow(a, a, 1);
+        b.flow(a, p);
+        b.flow(p, r);
+        b.carried_flow(r, r, 1);
+        b.flow(r, s);
+        let g = b.build().unwrap();
+        let bounds = MiiBounds::compute(&g, &cfg(1), M4);
+        assert_eq!(bounds.recurrences().len(), 2);
+        // Leave the closure of an edgeless loop of the same size in the
+        // scratch: a run that skips rebuilding it sees no path at all.
+        let mut scratch = SchedScratch::new();
+        let mut b = DdgBuilder::new();
+        for _ in 0..g.num_nodes() {
+            b.load(1);
+        }
+        let edgeless = b.build().unwrap();
+        compute_reachability(&edgeless, &mut scratch.reach, &mut scratch.queue);
+        hrms_prepare_sets(&g, &bounds, &mut scratch);
+        let mut sets = Vec::new();
+        let mut start = 0;
+        for &end in &scratch.set_ends {
+            sets.push(scratch.sets_flat[start..end].to_vec());
+            start = end;
+        }
+        assert_eq!(sets, vec![vec![a], vec![r, p], vec![x, s]]);
     }
 
     #[test]

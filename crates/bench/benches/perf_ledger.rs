@@ -1,6 +1,6 @@
 //! Perf-ledger codec benchmarks: serialising, parsing and comparing
 //! the machine-readable perf report (`widening_obs::report`), plus the
-//! cost-model calibration fit. These paths run in every CI perf-smoke
+//! `perf calibrate` fit of the analytic priority. These paths run in every CI perf-smoke
 //! job, so the ledger itself must stay cheap relative to the suite it
 //! measures.
 

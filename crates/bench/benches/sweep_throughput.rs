@@ -56,6 +56,10 @@ fn unique_dir(tag: &str) -> std::path::PathBuf {
 fn bench_sweep_throughput(c: &mut Criterion) {
     let loops = generate(&CorpusSpec::small(60, 7));
     let cfgs: Vec<Configuration> = SWEEP.iter().map(|s| s.parse().unwrap()).collect();
+    let specs: Vec<PointSpec> = cfgs
+        .iter()
+        .map(|c| PointSpec::scheduled(c, CycleModel::Cycles4, EvalOptions::default()))
+        .collect();
 
     let mut g = c.benchmark_group("sweep_throughput");
     g.sample_size(10);
@@ -76,7 +80,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     g.bench_function("shared_cache_sweep", |b| {
         b.iter(|| {
             let ev = Evaluator::new(loops.clone());
-            let results = ev.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+            let results = ev.sweep_specs(&specs);
             black_box(results.iter().map(|e| e.total_cycles).sum::<f64>())
         })
     });
@@ -87,7 +91,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         obs::install(&recorder);
         b.iter(|| {
             let ev = Evaluator::new(loops.clone());
-            let results = ev.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+            let results = ev.sweep_specs(&specs);
             black_box(results.iter().map(|e| e.total_cycles).sum::<f64>())
         });
         obs::uninstall();
@@ -101,7 +105,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         b.iter(|| {
             let dir = unique_dir("cold");
             let ev = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&dir));
-            let results = ev.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+            let results = ev.sweep_specs(&specs);
             cold_dirs.borrow_mut().push(dir);
             black_box(results.iter().map(|e| e.total_cycles).sum::<f64>())
         })
@@ -113,24 +117,20 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     let warm_dir = unique_dir("warm");
     {
         let ev = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&warm_dir));
-        let _ = ev.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+        let _ = ev.sweep_specs(&specs);
     }
     g.bench_function("warm_disk_sweep", |b| {
         b.iter(|| {
             // Fresh evaluator = empty memory tier: every stage decodes
             // from the populated store instead of compiling.
             let ev = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&warm_dir));
-            let results = ev.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+            let results = ev.sweep_specs(&specs);
             black_box(results.iter().map(|e| e.total_cycles).sum::<f64>())
         })
     });
     let _ = std::fs::remove_dir_all(warm_dir);
 
     // --- distributed sharding vs a single-threaded single process ----
-    let specs: Vec<PointSpec> = cfgs
-        .iter()
-        .map(|c| PointSpec::scheduled(c, CycleModel::Cycles4, EvalOptions::default()))
-        .collect();
     g.bench_function("single_process_1thread", |b| {
         b.iter(|| {
             let ev = Evaluator::new(loops.clone()).with_threads(1);
@@ -168,7 +168,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     obs::install(&recorder);
     {
         let ev = Evaluator::new(loops.clone());
-        let _ = ev.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+        let _ = ev.sweep_specs(&specs);
     }
     obs::uninstall();
     let json = obs::chrome_trace_json(&[recorder.snapshot()]);

@@ -4,14 +4,14 @@
 //! ```text
 //! repro [--quick[=N]] [--csv] [--seed S] [--threads N] [--simulate]
 //!       [--exec interpret|lowered|differential] [--cache-dir DIR]
-//!       [--cache-budget BYTES] [--extend N] [--shards N] [--trace FILE]
-//!       <experiment>... | all | list
+//!       [--cache-budget BYTES] [--extend N] [--shards N]
+//!       [--chaos-exit-units N] [--trace FILE] <experiment>... | all | list
 //! repro worker --queue DIR --cache-dir DIR [--threads N]
 //!       [--lease-ttl-ms MS] [--no-requeue] [--trace-file FILE]
 //! repro trace summarize FILE
 //! repro perf record [--quick[=N]] [--reps R] [--out FILE]
 //! repro perf compare BASELINE CANDIDATE
-//! repro perf calibrate [--quick[=N]] [--from BENCH.json] [--out FILE]
+//! repro perf calibrate [--quick[=N]] [--from BENCH.json]
 //! repro cache stat --cache-dir DIR
 //! repro cache gc --keep-generations N --cache-dir DIR
 //! ```
@@ -52,15 +52,10 @@
 //! * `--shards N` — run the `sweep` experiment through the distributed
 //!   engine: the coordinator cuts the `(loop × config)` grid into
 //!   guided self-scheduled shards of loop columns (each ⌈R/p⌉ of the R
-//!   columns left, p the fleet's worker ceiling) and auto-spawns `N`
-//!   local worker processes (`repro worker …`) over the shared
-//!   `--cache-dir`. Merged aggregates are bitwise-equal to the
-//!   in-process sweep; a killed worker's shard is requeued when its
-//!   lease counter stalls.
-//! * `--max-workers M` — raise the fleet's autoscale ceiling above
-//!   `--shards N`: the coordinator spawns extra workers (up to `M`)
-//!   while the queue's remaining-priority-mass estimate exceeds the
-//!   per-worker budget; every worker exits when the queue drains.
+//!   columns left, p = `N`) and auto-spawns `N` local worker processes
+//!   (`repro worker …`) over the shared `--cache-dir`. Merged
+//!   aggregates are bitwise-equal to the in-process sweep; a killed
+//!   worker's shard is requeued when its lease counter stalls.
 //! * `--chaos-exit-units N` — fault injection for smoke tests: the
 //!   first spawned worker abandons everything after `N` units (silent
 //!   lease, no completion marker), exercising the requeue path.
@@ -85,13 +80,8 @@
 //!   per-stage percentiles, store counters, per-unit wall times),
 //!   `compare` gates a candidate report against a baseline with
 //!   noise-aware min-of-N thresholds (nonzero exit on regression), and
-//!   `calibrate` fits measured unit latencies against the analytic
-//!   `sweep_priority` mass, writing the calibration `--cost-model`
-//!   loads back.
-//! * `--cost-model FILE` — order sweep units (and distributed shard
-//!   mass estimates) by measured latencies from a `perf calibrate`
-//!   report instead of the analytic priority; aggregates stay
-//!   bitwise-equal.
+//!   `calibrate` prints how well the analytic `sweep_priority` key
+//!   fits measured unit latencies.
 //! * `repro cache stat` — per-kind artifact/byte usage (stages from
 //!   segment record headers, exchange kinds from files) and the
 //!   generation history of a cache directory.
@@ -124,10 +114,8 @@ fn main() -> ExitCode {
     let mut cache_budget: Option<usize> = None;
     let mut extend: Option<usize> = None;
     let mut shards: Option<usize> = None;
-    let mut max_workers: Option<usize> = None;
     let mut chaos_exit_units: Option<u64> = None;
     let mut trace: Option<String> = None;
-    let mut cost_model: Option<String> = None;
     let mut exec: Option<widening::sim::Backend> = None;
     let mut names: Vec<String> = Vec::new();
 
@@ -164,10 +152,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => shards = Some(n),
                 _ => return usage("--shards needs a positive worker count"),
             },
-            "--max-workers" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => max_workers = Some(n),
-                _ => return usage("--max-workers needs a positive worker count"),
-            },
             "--chaos-exit-units" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => chaos_exit_units = Some(n),
                 _ => return usage("--chaos-exit-units needs a positive unit count"),
@@ -180,14 +164,6 @@ fn main() -> ExitCode {
                 Some(Ok(b)) => exec = Some(b),
                 Some(Err(why)) => return usage(&why),
                 None => return usage("--exec needs a backend: interpret | lowered | differential"),
-            },
-            "--cost-model" => match args.next() {
-                Some(f) if !f.starts_with('-') => cost_model = Some(f),
-                _ => {
-                    return usage(
-                        "--cost-model needs a calibration file (see repro perf calibrate)",
-                    )
-                }
             },
             a if a.starts_with("--quick=") => match a["--quick=".len()..].parse() {
                 Ok(n) => quick = Some(n),
@@ -210,10 +186,6 @@ fn main() -> ExitCode {
                 Ok(n) if n >= 1 => shards = Some(n),
                 _ => return usage("--shards=N needs a positive worker count"),
             },
-            a if a.starts_with("--max-workers=") => match a["--max-workers=".len()..].parse() {
-                Ok(n) if n >= 1 => max_workers = Some(n),
-                _ => return usage("--max-workers=M needs a positive worker count"),
-            },
             a if a.starts_with("--chaos-exit-units=") => {
                 match a["--chaos-exit-units=".len()..].parse() {
                     Ok(n) if n >= 1 => chaos_exit_units = Some(n),
@@ -225,9 +197,6 @@ fn main() -> ExitCode {
                 Ok(b) => exec = Some(b),
                 Err(why) => return usage(&why),
             },
-            a if a.starts_with("--cost-model=") => {
-                cost_model = Some(a["--cost-model=".len()..].to_string());
-            }
             "list" => {
                 for n in experiments::ALL {
                     println!("{n}");
@@ -249,29 +218,13 @@ fn main() -> ExitCode {
         // Refuse rather than silently running the rest single-process.
         return usage("--shards only applies to the `sweep` experiment; drop the flag or the other experiment names");
     }
-    if (max_workers.is_some() || chaos_exit_units.is_some()) && shards.is_none() {
-        return usage("--max-workers/--chaos-exit-units only apply with --shards N");
+    if chaos_exit_units.is_some() && shards.is_none() {
+        return usage("--chaos-exit-units only applies with --shards N");
     }
     // `--simulate all` would otherwise queue simulate/transients twice.
     let mut seen = std::collections::HashSet::new();
     names.retain(|n| seen.insert(n.clone()));
 
-    // `--cost-model` swaps the analytic sweep_priority ordering for
-    // measured unit latencies (`repro perf calibrate --out FILE`);
-    // pure scheduling, so aggregates stay bitwise-equal either way.
-    let unit_cost = match &cost_model {
-        Some(path) => match widening::cost::CalibratedModel::load(std::path::Path::new(path)) {
-            Ok(model) => {
-                eprintln!("cost-model: {path} ({} calibrated point(s))", model.len());
-                Some(std::sync::Arc::new(model))
-            }
-            Err(why) => {
-                eprintln!("error: cannot load --cost-model {path}: {why}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
     let caching = cache_dir.is_some() || cache_budget.is_some();
     if let Some(dir) = &cache_dir {
         // One generation stamp per cache-consuming run (workers a
@@ -303,16 +256,8 @@ fn main() -> ExitCode {
         }
         _ => None,
     };
-    let ctx = build_context(
-        quick,
-        seed,
-        threads,
-        cache_dir,
-        cache_budget,
-        extend,
-        unit_cost.clone(),
-    )
-    .with_backend(exec.unwrap_or_default());
+    let ctx = build_context(quick, seed, threads, cache_dir, cache_budget, extend)
+        .with_backend(exec.unwrap_or_default());
     eprintln!(
         "corpus: {} loops (seed {}), {} worker threads, {} exec backend",
         ctx.eval.loops().len(),
@@ -329,10 +274,8 @@ fn main() -> ExitCode {
                 match experiments::sweep_distributed_reports(
                     &ctx,
                     workers,
-                    max_workers,
                     chaos_exit_units,
                     worker_trace_dir.clone(),
-                    unit_cost.clone(),
                 ) {
                     Ok((reports, worker_counts)) => {
                         fleet_counts = fleet_counts.plus(&worker_counts);
@@ -560,9 +503,7 @@ fn trace_main(args: &[String]) -> ExitCode {
         for (name, count) in &doc.instants_by_name {
             r.push_row([name.clone(), count.to_string()]);
         }
-        r.push_note(
-            "store evictions plus fleet lifecycle: heartbeats, lease expiries, autoscale, respawns",
-        );
+        r.push_note("store evictions plus fleet lifecycle: heartbeats, lease expiries, respawns");
         println!("{r}");
     }
 
@@ -650,7 +591,6 @@ fn cache_main(args: &[String]) -> ExitCode {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_context(
     quick: Option<usize>,
     seed: Option<u64>,
@@ -658,7 +598,6 @@ fn build_context(
     cache_dir: Option<String>,
     cache_budget: Option<usize>,
     extend: Option<usize>,
-    unit_cost: Option<std::sync::Arc<widening::cost::CalibratedModel>>,
 ) -> Context {
     let mut spec = CorpusSpec::default();
     if let Some(n) = quick {
@@ -672,7 +611,7 @@ fn build_context(
     let held_back = extend.unwrap_or(0).min(spec.loops.saturating_sub(1));
     let full = generate(&spec);
     let (initial, appended) = full.split_at(full.len() - held_back.min(full.len()));
-    let mut eval = Evaluator::new(initial.to_vec()).with_unit_cost(unit_cost);
+    let mut eval = Evaluator::new(initial.to_vec());
     if let Some(n) = threads {
         eval = eval.with_threads(n);
     }
@@ -710,8 +649,7 @@ fn usage(problem: &str) -> ExitCode {
         "usage: repro [--quick[=N]] [--csv] [--seed S] [--threads N] [--simulate] \
          [--exec interpret|lowered|differential] [--cache-dir DIR] \
          [--cache-budget BYTES] [--extend N] [--shards N] \
-         [--max-workers M] [--chaos-exit-units N] [--trace FILE] \
-         [--cost-model FILE] <experiment>... | all | list"
+         [--chaos-exit-units N] [--trace FILE] <experiment>... | all | list"
     );
     eprintln!(
         "       repro worker --queue DIR --cache-dir DIR [--threads N] [--lease-ttl-ms MS] \
@@ -720,9 +658,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("       repro trace summarize FILE");
     eprintln!("       repro perf record [--quick[=N]] [--reps R] [--threads N] [--out FILE]");
     eprintln!("       repro perf compare BASELINE CANDIDATE [--max-ratio R] [--abs-floor-ms MS]");
-    eprintln!(
-        "       repro perf calibrate [--quick[=N]] [--threads N] [--from BENCH.json] [--out FILE]"
-    );
+    eprintln!("       repro perf calibrate [--quick[=N]] [--threads N] [--from BENCH.json]");
     eprintln!("       repro cache stat --cache-dir DIR");
     eprintln!("       repro cache gc --keep-generations N --cache-dir DIR");
     eprintln!("experiments: {}", experiments::ALL.join(" "));

@@ -1,6 +1,7 @@
 //! The evaluator's distributed sweep path: shard the `(loop × config)`
 //! grid across worker processes, then merge their published results
-//! into corpus aggregates **bitwise-equal** to [`Evaluator::sweep`].
+//! into corpus aggregates **bitwise-equal** to
+//! [`Evaluator::sweep_specs`].
 //!
 //! The heavy lifting — guided self-scheduled manifests, the filesystem
 //! job queue with lease-expiry requeue, worker supervision — lives in
@@ -37,14 +38,9 @@ use crate::evaluate::{aggregate, score_eval, CorpusEval, Evaluator, LoopEval};
 /// Tuning for a distributed sweep.
 #[derive(Debug, Clone)]
 pub struct DistributedOptions {
-    /// Local workers the coordinator spawns up front.
+    /// Local workers the coordinator spawns up front: the whole fleet,
+    /// and the divisor p of the guided self-scheduled shards.
     pub workers: usize,
-    /// Autoscale ceiling: the coordinator grows the fleet toward this
-    /// while the queue's remaining-priority-mass estimate exceeds the
-    /// per-worker budget. Equal to `workers` (the default) means a
-    /// static fleet. It is also the divisor p of the guided
-    /// self-scheduled shards.
-    pub max_workers: usize,
     /// Threads per worker for intra-shard fan-out.
     pub worker_threads: usize,
     /// Lease TTL before a silent worker's shard is requeued.
@@ -57,28 +53,19 @@ pub struct DistributedOptions {
     /// traces (`worker-<index>.trace.bin`), for the merged fleet
     /// timeline. `None` disables collection.
     pub trace_dir: Option<PathBuf>,
-    /// Measured per-unit cost model (`--cost-model <file>`): steers the
-    /// manifest's LPT unit ordering and the coordinator's autoscale
-    /// mass estimate with calibrated priorities instead of the analytic
-    /// `sweep_priority`. Ordering and scaling only — merged aggregates
-    /// are bitwise-equal with or without it.
-    pub cost_model: Option<Arc<widening_cost::CalibratedModel>>,
 }
 
 impl DistributedOptions {
     /// Defaults for `workers` local workers: one thread each, 30 s lease
-    /// TTL, no autoscaling.
+    /// TTL.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         DistributedOptions {
-            workers,
-            max_workers: workers,
+            workers: workers.max(1),
             worker_threads: 1,
             lease_ttl: Duration::from_secs(30),
             chaos_die_after_units: None,
             trace_dir: None,
-            cost_model: None,
         }
     }
 }
@@ -182,21 +169,12 @@ pub fn sweep_distributed(
     let loops = eval.loops();
 
     let mut cfg = CoordinatorConfig::new(&cache_dir, opts.workers);
-    cfg.max_workers = opts.max_workers.max(opts.workers);
     cfg.worker_threads = opts.worker_threads.max(1);
     cfg.lease_ttl = opts.lease_ttl;
     cfg.chaos_die_after_units = opts.chaos_die_after_units;
     cfg.trace_dir = opts.trace_dir.clone();
-    cfg.unit_cost = opts.cost_model.clone();
     let p = cfg.shard_count(loops.len() * specs.len());
-    let manifest = match &opts.cost_model {
-        Some(model) => {
-            SweepManifest::partition_with((*loops).clone(), specs.to_vec(), p, |x, y, z| {
-                model.priority(x, y, z)
-            })
-        }
-        None => SweepManifest::partition((*loops).clone(), specs.to_vec(), p),
-    };
+    let manifest = SweepManifest::partition((*loops).clone(), specs.to_vec(), p);
     let run = run_sweep(&manifest, &cfg, launcher)?;
 
     let (aggregates, fallback_units) = merge_published(eval, specs, Some(&manifest));

@@ -20,19 +20,18 @@
 //! keeps a thin corpus-aggregate memo on top so repeated queries return
 //! the identical `Arc`. Once a point's aggregate is folded the
 //! evaluator *seals* its schedule-stage entries, releasing them for LRU
-//! eviction. Multi-configuration sweeps should use [`Evaluator::sweep`]
-//! (or [`Evaluator::sweep_specs`] for per-point compile options), which
-//! compiles all `(loop × config)` work units on one dynamic worker
-//! queue; [`Evaluator::extend`] grows the corpus incrementally, folding
-//! only the new units into memoized aggregates.
+//! eviction. Every query goes through [`Evaluator::sweep_specs`], which
+//! compiles all `(loop × design point)` work units of a batch on one
+//! dynamic worker queue; [`Evaluator::extend`] grows the corpus
+//! incrementally, folding only the new units into memoized aggregates.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use widening_cost::CostModel;
+use widening_cost::{sweep_priority, CostModel};
 use widening_ir::Loop;
 use widening_machine::{Configuration, CycleModel};
-use widening_obs as obs;
 use widening_pipeline::{
     pool, CompiledLoop, FailureCause, Fetch, Pipeline, PointSpec, StageStore, StoreConfig,
     StoreMetrics,
@@ -126,10 +125,6 @@ pub struct Evaluator {
     /// order. Held only by `extend`; queries never take it.
     extending: Arc<Mutex<()>>,
     threads: usize,
-    /// Measured per-unit cost model (`--cost-model`): replaces the
-    /// analytic `sweep_priority` for the in-process sweep's LPT unit
-    /// order. Pure scheduling — aggregates stay bitwise-equal.
-    unit_cost: Option<Arc<widening_cost::CalibratedModel>>,
 }
 
 impl Evaluator {
@@ -145,23 +140,7 @@ impl Evaluator {
             aggregates: Arc::new(Mutex::new(HashMap::new())),
             extending: Arc::new(Mutex::new(())),
             threads: pool::default_threads(),
-            unit_cost: None,
         }
-    }
-
-    /// Installs a measured cost model for sweep unit ordering (see
-    /// [`Evaluator::sweep_specs`]); `None` restores the analytic
-    /// surrogate.
-    #[must_use]
-    pub fn with_unit_cost(mut self, model: Option<Arc<widening_cost::CalibratedModel>>) -> Self {
-        self.unit_cost = model;
-        self
-    }
-
-    /// The installed measured cost model, if any.
-    #[must_use]
-    pub fn unit_cost(&self) -> Option<&Arc<widening_cost::CalibratedModel>> {
-        self.unit_cost.as_ref()
     }
 
     /// Sets the worker-thread count used for corpus fan-out (evaluation,
@@ -278,7 +257,8 @@ impl Evaluator {
     /// `II = MII` per widened loop.
     #[must_use]
     pub fn peak(&self, replication: u32, width: u32, model: CycleModel) -> Arc<CorpusEval> {
-        self.evaluate(&PointSpec::peak(replication, width, model))
+        self.sweep_specs(&[PointSpec::peak(replication, width, model)])
+            .remove(0)
     }
 
     /// Full scheduled evaluation against `cfg.registers()` registers
@@ -290,7 +270,8 @@ impl Evaluator {
         model: CycleModel,
         opts: &EvalOptions,
     ) -> Arc<CorpusEval> {
-        self.evaluate(&PointSpec::scheduled(cfg, model, *opts))
+        self.sweep_specs(&[PointSpec::scheduled(cfg, model, *opts)])
+            .remove(0)
     }
 
     /// The §3 baseline: `1w1` with a 256-register file, 4-cycle model.
@@ -307,118 +288,54 @@ impl Evaluator {
         self.scheduled(&cfg, CycleModel::Cycles4, &EvalOptions::default())
     }
 
-    /// Evaluates many design points as one batch: all `(loop × config)`
-    /// work units are compiled on one dynamic worker queue with shared
-    /// stage caches (a `1w2/2w2/4w2` sweep widens each loop once).
-    /// Returns one aggregate per configuration, in input order.
-    #[must_use]
-    pub fn sweep(
-        &self,
-        cfgs: &[Configuration],
-        model: CycleModel,
-        opts: &EvalOptions,
-    ) -> Vec<Arc<CorpusEval>> {
-        let points: Vec<(Configuration, CycleModel)> =
-            cfgs.iter().map(|cfg| (*cfg, model)).collect();
-        self.sweep_points(&points, opts)
-    }
-
-    /// [`Evaluator::sweep`] with a cycle model per configuration (the
-    /// Figure 8/9 shape, where each design point's clock sets its
-    /// latency model).
-    #[must_use]
-    pub fn sweep_points(
-        &self,
-        points: &[(Configuration, CycleModel)],
-        opts: &EvalOptions,
-    ) -> Vec<Arc<CorpusEval>> {
-        let specs: Vec<PointSpec> = points
-            .iter()
-            .map(|(cfg, model)| PointSpec::scheduled(cfg, *model, *opts))
-            .collect();
-        self.sweep_specs(&specs)
-    }
-
-    /// Peak-mode batch: one aggregate per `(replication, width)` pair.
-    #[must_use]
-    pub fn sweep_peak(&self, pairs: &[(u32, u32)], model: CycleModel) -> Vec<Arc<CorpusEval>> {
-        let specs: Vec<PointSpec> = pairs
-            .iter()
-            .map(|&(x, y)| PointSpec::peak(x, y, model))
-            .collect();
-        self.sweep_specs(&specs)
-    }
-
-    /// The fully general batch entry point: one aggregate per
-    /// [`PointSpec`], in input order, with **per-point compile options**
-    /// — a mixed-strategy or mixed-spill-policy sweep (the scheduler
-    /// ablation's HRMS/IMS/ASAP pass) runs as one worker-queue batch,
-    /// sharing the widening and MII stages across strategies.
+    /// Evaluates many design points as one batch: one aggregate per
+    /// [`PointSpec`], in input order, each point with its own cycle
+    /// model and compile options. All `(loop × design point)` units are
+    /// compiled on one dynamic worker queue with shared stage caches (a
+    /// `1w2/2w2/4w2` sweep widens each loop once, and a mixed-strategy
+    /// batch shares the widening and MII stages across strategies).
     ///
-    /// Units are handed to the dynamic queue **heaviest design point
-    /// first** ([`widening_cost::sweep_priority`] — the same LPT
-    /// ordering distributed shards use), so a lone worker is never left
-    /// grinding `8w1(32:1)` while the rest idle at the tail. Execution
-    /// order is pure scheduling: aggregates are folded in corpus order
-    /// per point and stay bitwise-identical to any other order.
+    /// Points whose aggregate is not memoized yet are queued **heaviest
+    /// first** ([`sweep_priority`], stable, so tied points keep input
+    /// order), so a lone worker is never left grinding `8w1(32:1)`
+    /// while the rest idle at the tail. Execution order is pure
+    /// scheduling: each aggregate is folded in corpus order and stays
+    /// bitwise-identical to any other order.
     #[must_use]
     pub fn sweep_specs(&self, specs: &[PointSpec]) -> Vec<Arc<CorpusEval>> {
-        // Only compile points whose aggregate is not already memoized
-        // (each distinct point once); the batch warms the stage caches
-        // in parallel, then each aggregate is folded in deterministic
-        // corpus order.
-        let missing: Vec<PointSpec> = {
+        let mut missing: Vec<PointSpec> = {
             let memo = self.aggregates.lock().expect("aggregate lock");
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = HashSet::new();
             specs
                 .iter()
                 .filter(|s| !memo.contains_key(*s) && seen.insert(**s))
                 .copied()
                 .collect()
         };
-        let order = match &self.unit_cost {
-            Some(model) => priority_unit_order_with(&missing, self.loops().len(), |x, y, z| {
-                model.priority(x, y, z)
-            }),
-            None => priority_unit_order(&missing, self.loops().len()),
-        };
-        let compiled = self
-            .pipeline
-            .sweep_ordered(&missing, self.threads, Some(&order));
+        heaviest_first(&mut missing);
+        let compiled = self.pipeline.sweep(&missing, self.threads);
+        let mut fresh = HashMap::with_capacity(missing.len());
         for (spec, artifacts) in missing.iter().zip(compiled) {
             let evaluated: Vec<(LoopEval, f64, f64, f64)> = artifacts
                 .iter()
                 .zip(self.loops().iter())
                 .map(|(outcome, l)| score_loop(l, spec.width, outcome))
                 .collect();
-            let agg = Arc::new(aggregate(evaluated));
-            self.memoize(spec, agg);
+            fresh.insert(*spec, self.memoize(spec, Arc::new(aggregate(evaluated))));
             // The aggregate is folded: the point's schedule-stage
             // entries may now be evicted under memory pressure.
             self.pipeline.seal_point(spec);
         }
-        specs.iter().map(|s| self.evaluate(s)).collect()
-    }
-
-    /// One design point: aggregate memo, else compile the corpus in
-    /// parallel through the stage caches.
-    fn evaluate(&self, spec: &PointSpec) -> Arc<CorpusEval> {
-        if let Some(hit) = self.aggregates.lock().expect("aggregate lock").get(spec) {
-            return Arc::clone(hit);
-        }
-        let loops = self.loops();
-        let results = pool::par_map(loops.len(), self.threads, |li| {
-            let _unit_span = obs::span(
-                obs::SpanKind::SweepUnit,
-                li as u64,
-                obs::pack_point(spec.replication, spec.width, spec.registers),
-            );
-            score_loop(&loops[li], spec.width, &self.pipeline.compile(li, spec))
-        });
-        let value = Arc::new(aggregate(results));
-        let value = self.memoize(spec, value);
-        self.pipeline.seal_point(spec);
-        value
+        // A point computed here answers from `fresh`: an aggregate that
+        // `memoize` rejected still goes back to this caller.
+        let memo = self.aggregates.lock().expect("aggregate lock");
+        specs
+            .iter()
+            .map(|s| {
+                let agg = fresh.get(s).or_else(|| memo.get(s));
+                Arc::clone(agg.expect("memoized before this batch began"))
+            })
+            .collect()
     }
 
     /// Memoizes `agg` for `spec` — unless the corpus grew while it was
@@ -449,34 +366,10 @@ fn reference_memo(pipeline: &Pipeline) -> Arc<ReferenceMemo> {
     )))
 }
 
-/// The execution order for a flat `(point × corpus)` unit grid:
-/// heaviest design point first by [`widening_cost::sweep_priority`]
-/// (pressure- and width-heavy points lead), ties keeping point input
-/// order, corpus order within a point — the in-process mirror of the
-/// distributed manifest's priority-ordered shards.
-pub(crate) fn priority_unit_order(specs: &[PointSpec], loops: usize) -> Vec<u32> {
-    priority_unit_order_with(specs, loops, widening_cost::sweep_priority)
-}
-
-/// [`priority_unit_order`] under a caller-supplied priority function —
-/// the in-process hook a measured `CalibratedModel` plugs into.
-pub(crate) fn priority_unit_order_with(
-    specs: &[PointSpec],
-    loops: usize,
-    priority: impl Fn(u32, u32, Option<u32>) -> u64,
-) -> Vec<u32> {
-    let mut point_order: Vec<usize> = (0..specs.len()).collect();
-    point_order.sort_by_key(|&pi| {
-        let s = &specs[pi];
-        std::cmp::Reverse(priority(s.replication, s.width, s.registers))
-    });
-    let mut order = Vec::with_capacity(specs.len() * loops);
-    for pi in point_order {
-        for li in 0..loops {
-            order.push((pi * loops + li) as u32);
-        }
-    }
-    order
+/// Sorts design points into queue order: heaviest first by
+/// [`sweep_priority`], stable, so tied points keep input order.
+fn heaviest_first(points: &mut [PointSpec]) {
+    points.sort_by_key(|s| Reverse(sweep_priority(s.replication, s.width, s.registers)));
 }
 
 /// Scores one compiled loop: the outcome plus its weighted cycle and
@@ -689,9 +582,13 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
+        let specs: Vec<PointSpec> = cfgs
+            .iter()
+            .map(|cfg| PointSpec::scheduled(cfg, CycleModel::Cycles4, EvalOptions::default()))
+            .collect();
 
         let swept = Evaluator::new(loops.clone());
-        let batch = swept.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+        let batch = swept.sweep_specs(&specs);
 
         let single = Evaluator::new(loops);
         for (cfg, got) in cfgs.iter().zip(&batch) {
@@ -705,7 +602,7 @@ mod tests {
         let counts = swept.pipeline().stage_counts();
         assert_eq!(counts.widen_runs, 2 * 25);
         // Sweep results are memoized: re-reading is pure cache.
-        let again = swept.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+        let again = swept.sweep_specs(&specs);
         for (a, b) in batch.iter().zip(&again) {
             assert!(Arc::ptr_eq(a, b));
         }
@@ -713,35 +610,36 @@ mod tests {
 
     #[test]
     fn sweep_order_is_priority_major_and_result_preserving() {
-        // The in-process queue mirrors the distributed shards: the
-        // pressure-starved 8w1(32) point's units lead, the cheap
-        // 1w1(256) trail — and reordering execution changes nothing
-        // about the aggregates, bit for bit.
-        let specs: Vec<PointSpec> = ["1w1(256:1)", "8w1(32:1)", "4w2(64:1)"]
+        // The pressure-starved 8w1(32) point is queued first and the
+        // cheap 1w1(256) last; 2w2(64) and 4w1(64) tie (X·Y = 4 on the
+        // same file) and keep their input order.
+        let specs: Vec<PointSpec> = [
+            "1w1(256:1)",
+            "2w2(64:1)",
+            "8w1(32:1)",
+            "4w1(64:1)",
+            "4w2(64:1)",
+        ]
+        .iter()
+        .map(|s| {
+            PointSpec::scheduled(
+                &s.parse().unwrap(),
+                CycleModel::Cycles4,
+                EvalOptions::default(),
+            )
+        })
+        .collect();
+        let mut queued = specs.clone();
+        heaviest_first(&mut queued);
+        let order: Vec<usize> = queued
             .iter()
-            .map(|s| {
-                PointSpec::scheduled(
-                    &s.parse().unwrap(),
-                    CycleModel::Cycles4,
-                    EvalOptions::default(),
-                )
-            })
+            .map(|q| specs.iter().position(|s| s == q).unwrap())
             .collect();
-        let n = 7;
-        let order = priority_unit_order(&specs, n);
-        assert_eq!(order.len(), specs.len() * n);
-        // A permutation…
-        let mut seen = vec![false; order.len()];
-        for &u in &order {
-            assert!(!std::mem::replace(&mut seen[u as usize], true));
-        }
-        // …leading with the heaviest point's corpus column, in corpus
-        // order, then the next-heaviest.
-        let expect_first: Vec<u32> = (0..n as u32).map(|li| n as u32 + li).collect();
-        assert_eq!(&order[..n], &expect_first[..], "8w1(32) leads");
-        assert_eq!(order[n] as usize / n, 2, "4w2(64) second");
-        assert_eq!(order[2 * n] as usize / n, 0, "1w1(256) last");
+        assert_eq!(order, [2, 4, 1, 3, 0]);
 
+        // Reordering execution changes nothing about the aggregates,
+        // bit for bit.
+        let n = 7;
         let loops = corpus::generate(&corpus::CorpusSpec::small(n, 5));
         let batch = Evaluator::new(loops.clone())
             .with_threads(4)
@@ -751,56 +649,6 @@ mod tests {
             let want = single.sweep_specs(std::slice::from_ref(spec));
             assert_eq!(got.total_cycles.to_bits(), want[0].total_cycles.to_bits());
             assert_eq!(got.per_loop, want[0].per_loop);
-        }
-    }
-
-    #[test]
-    fn calibrated_order_keeps_aggregates_bitwise_equal() {
-        // A measured cost model may invert the analytic LPT order
-        // entirely; the sweep's aggregates must not move by a single
-        // bit. Calibrate from synthetic unit samples that price the
-        // analytically-cheapest point as the most expensive.
-        let specs: Vec<PointSpec> = ["1w1(256:1)", "8w1(32:1)", "4w2(64:1)"]
-            .iter()
-            .map(|s| {
-                PointSpec::scheduled(
-                    &s.parse().unwrap(),
-                    CycleModel::Cycles4,
-                    EvalOptions::default(),
-                )
-            })
-            .collect();
-        let samples: Vec<widening_obs::report::UnitSample> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| widening_obs::report::UnitSample {
-                loop_index: 0,
-                replication: s.replication,
-                width: s.width,
-                registers: s.registers,
-                // Reverse of the analytic order: 1w1(256) "slowest".
-                wall_ns: 1_000_000 * (specs.len() - i) as u64,
-            })
-            .collect();
-        let model = Arc::new(widening_cost::CalibratedModel::from_report(
-            &widening_cost::calibrate(&samples),
-        ));
-        let n = 7;
-        let order = priority_unit_order_with(&specs, n, |x, y, z| model.priority(x, y, z));
-        let analytic = priority_unit_order(&specs, n);
-        assert_ne!(order, analytic, "the model really changed the order");
-        assert_eq!(order[0] as usize / n, 0, "1w1(256) now leads");
-
-        let loops = corpus::generate(&corpus::CorpusSpec::small(n, 5));
-        let calibrated = Evaluator::new(loops.clone())
-            .with_threads(4)
-            .with_unit_cost(Some(model))
-            .sweep_specs(&specs);
-        let default = Evaluator::new(loops).with_threads(4).sweep_specs(&specs);
-        for (got, want) in calibrated.iter().zip(&default) {
-            assert_eq!(got.total_cycles.to_bits(), want.total_cycles.to_bits());
-            assert_eq!(got.per_loop, want.per_loop);
-            assert_eq!(got.spill_ops, want.spill_ops);
         }
     }
 

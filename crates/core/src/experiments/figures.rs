@@ -2,9 +2,11 @@
 
 use widening_cost::{AreaModel, CostModel, Technology, TimingModel, IMPLEMENTABLE_BUDGET};
 use widening_machine::{Configuration, CycleModel, InstructionEncoding};
+use widening_pipeline::PointSpec;
 
 use super::Context;
 use crate::report::{f2, f3, mega, Report};
+use crate::EvalOptions;
 
 /// The `XwY` pairs at a given factor, replication-heavy first.
 fn pairs_at_factor(factor: u32) -> Vec<(u32, u32)> {
@@ -33,8 +35,11 @@ pub fn fig2(ctx: &Context) -> Report {
         points.extend(pairs_at_factor(factor).into_iter().map(|p| (factor, p)));
         factor *= 2;
     }
-    let pairs: Vec<(u32, u32)> = points.iter().map(|&(_, p)| p).collect();
-    let results = ctx.eval.sweep_peak(&pairs, CycleModel::Cycles4);
+    let specs: Vec<PointSpec> = points
+        .iter()
+        .map(|&(_, (x, y))| PointSpec::peak(x, y, CycleModel::Cycles4))
+        .collect();
+    let results = ctx.eval.sweep_specs(&specs);
     let base = results[0].total_cycles;
     let mut saturation: Vec<(String, f64)> = Vec::new();
     for (&(factor, (x, y)), e) in points.iter().zip(&results) {
@@ -83,15 +88,17 @@ pub fn fig3(ctx: &Context) -> Report {
     // figure — and the rows consume the sweep's input-ordered
     // aggregates, so the point list exists exactly once.
     const ZS: [u32; 4] = [32, 64, 128, 256];
-    let mut cfgs = vec![Configuration::monolithic(1, 1, 256).expect("valid")];
+    let scheduled = |x, y, z| {
+        let cfg = Configuration::monolithic(x, y, z).expect("valid");
+        PointSpec::scheduled(&cfg, CycleModel::Cycles4, EvalOptions::default())
+    };
+    let mut specs = vec![scheduled(1, 1, 256)];
     for (x, y) in FIG3_CONFIGS {
         for z in ZS {
-            cfgs.push(Configuration::monolithic(x, y, z).expect("valid"));
+            specs.push(scheduled(x, y, z));
         }
     }
-    let results = ctx
-        .eval
-        .sweep(&cfgs, CycleModel::Cycles4, &Default::default());
+    let results = ctx.eval.sweep_specs(&specs);
     let base = results[0].total_cycles;
     let mut per_point = results[1..].iter();
     for (x, y) in FIG3_CONFIGS {
@@ -187,10 +194,11 @@ pub fn fig7(ctx: &Context) -> Report {
         })
         .map(|(f, (x, y))| (f, Configuration::monolithic(x, y, 256).expect("valid")))
         .collect();
-    let cfgs: Vec<Configuration> = points.iter().map(|&(_, cfg)| cfg).collect();
-    let results = ctx
-        .eval
-        .sweep(&cfgs, CycleModel::Cycles4, &Default::default());
+    let specs: Vec<PointSpec> = points
+        .iter()
+        .map(|(_, cfg)| PointSpec::scheduled(cfg, CycleModel::Cycles4, EvalOptions::default()))
+        .collect();
+    let results = ctx.eval.sweep_specs(&specs);
     let mut per_point = points.iter().zip(&results).peekable();
     for factor in [2u32, 4, 8] {
         let mut baseline_bits: Option<f64> = None;
@@ -236,12 +244,12 @@ pub(super) fn cost_aware_speedup(
 /// model) as one shared-cache sweep, so the per-config reads that
 /// follow are pure cache hits.
 pub(super) fn prewarm_cost_aware(ctx: &Context, cost: &CostModel, cfgs: &[Configuration]) {
-    let mut points: Vec<(Configuration, CycleModel)> = vec![(
-        Configuration::monolithic(1, 1, 32).expect("valid"),
-        CycleModel::Cycles4,
-    )];
-    points.extend(cfgs.iter().map(|cfg| (*cfg, cost.cycle_model(cfg))));
-    let _ = ctx.eval.sweep_points(&points, &Default::default());
+    let anchor = Configuration::monolithic(1, 1, 32).expect("valid");
+    let specs: Vec<PointSpec> = std::iter::once((anchor, CycleModel::Cycles4))
+        .chain(cfgs.iter().map(|cfg| (*cfg, cost.cycle_model(cfg))))
+        .map(|(cfg, model)| PointSpec::scheduled(&cfg, model, EvalOptions::default()))
+        .collect();
+    let _ = ctx.eval.sweep_specs(&specs);
 }
 
 #[cfg(test)]

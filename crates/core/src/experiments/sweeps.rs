@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use widening_distrib::{Launcher, SweepRun};
-use widening_machine::{Configuration, CycleModel};
+use widening_machine::CycleModel;
 use widening_pipeline::{PointSpec, StageCounts};
 
 use super::Context;
@@ -29,8 +29,9 @@ const SWEEP_CONFIGS: [&str; 6] = [
     "4w2(128:1)",
 ];
 
-/// The sweep grid as full design points (what the distributed path
-/// ships to workers in its manifest).
+/// The sweep grid as full design points: the in-process batch runs
+/// them, and the distributed path ships them to workers in its
+/// manifest.
 pub(crate) fn sweep_grid_specs() -> Vec<PointSpec> {
     SWEEP_CONFIGS
         .iter()
@@ -81,15 +82,9 @@ fn sweep_table(title: &str, results: &[Arc<CorpusEval>]) -> Report {
 /// points with equal `Y` — the sweep engine's core contract.
 #[must_use]
 pub fn sweep(ctx: &Context) -> Report {
-    let cfgs: Vec<Configuration> = SWEEP_CONFIGS
-        .iter()
-        .map(|s| s.parse().expect("static configuration"))
-        .collect();
     let n = ctx.eval.loops().len() as u64;
     let before = ctx.eval.pipeline().stage_counts();
-    let results = ctx
-        .eval
-        .sweep(&cfgs, CycleModel::Cycles4, &Default::default());
+    let results = ctx.eval.sweep_specs(&sweep_grid_specs());
     let after = ctx.eval.pipeline().stage_counts();
 
     let mut r = sweep_table(
@@ -125,18 +120,13 @@ pub fn sweep(ctx: &Context) -> Report {
 /// Runs the sweep grid through the distributed engine: `workers` local
 /// worker processes (the current executable's `worker` subcommand) over
 /// the evaluator's shared cache directory, merged bitwise-equal to the
-/// in-process batch. `max_workers` (≥ `workers`) raises the autoscale
-/// ceiling — the coordinator grows the fleet while the queue's
-/// remaining-mass estimate warrants it; `chaos_die_after_units` makes
-/// the first worker abandon its shard mid-flight (the CI fault-
-/// injection knob); `trace_dir` makes every spawned worker drop its
-/// binary span trace there for the merged fleet timeline; `cost_model`
-/// replaces the analytic `sweep_priority` mass with measured unit
-/// latencies for shard ordering and autoscale estimates (aggregates
-/// stay bitwise-equal either way). Returns the reports (sweep table,
-/// per-shard progress, fleet-summed stage counters) plus the fleet's
-/// summed counters so the caller can fold them into its own `cache:`
-/// summary.
+/// in-process batch. `chaos_die_after_units` makes the first worker
+/// abandon its shard mid-flight (the CI fault-injection knob);
+/// `trace_dir` makes every spawned worker drop its binary span trace
+/// there for the merged fleet timeline. Returns the reports (sweep
+/// table, per-shard progress, fleet-summed stage counters) plus the
+/// fleet's summed counters so the caller can fold them into its own
+/// `cache:` summary.
 ///
 /// # Errors
 ///
@@ -145,18 +135,14 @@ pub fn sweep(ctx: &Context) -> Report {
 pub fn sweep_distributed_reports(
     ctx: &Context,
     workers: usize,
-    max_workers: Option<usize>,
     chaos_die_after_units: Option<u64>,
     trace_dir: Option<std::path::PathBuf>,
-    cost_model: Option<Arc<widening_cost::CalibratedModel>>,
 ) -> Result<(Vec<Report>, StageCounts), String> {
     let specs = sweep_grid_specs();
     let mut opts = DistributedOptions::new(workers);
-    opts.max_workers = max_workers.unwrap_or(opts.workers).max(opts.workers);
     opts.chaos_die_after_units = chaos_die_after_units;
     opts.trace_dir = trace_dir;
-    opts.cost_model = cost_model;
-    // Split the local thread budget across the baseline fleet.
+    // Split the local thread budget across the fleet.
     opts.worker_threads = (ctx.eval.threads() / opts.workers).max(1);
     let exe = std::env::current_exe().map_err(|e| format!("cannot resolve worker binary: {e}"))?;
     let launch = worker_command(exe);
@@ -168,9 +154,8 @@ pub fn sweep_distributed_reports(
         &result.aggregates,
     );
     table.push_note(format!(
-        "merged from {} workers (ceiling {}) × {} shard(s); bitwise-equal to the in-process batch",
+        "merged from {} workers × {} shard(s); bitwise-equal to the in-process batch",
         opts.workers,
-        opts.max_workers,
         result.run.shard_reports.len(),
     ));
     if result.fallback_units > 0 {
@@ -226,8 +211,8 @@ pub fn shard_table(run: &SweepRun) -> Report {
         }
     }
     r.push_note(format!(
-        "units {} · result hits {} · lease requeues {} · worker respawns {} · autoscale spawns {}",
-        run.units, run.result_hits, run.requeues, run.respawns, run.scale_ups
+        "units {} · result hits {} · lease requeues {} · worker respawns {}",
+        run.units, run.result_hits, run.requeues, run.respawns
     ));
     r
 }

@@ -39,7 +39,8 @@
 //!   shared-cache `sweep` demonstration;
 //! * [`perf`] — the `repro perf record/compare/calibrate` ledger:
 //!   machine-readable perf reports, the noise-aware regression gate,
-//!   and cost-model calibration against measured unit latencies.
+//!   and a printed fit of the sweep's analytic unit-ordering key
+//!   against measured unit latencies.
 //!
 //! # Quick start
 //!

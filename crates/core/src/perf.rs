@@ -15,12 +15,11 @@
 //!   ([`widening_obs::compare`]) and exits nonzero on any regression —
 //!   the CI perf gate.
 //! * `perf calibrate` joins the analytic
-//!   [`widening_cost::sweep_priority`] mass against measured unit
+//!   [`widening_cost::sweep_priority`] key against measured unit
 //!   latencies (either a fresh traced run or the units of an existing
-//!   `BENCH_*.json` via `--from`), reporting rank correlation, the
-//!   fitted ns-per-priority coefficient and per-loop relative error;
-//!   `--out` writes the calibration JSON that `repro --cost-model`
-//!   loads back as a [`widening_cost::CalibratedModel`].
+//!   `BENCH_*.json` via `--from`) and prints the fit: rank correlation,
+//!   the fitted ns-per-priority coefficient, per-loop relative error
+//!   and a per-point table.
 //!
 //! Everything here is presentation: the codecs, the gate and the
 //! fitting live in `widening-obs` / `widening-cost` where they are
@@ -64,9 +63,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!("usage: repro perf record [--quick[=N]] [--reps R] [--threads N] [--out FILE]");
     eprintln!("       repro perf compare BASELINE CANDIDATE [--max-ratio R] [--abs-floor-ms MS]");
-    eprintln!(
-        "       repro perf calibrate [--quick[=N]] [--threads N] [--from BENCH.json] [--out FILE]"
-    );
+    eprintln!("       repro perf calibrate [--quick[=N]] [--threads N] [--from BENCH.json]");
     ExitCode::FAILURE
 }
 
@@ -335,12 +332,12 @@ fn compare_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro perf calibrate` — fit the cost model against measured units.
+/// `repro perf calibrate` — fit the analytic priority against measured
+/// units.
 fn calibrate_main(args: &[String]) -> ExitCode {
     let mut loops = DEFAULT_QUICK;
     let mut threads: Option<usize> = None;
     let mut from: Option<String> = None;
-    let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -352,10 +349,6 @@ fn calibrate_main(args: &[String]) -> ExitCode {
             "--from" => match it.next() {
                 Some(f) => from = Some(f.clone()),
                 None => return usage("perf calibrate --from needs a BENCH_*.json file"),
-            },
-            "--out" => match it.next() {
-                Some(f) => out = Some(f.clone()),
-                None => return usage("perf calibrate --out needs a file"),
             },
             a if a.starts_with("--quick=") => match a["--quick=".len()..].parse() {
                 Ok(n) if n >= 1 => loops = n,
@@ -434,12 +427,5 @@ fn calibrate_main(args: &[String]) -> ExitCode {
         cal.scale_ns_per_priority,
         cal.mean_loop_rel_err
     );
-    if let Some(path) = out {
-        if let Err(e) = cal.write_file(std::path::Path::new(&path)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("perf-calibrate: wrote {path} (load with repro --cost-model {path})");
-    }
     ExitCode::SUCCESS
 }

@@ -212,10 +212,10 @@ fn published_files(cache: &std::path::Path, kind: &str) -> usize {
 
 #[test]
 fn chaos_killed_worker_with_autoscaling_still_merges_bitwise_equal() {
-    // The CI chaos path, in-process: worker 0 abandons everything after
-    // a few units (silent lease, no marker); the coordinator requeues
-    // its shard and autoscales extra workers while the remaining-mass
-    // estimate is high. The merge must not care.
+    // The CI chaos path, in-process: of three workers, worker 0
+    // abandons everything after a few units (silent lease, no marker);
+    // the coordinator requeues its shard for the survivors. The merge
+    // must not care.
     let cache = temp_dir("chaos");
     let loops = generate(&CorpusSpec::small(14, 23));
     let specs = specs();
@@ -224,15 +224,12 @@ fn chaos_killed_worker_with_autoscaling_still_merges_bitwise_equal() {
     let queue_dir = cache.join("queue").join("chaos");
     let queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
 
-    let mut cfg = CoordinatorConfig::new(&cache, 1);
-    cfg.max_workers = 3;
-    cfg.mass_per_worker = Some(1); // always worth another pair of hands
+    let mut cfg = CoordinatorConfig::new(&cache, 3);
     cfg.lease_ttl = Duration::from_millis(150);
     cfg.poll = Duration::from_millis(5);
     cfg.chaos_die_after_units = Some(3);
     let run = run_on_queue(&queue, &cfg, &Launcher::InProcess).expect("fleet survives chaos");
     assert!(queue.all_done());
-    assert!(run.scale_ups >= 1, "the fleet must have grown");
     assert!(
         run.requeues >= 1,
         "the chaos victim's shard must be requeued"
@@ -385,13 +382,13 @@ fn the_manifest_rebuilt_from_the_coordinator_config_reads_every_batch() {
 
 #[test]
 fn merged_fleet_timeline_has_every_workers_spans_exactly_once_after_chaos() {
-    // The observability acceptance path: a chaos-killed worker process
-    // (silent lease after 3 units, shard requeued) plus autoscaled
-    // replacements, each writing a binary span trace next to its
-    // results. The merged Chrome timeline must carry one process track
-    // per spawned worker and every recorded span exactly once — the
-    // requeue may re-run units, but it must never duplicate or drop a
-    // worker's trace in the merge.
+    // The observability acceptance path: three worker processes, one
+    // chaos-killed (silent lease after 3 units, shard requeued), each
+    // writing a binary span trace next to its results. The merged
+    // Chrome timeline must carry one process track per spawned worker
+    // and every recorded span exactly once — the requeue may re-run
+    // units, but it must never duplicate or drop a worker's trace in
+    // the merge.
     let cache = temp_dir("timeline");
     let loops = generate(&CorpusSpec::small(14, 23));
     let specs = specs();
@@ -400,9 +397,7 @@ fn merged_fleet_timeline_has_every_workers_spans_exactly_once_after_chaos() {
     let queue = JobQueue::create(&queue_dir, &manifest).expect("queue");
     let trace_dir = cache.join("traces");
 
-    let mut cfg = CoordinatorConfig::new(&cache, 1);
-    cfg.max_workers = 3;
-    cfg.mass_per_worker = Some(1); // always worth another pair of hands
+    let mut cfg = CoordinatorConfig::new(&cache, 3);
     cfg.lease_ttl = Duration::from_millis(500);
     cfg.poll = Duration::from_millis(10);
     cfg.chaos_die_after_units = Some(3);
@@ -414,7 +409,7 @@ fn merged_fleet_timeline_has_every_workers_spans_exactly_once_after_chaos() {
 
     // One binary trace per spawned worker index (victim included: it
     // abandons its shard but still unwinds and writes its trace).
-    let spawned = 1 + run.scale_ups as usize + run.respawns as usize;
+    let spawned = cfg.workers + run.respawns as usize;
     let traces = widening_obs::read_trace_dir(&trace_dir);
     assert_eq!(traces.len(), spawned, "one trace file per spawned worker");
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use widening::{CorpusEval, EvalOptions, Evaluator};
 use widening_machine::{Configuration, CycleModel};
-use widening_pipeline::StoreConfig;
+use widening_pipeline::{PointSpec, StoreConfig};
 use widening_workload::{corpus, kernels};
 
 /// `(tag, total_cycles, total_kernel_words, total_static_words, failed,
@@ -212,11 +212,14 @@ fn sweep_reproduces_seed_aggregates_bitwise() {
     // The batch engine must land on the same bits as the per-point path
     // (and therefore the seed), stage sharing and all.
     let ev = Evaluator::new(corpus::generate(&corpus::CorpusSpec::small(40, 9)));
-    let cfgs: Vec<Configuration> = [(4u32, 2u32, 64u32), (4, 1, 32), (1, 1, 256)]
+    let specs: Vec<PointSpec> = [(4u32, 2u32, 64u32), (4, 1, 32), (1, 1, 256)]
         .iter()
-        .map(|&(x, y, z)| Configuration::monolithic(x, y, z).unwrap())
+        .map(|&(x, y, z)| {
+            let cfg = Configuration::monolithic(x, y, z).unwrap();
+            PointSpec::scheduled(&cfg, CycleModel::Cycles4, EvalOptions::default())
+        })
         .collect();
-    let batch = ev.sweep(&cfgs, CycleModel::Cycles4, &EvalOptions::default());
+    let batch = ev.sweep_specs(&specs);
     check("sched-4w2-64", &batch[0]);
     check("sched-4w1-32", &batch[1]);
     check("sched-1w1-256", &batch[2]);

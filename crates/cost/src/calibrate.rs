@@ -1,43 +1,30 @@
-//! Calibrating the compile-cost surrogate against measured latencies.
+//! Checking the compile-cost surrogate against measured latencies.
 //!
 //! [`crate::sweep_priority`] is an *analytic* ordering key: it was
 //! designed so that heavier design points sort first, with magnitudes
-//! chosen only to induce that order. This module closes the loop
-//! quantitatively: [`calibrate`] joins the surrogate's predictions
-//! against per-unit `(loop × config)` wall times measured from span
-//! traces (`repro perf calibrate`), and reports
+//! chosen only to induce that order. This module measures how well it
+//! does: [`calibrate`] joins the surrogate's predictions against
+//! per-unit `(loop × config)` wall times measured from span traces
+//! (`repro perf calibrate`), and reports
 //!
 //! * **Spearman rank correlation** between predicted priority and
 //!   measured latency over all units — the number that actually
 //!   matters for an ordering key;
 //! * a **fitted scale** `k` (ns per priority unit, least squares
-//!   through the origin) — the bridge from priority mass to seconds;
+//!   through the origin);
 //! * **per-loop relative error** of `k · Σpriority` against measured
 //!   wall time — where the analytic magnitudes are honest and where
 //!   they are not (the `1 << 20` scheduled-band offset deliberately
 //!   flattens magnitudes, and the error figures expose that).
 //!
-//! The result is a versioned JSON artifact from which
-//! [`CalibratedModel`] reloads **measured** per-configuration
-//! priorities: median unit latency rescaled by `1/k` so calibrated and
-//! analytic masses live on the same scale and can mix (workers
-//! heartbeat analytic mass while a calibrated coordinator prices
-//! unclaimed shards). Configurations never seen in the calibration run
-//! fall back to the analytic surrogate.
+//! The fit is printed, never loaded back: the sweep orders its units by
+//! the analytic key alone.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
-use widening_obs::json::{self, Value};
 use widening_obs::report::UnitSample;
 
 use crate::priority::sweep_priority;
-
-/// Format tag of the calibration artifact.
-pub const CALIBRATION_FORMAT: &str = "widening-cost-calibration";
-
-/// Current calibration schema version.
-pub const CALIBRATION_VERSION: u64 = 1;
 
 /// One design point's measured summary in a [`CalibrationReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -56,13 +43,13 @@ pub struct CalPoint {
     pub median_ns: u64,
     /// The analytic [`sweep_priority`] of the point.
     pub analytic_priority: u64,
-    /// Measured priority: `max(1, median_ns / k)` — same scale family
-    /// as the analytic mass.
+    /// Measured priority: `max(1, median_ns / k)`, on the analytic
+    /// priority's scale.
     pub calibrated_priority: u64,
 }
 
 /// The output of [`calibrate`]: goodness-of-fit figures plus the
-/// per-point measured priorities a [`CalibratedModel`] loads.
+/// per-point measured priorities.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CalibrationReport {
     /// Units joined (predicted priority × measured wall time pairs).
@@ -235,229 +222,6 @@ pub fn calibrate(samples: &[UnitSample]) -> CalibrationReport {
     }
 }
 
-fn num_u64(n: u64) -> Value {
-    #[allow(clippy::cast_precision_loss)]
-    Value::Number(n as f64)
-}
-
-fn get_u64(v: Option<&Value>) -> Option<u64> {
-    let n = v?.as_f64()?;
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_sign_loss,
-        clippy::cast_possible_truncation
-    )]
-    if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0 {
-        Some(n as u64)
-    } else {
-        None
-    }
-}
-
-fn get_f64(v: Option<&Value>) -> Option<f64> {
-    let n = v?.as_f64()?;
-    n.is_finite().then_some(n)
-}
-
-impl CalibrationReport {
-    /// Serialises the report to its versioned JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert("format".into(), Value::String(CALIBRATION_FORMAT.into()));
-        root.insert("version".into(), num_u64(CALIBRATION_VERSION));
-        root.insert("unit_count".into(), num_u64(self.unit_count));
-        root.insert("loop_count".into(), num_u64(self.loop_count));
-        root.insert(
-            "rank_correlation".into(),
-            Value::Number(self.rank_correlation),
-        );
-        root.insert(
-            "scale_ns_per_priority".into(),
-            Value::Number(self.scale_ns_per_priority),
-        );
-        root.insert(
-            "mean_loop_rel_err".into(),
-            Value::Number(self.mean_loop_rel_err),
-        );
-        root.insert(
-            "max_loop_rel_err".into(),
-            Value::Number(self.max_loop_rel_err),
-        );
-        root.insert(
-            "points".into(),
-            Value::Array(
-                self.points
-                    .iter()
-                    .map(|p| {
-                        let mut o = BTreeMap::new();
-                        o.insert("x".into(), num_u64(u64::from(p.replication)));
-                        o.insert("y".into(), num_u64(u64::from(p.width)));
-                        o.insert(
-                            "z".into(),
-                            p.registers.map_or(Value::Null, |z| num_u64(u64::from(z))),
-                        );
-                        o.insert("units".into(), num_u64(p.units));
-                        o.insert("mean_ns".into(), num_u64(p.mean_ns));
-                        o.insert("median_ns".into(), num_u64(p.median_ns));
-                        o.insert("analytic_priority".into(), num_u64(p.analytic_priority));
-                        o.insert("calibrated_priority".into(), num_u64(p.calibrated_priority));
-                        Value::Object(o)
-                    })
-                    .collect(),
-            ),
-        );
-        Value::Object(root).to_json()
-    }
-
-    /// Parses a calibration report; never panics on corruption.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message on structural corruption, a foreign
-    /// format tag or an unsupported version.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let obj = root
-            .as_object()
-            .ok_or("calibration: root is not an object")?;
-        match obj.get("format").and_then(Value::as_str) {
-            Some(CALIBRATION_FORMAT) => {}
-            Some(other) => return Err(format!("calibration: foreign format tag {other:?}")),
-            None => return Err("calibration: missing format tag".into()),
-        }
-        match get_u64(obj.get("version")) {
-            Some(CALIBRATION_VERSION) => {}
-            Some(v) => return Err(format!("calibration: unsupported version {v}")),
-            None => return Err("calibration: missing version".into()),
-        }
-        let mut report = CalibrationReport {
-            unit_count: get_u64(obj.get("unit_count")).ok_or("calibration: bad unit_count")?,
-            loop_count: get_u64(obj.get("loop_count")).ok_or("calibration: bad loop_count")?,
-            rank_correlation: get_f64(obj.get("rank_correlation"))
-                .ok_or("calibration: bad rank_correlation")?,
-            scale_ns_per_priority: get_f64(obj.get("scale_ns_per_priority"))
-                .ok_or("calibration: bad scale_ns_per_priority")?,
-            mean_loop_rel_err: get_f64(obj.get("mean_loop_rel_err"))
-                .ok_or("calibration: bad mean_loop_rel_err")?,
-            max_loop_rel_err: get_f64(obj.get("max_loop_rel_err"))
-                .ok_or("calibration: bad max_loop_rel_err")?,
-            points: Vec::new(),
-        };
-        for (i, p) in obj
-            .get("points")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-        {
-            let field =
-                |key: &str| get_u64(p.get(key)).ok_or_else(|| format!("points[{i}]: bad {key}"));
-            let registers = match p.get("z") {
-                None | Some(Value::Null) => None,
-                some_z => Some(
-                    u32::try_from(get_u64(some_z).ok_or_else(|| format!("points[{i}]: bad z"))?)
-                        .map_err(|_| format!("points[{i}]: z out of range"))?,
-                ),
-            };
-            report.points.push(CalPoint {
-                replication: u32::try_from(field("x")?)
-                    .map_err(|_| format!("points[{i}]: x out of range"))?,
-                width: u32::try_from(field("y")?)
-                    .map_err(|_| format!("points[{i}]: y out of range"))?,
-                registers,
-                units: field("units")?,
-                mean_ns: field("mean_ns")?,
-                median_ns: field("median_ns")?,
-                analytic_priority: field("analytic_priority")?,
-                calibrated_priority: field("calibrated_priority")?,
-            });
-        }
-        Ok(report)
-    }
-
-    /// Writes the report to `path` as JSON.
-    ///
-    /// # Errors
-    ///
-    /// The underlying I/O error.
-    pub fn write_file(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads and parses a calibration file.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message on I/O failure or a malformed report.
-    pub fn read_file(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-}
-
-/// A drop-in replacement for the analytic [`sweep_priority`], loaded
-/// from a [`CalibrationReport`]: design points measured during
-/// calibration are priced by their **measured** median latency
-/// (rescaled to priority units); unmeasured points fall back to the
-/// analytic surrogate. Priorities only steer *ordering and scaling*
-/// (sharding, autoscale mass) — sweep aggregates stay bitwise-equal
-/// under any priority function by construction.
-#[derive(Debug, Clone, Default)]
-pub struct CalibratedModel {
-    // Key: (X, Y, Z) with Z = 0 encoding a peak (unscheduled) point.
-    map: BTreeMap<(u32, u32, u32), u64>,
-}
-
-impl CalibratedModel {
-    /// Builds the model from an in-memory calibration report.
-    #[must_use]
-    pub fn from_report(report: &CalibrationReport) -> Self {
-        let map = report
-            .points
-            .iter()
-            .map(|p| {
-                (
-                    (p.replication, p.width, p.registers.map_or(0, |z| z.max(1))),
-                    p.calibrated_priority.max(1),
-                )
-            })
-            .collect();
-        Self { map }
-    }
-
-    /// Loads a model from a calibration JSON file.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message on I/O failure or a malformed report.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        Ok(Self::from_report(&CalibrationReport::read_file(path)?))
-    }
-
-    /// The priority of a design point: measured if calibrated,
-    /// analytic otherwise.
-    #[must_use]
-    pub fn priority(&self, replication: u32, width: u32, registers: Option<u32>) -> u64 {
-        self.map
-            .get(&(replication, width, registers.map_or(0, |z| z.max(1))))
-            .copied()
-            .unwrap_or_else(|| sweep_priority(replication, width, registers))
-    }
-
-    /// Number of calibrated design points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no point was calibrated (pure analytic fallback).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,42 +289,15 @@ mod tests {
         let report = calibrate(&samples);
         assert!(report.rank_correlation > 0.7);
         assert!(report.max_loop_rel_err > 0.5, "{}", report.max_loop_rel_err);
-        // The calibrated model prices the heavy point from measurement.
-        let model = CalibratedModel::from_report(&report);
-        assert!(model.priority(4, 2, Some(32)) > model.priority(2, 2, Some(64)));
-    }
-
-    #[test]
-    fn calibration_json_round_trips() {
-        let samples = [
-            unit(0, 1, 1, Some(64), 500),
-            unit(0, 4, 2, None, 90),
-            unit(1, 4, 2, Some(128), 9_000),
-        ];
-        let report = calibrate(&samples);
-        let text = report.to_json();
-        assert!(text.contains(CALIBRATION_FORMAT));
-        let back = CalibrationReport::from_json(&text).unwrap();
-        assert_eq!(back.unit_count, report.unit_count);
-        assert_eq!(back.points, report.points);
-        assert!((back.scale_ns_per_priority - report.scale_ns_per_priority).abs() < 1e-9);
-        // Corruption and foreign documents are rejected, not panics.
-        assert!(CalibrationReport::from_json("{}").is_err());
-        assert!(CalibrationReport::from_json("[]").is_err());
-        assert!(CalibrationReport::from_json(&text.replace(CALIBRATION_FORMAT, "x")).is_err());
-    }
-
-    #[test]
-    fn model_falls_back_to_analytic_for_unmeasured_points() {
-        let report = calibrate(&[unit(0, 2, 2, Some(64), 4_000)]);
-        let model = CalibratedModel::from_report(&report);
-        assert_eq!(model.len(), 1);
-        assert!(!model.is_empty());
-        // Unmeasured: exact analytic value.
-        assert_eq!(
-            model.priority(8, 1, Some(32)),
-            sweep_priority(8, 1, Some(32))
-        );
-        assert_eq!(model.priority(4, 2, None), sweep_priority(4, 2, None));
+        // The measured priorities price the heavy point from measurement.
+        let calibrated = |x, y, z| {
+            report
+                .points
+                .iter()
+                .find(|p| (p.replication, p.width, p.registers) == (x, y, z))
+                .expect("measured point")
+                .calibrated_priority
+        };
+        assert!(calibrated(4, 2, Some(32)) > calibrated(2, 2, Some(64)));
     }
 }

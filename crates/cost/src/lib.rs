@@ -55,10 +55,10 @@ mod sia;
 mod timing;
 
 pub use area::AreaModel;
-pub use calibrate::{calibrate, CalibratedModel, CalibrationReport};
+pub use calibrate::{calibrate, CalibrationReport};
 pub use cell::{CellGeometry, CellModel};
 pub use model::{CostModel, DesignPoint, IMPLEMENTABLE_BUDGET};
-pub use priority::{configuration_priority, sweep_mass, sweep_priority};
+pub use priority::{configuration_priority, sweep_priority};
 pub use published::{PublishedAccessTime, PublishedCell, ACCESS_TIMES, CELLS};
 pub use sia::Technology;
 pub use timing::TimingModel;

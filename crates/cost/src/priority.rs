@@ -6,8 +6,8 @@
 //! modulo-resource tables, and small register files drive the spill
 //! engine through many schedule → allocate → spill rounds. A dynamic
 //! work queue that hands those units out *first* keeps every worker
-//! busy until the very end; FIFO point-major order instead risks a lone
-//! worker grinding through `8w1(32:1)` while the rest idle — the
+//! busy until the very end; FIFO in submission order instead risks a
+//! lone worker grinding through `8w1(32:1)` while the rest idle — the
 //! classic LPT (longest-processing-time-first) argument.
 //!
 //! [`sweep_priority`] is that ordering key: a deliberately simple,
@@ -16,7 +16,10 @@
 //! resource-mix intuition as the hardware models (issue bandwidth
 //! `X·Y` sets table width; register scarcity sets expected spill
 //! rounds). Exact magnitudes are irrelevant; only the induced order
-//! matters, and ties fall back to submission order.
+//! matters, and ties fall back to submission order. It has two
+//! readers: the in-process sweep, which stably sorts its design points
+//! by it before queueing them, and the distributed manifest, which
+//! orders each shard's units by it. No result depends on the order.
 
 use widening_machine::Configuration;
 
@@ -50,24 +53,6 @@ pub fn sweep_priority(replication: u32, width: u32, registers: Option<u32>) -> u
     }
 }
 
-/// The total [`sweep_priority`] mass of a set of design points — the
-/// remaining-work estimate behind a queue tail. Elastic fleets use it
-/// two ways: workers heartbeat the mass of their shard's unprocessed
-/// units into their lease, and the coordinator sums those stamps (plus
-/// the static mass of unclaimed shards) to decide whether the estimated
-/// tail justifies spawning another worker. Saturating: a pathological
-/// grid clamps at `u64::MAX` instead of wrapping into a tiny tail.
-#[must_use]
-pub fn sweep_mass<I>(points: I) -> u64
-where
-    I: IntoIterator<Item = (u32, u32, Option<u32>)>,
-{
-    points
-        .into_iter()
-        .map(|(x, y, z)| sweep_priority(x, y, z))
-        .fold(0u64, u64::saturating_add)
-}
-
 /// [`sweep_priority`] for a full machine configuration (partitioning
 /// does not change compile cost — only the resource mix matters).
 #[must_use]
@@ -95,22 +80,6 @@ mod tests {
         assert!(sweep_priority(16, 16, None) < sweep_priority(1, 1, Some(256)));
         // But keeps the bandwidth order within the peak band.
         assert!(sweep_priority(4, 2, None) > sweep_priority(1, 1, None));
-    }
-
-    #[test]
-    fn mass_sums_and_saturates() {
-        let points = [(8, 1, Some(32)), (1, 1, Some(256)), (4, 2, None)];
-        let total = sweep_mass(points);
-        assert_eq!(
-            total,
-            sweep_priority(8, 1, Some(32))
-                + sweep_priority(1, 1, Some(256))
-                + sweep_priority(4, 2, None)
-        );
-        assert_eq!(sweep_mass([]), 0);
-        // Mass is monotone in the point set: adding work never shrinks
-        // the estimate.
-        assert!(sweep_mass(points) >= sweep_mass(points[..2].iter().copied()));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The sweep coordinator: writes the queue, spawns local workers,
-//! supervises leases, autoscales the fleet, and collects per-shard
-//! reports.
+//! supervises leases, and collects per-shard reports.
 //!
 //! The coordinator owns no results — workers publish everything into
 //! the shared store — so its job is purely liveness: partition the grid
@@ -9,33 +8,23 @@
 //! counters stall (the killed-worker path — clock-skew-proof, see
 //! [`crate::queue`]), validate completion markers as they appear
 //! (an undecodable marker is *incomplete*: the shard is reset and
-//! requeued, never merged as garbage), grow the fleet while the
-//! remaining-priority-mass estimate says the tail is worth more hands
-//! (up to [`CoordinatorConfig::max_workers`]), and respawn a worker if
-//! the whole fleet dies. When every shard carries a validated
-//! completion marker the sweep is merge-ready.
-//!
-//! **Autoscaling** reads the same lease stamps the stall detector does:
-//! every owner heartbeats the `sweep_priority` mass of its unprocessed
-//! units into its claim, and unclaimed shards count at their static
-//! manifest mass. While `estimated mass > mass_per_worker × live
-//! workers` and the fleet is under `max_workers`, the coordinator
-//! spawns one more worker per supervision tick. Workers exit on their
-//! own once every shard is complete.
+//! requeued, never merged as garbage), and respawn a worker if the
+//! whole fleet dies. A fleet that loses only some workers is not topped
+//! up: the survivors claim a requeued shard once its lease expires.
+//! When every shard carries a validated completion marker the sweep is
+//! merge-ready. Workers exit on their own once every shard is complete.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use widening_cost::CalibratedModel;
 use widening_obs as obs;
 use widening_obs::SpanKind;
 use widening_pipeline::StageCounts;
 
 use crate::manifest::SweepManifest;
-use crate::queue::{JobQueue, LeaseObserver, MASS_UNKNOWN};
+use crate::queue::{JobQueue, LeaseObserver};
 use crate::worker::{run_worker, ShardReport, WorkerConfig, WorkerSummary};
 use crate::DistribError;
 
@@ -45,17 +34,8 @@ pub struct CoordinatorConfig {
     /// The shared cache directory (artifact + result exchange). The
     /// queue directory is created under `<cache_dir>/queue/`.
     pub cache_dir: PathBuf,
-    /// Local workers to spawn up front.
+    /// Local workers to spawn up front: the whole fleet.
     pub workers: usize,
-    /// Fleet ceiling for autoscaling. Equal to `workers` (the default)
-    /// ⇒ a static fleet.
-    pub max_workers: usize,
-    /// Autoscale threshold: another worker is spawned while the
-    /// remaining-mass estimate exceeds `mass_per_worker × live
-    /// workers`. `None` derives a threshold from the manifest's total
-    /// mass and `max_workers` so a freshly-queued big grid scales to
-    /// the ceiling and a nearly-drained one does not.
-    pub mass_per_worker: Option<u64>,
     /// Worker threads each worker uses for intra-shard fan-out.
     pub worker_threads: usize,
     /// Lease TTL before a silent worker's shard is requeued.
@@ -73,79 +53,41 @@ pub struct CoordinatorConfig {
     /// in-process workers record into the caller's global recorder
     /// instead and ignore this.
     pub trace_dir: Option<PathBuf>,
-    /// Measured per-unit cost model (`--cost-model`): prices static
-    /// shard masses and the autoscale threshold from calibration data
-    /// instead of the analytic `sweep_priority`. Workers' heartbeat
-    /// mass stamps stay analytic either way — calibrated priorities
-    /// are rescaled into the same unit family, so the two estimates
-    /// mix consistently. Only ordering/scaling changes; aggregates are
-    /// bitwise-equal regardless.
-    pub unit_cost: Option<Arc<CalibratedModel>>,
 }
 
 impl CoordinatorConfig {
     /// A fleet of `workers` over `cache_dir` with defaults: one thread
     /// per worker, 30 s lease TTL, 20 ms poll, as many respawns as
-    /// workers, no autoscaling.
+    /// workers.
     #[must_use]
     pub fn new(cache_dir: impl Into<PathBuf>, workers: usize) -> Self {
         let workers = workers.max(1);
         CoordinatorConfig {
             cache_dir: cache_dir.into(),
             workers,
-            max_workers: workers,
-            mass_per_worker: None,
             worker_threads: 1,
             lease_ttl: Duration::from_secs(30),
             poll: Duration::from_millis(20),
             max_respawns: workers,
             chaos_die_after_units: None,
             trace_dir: None,
-            unit_cost: None,
         }
     }
 
     /// The divisor p this configuration partitions a grid of `units`
     /// work units with ([`SweepManifest::partition`]): the fleet's
-    /// worker ceiling, at most `units`. A caller that rebuilds a fleet's
+    /// worker count, at most `units`. A caller that rebuilds a fleet's
     /// manifest (to merge its batch records) must pass this same p.
     #[must_use]
     pub fn shard_count(&self, units: usize) -> usize {
-        self.max_workers.max(self.workers).clamp(1, units.max(1))
-    }
-
-    /// The static priority mass of one manifest shard under this
-    /// configuration's cost model: measured when
-    /// [`CoordinatorConfig::unit_cost`] is set, analytic otherwise.
-    #[must_use]
-    pub fn shard_mass(&self, manifest: &SweepManifest, shard: usize) -> u64 {
-        match &self.unit_cost {
-            Some(model) => manifest.shard_mass_with(shard, |x, y, z| model.priority(x, y, z)),
-            None => manifest.shard_mass(shard),
-        }
-    }
-
-    /// The autoscale threshold in effect for a manifest: the explicit
-    /// [`CoordinatorConfig::mass_per_worker`], or half the manifest's
-    /// mean per-ceiling-worker mass — so a full queue scales out to
-    /// `max_workers` and a mostly-drained one stops asking for hands.
-    /// Mass is priced by [`CoordinatorConfig::shard_mass`].
-    #[must_use]
-    pub fn effective_mass_per_worker(&self, manifest: &SweepManifest) -> u64 {
-        self.mass_per_worker.unwrap_or_else(|| {
-            let total: u64 = (0..manifest.shards.len())
-                .map(|s| self.shard_mass(manifest, s))
-                .fold(0, u64::saturating_add);
-            (total / (2 * self.max_workers.max(1) as u64)).max(1)
-        })
+        self.workers.clamp(1, units.max(1))
     }
 }
 
 /// Everything a launcher needs to start worker `index` against a queue.
 #[derive(Debug, Clone)]
 pub struct SpawnContext {
-    /// Worker index (autoscaled and respawned workers continue the
-    /// numbering).
+    /// Worker index (respawned workers continue the numbering).
     pub index: usize,
     /// The queue directory.
     pub queue_dir: PathBuf,
@@ -201,8 +143,6 @@ pub struct SweepRun {
     pub requeues: u64,
     /// Workers respawned after the fleet died entirely.
     pub respawns: u64,
-    /// Workers added by autoscaling (beyond the initial fleet).
-    pub scale_ups: u64,
 }
 
 enum Handle {
@@ -312,9 +252,8 @@ pub fn run_sweep(
 }
 
 /// Drives an existing queue to completion: spawns the fleet, requeues
-/// stalled leases and undecodable completion markers, autoscales while
-/// the remaining-mass estimate warrants it, respawns through total
-/// fleet loss, and collects the shard reports. The queue directory is
+/// stalled leases and undecodable completion markers, respawns through
+/// total fleet loss, and collects the shard reports. The queue directory is
 /// left in place (the fault-injection tests pre-claim shards on it).
 ///
 /// # Errors
@@ -329,14 +268,9 @@ pub fn run_on_queue(
     cfg: &CoordinatorConfig,
     launcher: &Launcher<'_>,
 ) -> Result<SweepRun, DistribError> {
-    let manifest = JobQueue::open(queue.root())
-        .map(|(_, m)| m)
-        .ok_or_else(|| DistribError::QueueUnreadable(queue.root().to_path_buf()))?;
-    let shard_masses: Vec<u64> = (0..queue.shard_count())
-        .map(|s| cfg.shard_mass(&manifest, s))
-        .collect();
-    let mass_per_worker = cfg.effective_mass_per_worker(&manifest);
-    let max_workers = cfg.max_workers.max(cfg.workers).max(1);
+    if JobQueue::open(queue.root()).is_none() {
+        return Err(DistribError::QueueUnreadable(queue.root().to_path_buf()));
+    }
 
     if let Some(dir) = &cfg.trace_dir {
         std::fs::create_dir_all(dir)?;
@@ -373,7 +307,6 @@ pub fn run_on_queue(
     let mut validated: Vec<bool> = vec![false; queue.shard_count()];
     let mut requeues = 0u64;
     let mut respawns = 0u64;
-    let mut scale_ups = 0u64;
     let mut next_index = handles.len();
     loop {
         // A present-but-undecodable done marker (a torn write from a
@@ -437,21 +370,6 @@ pub fn run_on_queue(
                 Err(e) => return Err(abort_fleet(handles, e)),
             }
             next_index += 1;
-        } else if live < max_workers {
-            let mass = remaining_mass_estimate(queue, &shard_masses);
-            if mass > mass_per_worker.saturating_mul(live as u64) {
-                // Autoscale: one more pair of hands per tick while the
-                // estimated remaining mass exceeds the per-worker
-                // budget.
-                scale_ups += 1;
-                eprintln!("distrib: event=scale-up worker={next_index} live={live} mass={mass}");
-                obs::instant(SpanKind::ScaleUp, next_index as u64, mass);
-                match spawn(launcher, &ctx_for(next_index), cfg.poll) {
-                    Ok(h) => handles.push(h),
-                    Err(e) => return Err(abort_fleet(handles, e)),
-                }
-                next_index += 1;
-            }
         }
         std::thread::sleep(cfg.poll);
     }
@@ -468,7 +386,6 @@ pub fn run_on_queue(
         stolen_units: 0,
         requeues,
         respawns,
-        scale_ups,
     };
     for shard in 0..queue.shard_count() {
         let report = queue
@@ -482,21 +399,4 @@ pub fn run_on_queue(
         run.shard_reports.push(report);
     }
     Ok(run)
-}
-
-/// The queue's remaining-work estimate: per shard, a done marker
-/// counts zero, a live claim counts its last heartbeat's mass stamp,
-/// and an unclaimed shard counts its static manifest mass. Fresh claims
-/// that have not heartbeated yet ([`MASS_UNKNOWN`]) fall back to the
-/// static estimate too.
-fn remaining_mass_estimate(queue: &JobQueue, shard_masses: &[u64]) -> u64 {
-    shard_masses
-        .iter()
-        .enumerate()
-        .filter(|&(shard, _)| !queue.is_done(shard))
-        .map(|(shard, &static_mass)| match queue.read_claim(shard) {
-            Some(stamp) if stamp.mass != MASS_UNKNOWN => stamp.mass,
-            Some(_) | None => static_mass,
-        })
-        .fold(0, u64::saturating_add)
 }

@@ -12,37 +12,36 @@
 //! * a [`SweepManifest`] that freezes the corpus, the design points and
 //!   a **guided self-scheduled** sharding of the unit grid
 //!   (Polychronopoulos & Kuck, IEEE TC 1987): shard *i* takes ⌈Rᵢ/p⌉ of
-//!   the Rᵢ loop columns not yet assigned, for a fleet of at most p
-//!   workers, so shards shrink as the sweep drains and the last ones
-//!   even out the finish. Inside a shard, units run heaviest design
-//!   point first ([`widening_cost::sweep_priority`]) — the LPT trick
-//!   that cuts tail latency;
+//!   the Rᵢ loop columns not yet assigned, for a fleet of p workers,
+//!   so shards shrink as the sweep drains and the last ones even out
+//!   the finish. Inside a shard, units run heaviest design point first
+//!   ([`widening_cost::sweep_priority`]) — the LPT trick that cuts tail
+//!   latency;
 //! * a filesystem [`JobQueue`] with **atomic claim files, monotonic
 //!   counter leases and lease-stall requeue**: workers claim shards in
-//!   order via `create_new` and heartbeat a monotonic counter (plus a
-//!   remaining-priority-mass estimate) into the claim file; a shard
-//!   whose counter stops advancing across a TTL observation window —
-//!   on the *observer's* monotonic clock, immune to cross-host
-//!   wall-clock skew — is requeued for the survivors. Duplicate
-//!   execution after a requeue race is *idempotent by construction*,
-//!   because results are content-addressed — two workers publishing the
-//!   same shard write identical bytes under identical keys;
+//!   order via `create_new` and heartbeat a monotonic counter into the
+//!   claim file; a shard whose counter stops advancing across a TTL
+//!   observation window — on the *observer's* monotonic clock, immune
+//!   to cross-host wall-clock skew — is requeued for the survivors.
+//!   Duplicate execution after a requeue race is *idempotent by
+//!   construction*, because results are content-addressed — two
+//!   workers publishing the same shard write identical bytes under
+//!   identical keys;
 //! * a [`coordinator`](run_sweep) that writes the queue, spawns local
 //!   workers (in-process threads for tests and benches, real
 //!   `repro worker` processes from the CLI), supervises leases,
 //!   validates completion markers (an undecodable marker requeues its
-//!   shard instead of merging garbage), **autoscales** the fleet while
-//!   the lease stamps' remaining-mass estimate exceeds a per-worker
-//!   budget (up to `max_workers`), respawns a worker if the whole fleet
-//!   dies, and collects per-shard progress reports ([`ShardReport`])
-//!   whose stage counters fold into the existing counter tables.
+//!   shard instead of merging garbage), respawns a worker if the whole
+//!   fleet dies, and collects per-shard progress reports
+//!   ([`ShardReport`]) whose stage counters fold into the existing
+//!   counter tables.
 //!
 //! Each shard ends with **one batch result record** in the shared
 //! store's result tier ([`widening_pipeline::Exchange`]), keyed by the
 //! shard's unit-key-list hash, and one durable done marker in the
 //! queue. The *merge* of those records into corpus aggregates lives
 //! with the evaluator (the `widening` crate), which guarantees the fold
-//! is bitwise-equal to a single-process `Evaluator::sweep`.
+//! is bitwise-equal to a single-process `Evaluator::sweep_specs`.
 //!
 //! The only shared medium is the cache directory: coordinator and
 //! workers never talk over sockets, so "distributed" degrades gracefully
@@ -61,7 +60,7 @@ pub use coordinator::{
     run_on_queue, run_sweep, CoordinatorConfig, Launcher, SpawnContext, SweepRun,
 };
 pub use manifest::SweepManifest;
-pub use queue::{JobQueue, LeaseObserver, LeaseStamp, MASS_UNKNOWN};
+pub use queue::{JobQueue, LeaseObserver, LeaseStamp};
 pub use worker::{run_worker, ShardReport, WorkerConfig, WorkerSummary};
 
 use std::fmt;

@@ -45,8 +45,8 @@ pub struct SweepManifest {
 
 impl SweepManifest {
     /// Builds a manifest cutting the `loops × specs` grid into
-    /// **guided self-scheduled** shards for a fleet of at most `workers`
-    /// workers (Polychronopoulos & Kuck, IEEE TC 1987):
+    /// **guided self-scheduled** shards for a fleet of `workers` workers
+    /// (Polychronopoulos & Kuck, IEEE TC 1987):
     ///
     /// * **columns** — a loop's entire design-point column lands in one
     ///   shard, so its widened graphs, MII bounds and base schedules are
@@ -59,32 +59,16 @@ impl SweepManifest {
     /// * **priority-ordered units** — within each shard, units run
     ///   heaviest design point first ([`sweep_priority`]: pressure- and
     ///   width-heavy points lead, peak points trail), the
-    ///   longest-processing-time ordering that cuts tail latency. Ties
-    ///   keep corpus order.
+    ///   longest-processing-time ordering that cuts tail latency. Tied
+    ///   points keep input order; each point's units keep corpus order.
     #[must_use]
     pub fn partition(loops: Vec<Loop>, specs: Vec<PointSpec>, workers: usize) -> Self {
-        Self::partition_with(loops, specs, workers, sweep_priority)
-    }
-
-    /// [`SweepManifest::partition`] with a caller-supplied priority
-    /// function — how a measured [`widening_cost::CalibratedModel`]
-    /// replaces the analytic surrogate for LPT ordering. The sharding
-    /// *shape* is priority-independent; only the within-shard unit
-    /// order changes, so aggregates remain bitwise-equal under any
-    /// priority.
-    #[must_use]
-    pub fn partition_with(
-        loops: Vec<Loop>,
-        specs: Vec<PointSpec>,
-        workers: usize,
-        priority: impl Fn(u32, u32, Option<u32>) -> u64,
-    ) -> Self {
         let n = loops.len();
         // Design points, heaviest first (stable: ties keep input order).
         let mut spec_order: Vec<u32> = (0..specs.len() as u32).collect();
         spec_order.sort_by_key(|&si| {
             let spec = &specs[si as usize];
-            std::cmp::Reverse(priority(spec.replication, spec.width, spec.registers))
+            std::cmp::Reverse(sweep_priority(spec.replication, spec.width, spec.registers))
         });
         let p = workers.max(1);
         let mut shards = Vec::new();
@@ -121,39 +105,6 @@ impl SweepManifest {
     #[must_use]
     pub fn spec_of(&self, unit: u32) -> usize {
         unit as usize / self.loops.len()
-    }
-
-    /// The compile-cost priority of one unit
-    /// ([`widening_cost::sweep_priority`] of its design point).
-    #[must_use]
-    pub fn unit_priority(&self, unit: u32) -> u64 {
-        let spec = &self.specs[self.spec_of(unit)];
-        sweep_priority(spec.replication, spec.width, spec.registers)
-    }
-
-    /// The static priority mass of one shard's full unit list — the
-    /// remaining-work estimate lease stamps and the autoscaler trade in.
-    #[must_use]
-    pub fn shard_mass(&self, shard: usize) -> u64 {
-        self.shard_mass_with(shard, sweep_priority)
-    }
-
-    /// [`SweepManifest::shard_mass`] under a caller-supplied priority
-    /// function (e.g. a measured [`widening_cost::CalibratedModel`]).
-    /// Saturating, like the analytic mass.
-    #[must_use]
-    pub fn shard_mass_with(
-        &self,
-        shard: usize,
-        priority: impl Fn(u32, u32, Option<u32>) -> u64,
-    ) -> u64 {
-        self.shards[shard]
-            .iter()
-            .map(|&u| {
-                let spec = &self.specs[self.spec_of(u)];
-                priority(spec.replication, spec.width, spec.registers)
-            })
-            .fold(0u64, u64::saturating_add)
     }
 
     /// The exchange key of a shard's batch result record: the
@@ -388,7 +339,13 @@ mod tests {
         for p in [1, 2, 4] {
             let m = SweepManifest::partition(kernels::all(), specs(), p);
             for shard in &m.shards {
-                let prios: Vec<u64> = shard.iter().map(|&u| m.unit_priority(u)).collect();
+                let prios: Vec<u64> = shard
+                    .iter()
+                    .map(|&u| {
+                        let spec = &m.specs[m.spec_of(u)];
+                        sweep_priority(spec.replication, spec.width, spec.registers)
+                    })
+                    .collect();
                 assert!(prios.windows(2).all(|w| w[0] >= w[1]), "{prios:?}");
                 // And the heaviest spec, the pressure-starved 8w1(32),
                 // opens every shard.
@@ -398,25 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn partition_with_reorders_units_but_not_membership() {
-        let default = SweepManifest::partition(kernels::all(), specs(), 3);
-        // An inverted priority flips each shard's spec order...
-        let inverted = SweepManifest::partition_with(kernels::all(), specs(), 3, |x, y, z| {
-            u64::MAX - widening_cost::sweep_priority(x, y, z)
-        });
-        for (d, i) in default.shards.iter().zip(&inverted.shards) {
-            let mut ds = d.clone();
-            let mut is = i.clone();
-            ds.sort_unstable();
-            is.sort_unstable();
-            // ...while every shard keeps exactly the same unit set.
-            assert_eq!(ds, is);
-            assert_ne!(d.first(), i.first(), "order actually changed");
-        }
-        // A constant priority keeps submission (spec) order — ties are
-        // stable.
-        let flat = SweepManifest::partition_with(kernels::all(), specs(), 3, |_, _, _| 7);
-        assert_eq!(flat.spec_of(flat.shards[0][0]), 0);
+    fn partition_fingerprint_is_pinned() {
+        // The encoding covers every shard's unit list, so any drift in
+        // the shard shape or the unit order inside a shard moves it.
+        let m = SweepManifest::partition(kernels::all(), specs(), 3);
+        assert_eq!(m.fingerprint(), 0x546d_784e_8d32_892e_3a83_a889_805c_752d);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! ```text
 //! <queue>/manifest.bin       the SweepManifest (atomic temp+rename)
 //! <queue>/shard-<i>.claim    exists ⇒ shard i is claimed; payload =
-//!                            a lease stamp (heartbeat counter +
-//!                            remaining-priority-mass estimate)
+//!                            a lease stamp (heartbeat counter) plus
+//!                            the owner's diagnostic tag
 //! <queue>/shard-<i>.done     exists ⇒ shard i is complete; payload =
 //!                            the worker's encoded ShardReport
 //! ```
@@ -62,17 +62,13 @@ use crate::manifest::SweepManifest;
 const MANIFEST_FILE: &str = "manifest.bin";
 
 /// Magic + version prefix of a lease stamp (a claim file's payload).
+/// Version 1 also carried a remaining-work estimate; its stamps no
+/// longer decode, and expire like any other unreadable claim.
 const LEASE_MAGIC: [u8; 4] = *b"WLSE";
-const LEASE_VERSION: u32 = 1;
-
-/// Remaining-mass value meaning "not measured yet" (a claim stamped at
-/// creation, before the owner's first heartbeat). Consumers fall back
-/// to the manifest's static estimate.
-pub const MASS_UNKNOWN: u64 = u64::MAX;
+const LEASE_VERSION: u32 = 2;
 
 /// One heartbeat observation: the monotonic counter a lease owner keeps
-/// advancing, plus its current remaining-work estimate (the
-/// `sweep_priority` mass of units not yet processed).
+/// advancing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseStamp {
     /// Monotonic heartbeat counter. Only *advancement* carries meaning;
@@ -80,9 +76,6 @@ pub struct LeaseStamp {
     /// skewed or restarted host is indistinguishable from any other
     /// starting point).
     pub counter: u64,
-    /// Remaining `sweep_priority` mass behind this lease, or
-    /// [`MASS_UNKNOWN`].
-    pub mass: u64,
 }
 
 impl LeaseStamp {
@@ -91,7 +84,6 @@ impl LeaseStamp {
         w.bytes(&LEASE_MAGIC);
         w.u32(LEASE_VERSION);
         w.u64(self.counter);
-        w.u64(self.mass);
         w.bytes(tag.as_bytes());
         w.into_bytes()
     }
@@ -101,10 +93,7 @@ impl LeaseStamp {
         if r.take(4)? != LEASE_MAGIC || r.u32()? != LEASE_VERSION {
             return None;
         }
-        Some(LeaseStamp {
-            counter: r.u64()?,
-            mass: r.u64()?,
-        })
+        Some(LeaseStamp { counter: r.u64()? })
     }
 }
 
@@ -220,16 +209,13 @@ impl JobQueue {
     }
 
     /// Atomically claims the lowest-numbered unclaimed, incomplete
-    /// shard, stamping an initial lease (counter 0, mass unknown) plus
-    /// `tag` (diagnostic only) into the claim file. `None` when every
+    /// shard, stamping an initial lease (counter 0) plus `tag`
+    /// (diagnostic only) into the claim file. `None` when every
     /// shard is claimed or done — which does **not** mean the sweep is
     /// finished: a claim may yet stall and return.
     #[must_use]
     pub fn claim_next(&self, tag: &str) -> Option<usize> {
-        let initial = LeaseStamp {
-            counter: 0,
-            mass: MASS_UNKNOWN,
-        };
+        let initial = LeaseStamp { counter: 0 };
         for shard in 0..self.shard_count {
             if self.is_done(shard) {
                 continue;
@@ -251,13 +237,6 @@ impl JobQueue {
     pub fn renew_lease(&self, shard: usize, tag: &str, stamp: LeaseStamp) {
         let name = format!("shard-{shard}.claim");
         let _ = atomic_write(&self.root, &name, &stamp.encode(tag), false);
-    }
-
-    /// The last lease stamp written for a shard's claim, if the claim
-    /// exists and parses.
-    #[must_use]
-    pub fn read_claim(&self, shard: usize) -> Option<LeaseStamp> {
-        LeaseStamp::decode(&fs::read(self.claim_path(shard)).ok()?)
     }
 
     /// Marks a shard complete, durably publishing the worker's encoded
@@ -409,10 +388,7 @@ mod tests {
     }
 
     fn stamp(counter: u64) -> LeaseStamp {
-        LeaseStamp {
-            counter,
-            mass: MASS_UNKNOWN,
-        }
+        LeaseStamp { counter }
     }
 
     // Claim files are read back from a shared directory that other
@@ -423,8 +399,8 @@ mod tests {
         use proptest::prelude::*;
 
         fn arb_claim() -> impl Strategy<Value = (LeaseStamp, String)> {
-            (any::<u64>(), any::<u64>(), 0usize..24)
-                .prop_map(|(counter, mass, tag)| (LeaseStamp { counter, mass }, "w".repeat(tag)))
+            (any::<u64>(), 0usize..24)
+                .prop_map(|(counter, tag)| (LeaseStamp { counter }, "w".repeat(tag)))
         }
 
         proptest! {
@@ -441,7 +417,7 @@ mod tests {
                 prop_assert_eq!(LeaseStamp::decode(&bytes), Some(s));
                 // The owner tag is informational: only a cut into the
                 // stamp itself loses it.
-                let at = cut % 24;
+                let at = cut % 16;
                 prop_assert_eq!(LeaseStamp::decode(&bytes[..at]), None);
             }
 
@@ -455,7 +431,7 @@ mod tests {
                 // flipped: a different stamp. The tag: ignored.
                 match at / 8 {
                     0..=7 => prop_assert_eq!(decoded, None),
-                    8..=23 => prop_assert!(decoded.is_some() && decoded != Some(s)),
+                    8..=15 => prop_assert!(decoded.is_some() && decoded != Some(s)),
                     _ => prop_assert_eq!(decoded, Some(s)),
                 }
             }
@@ -479,7 +455,8 @@ mod tests {
         assert_eq!(queue.claim_next("c"), Some(2));
         assert_eq!(queue.claim_next("d"), None);
         // Fresh claims carry the initial stamp.
-        assert_eq!(queue.read_claim(0), Some(stamp(0)));
+        let claim = fs::read(dir.join("shard-0.claim")).unwrap();
+        assert_eq!(LeaseStamp::decode(&claim), Some(stamp(0)));
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -575,6 +552,39 @@ mod tests {
         assert_eq!(queue.requeue_expired(&mut obs, ttl), 0);
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(queue.requeue_expired(&mut obs, ttl), 1);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn version_one_stamps_expire_once_they_sit_still() {
+        // A claim written by a worker built before the version bump:
+        // magic, version 1, counter, remaining-work estimate, tag.
+        let v1 = |counter: u64| {
+            let mut w = Writer::new();
+            w.bytes(&LEASE_MAGIC);
+            w.u32(1);
+            w.u64(counter);
+            w.u64(u64::MAX);
+            w.bytes(b"old");
+            w.into_bytes()
+        };
+        assert_eq!(LeaseStamp::decode(&v1(0)), None);
+        let (dir, queue, _) = temp_queue(1);
+        let claim = dir.join("shard-0.claim");
+        fs::write(&claim, v1(0)).unwrap();
+        let ttl = Duration::from_millis(25);
+        let mut obs = LeaseObserver::new();
+        assert_eq!(queue.requeue_expired(&mut obs, ttl), 0);
+        // An old owner still beating changes the bytes: no expiry.
+        for beat in 1..=2 {
+            std::thread::sleep(Duration::from_millis(30));
+            fs::write(&claim, v1(beat)).unwrap();
+            assert_eq!(queue.requeue_expired(&mut obs, ttl), 0);
+        }
+        // The beats stop: the claim expires one TTL later.
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(queue.requeue_expired(&mut obs, ttl), 1);
+        assert_eq!(queue.claim_next("rescuer"), Some(0));
         let _ = fs::remove_dir_all(dir);
     }
 

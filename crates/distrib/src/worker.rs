@@ -11,10 +11,10 @@
 //!
 //! * **own a shard** — claim the next one in manifest order, compile
 //!   its units front-to-back (heaviest design point first) while a
-//!   heartbeat thread advances the claim's monotonic lease counter and
-//!   remaining-mass estimate, publish the shard's batch record, and
-//!   durably complete it with a [`ShardReport`]. The heartbeat waits on
-//!   a stop signal, so it ends the moment the shard's work does;
+//!   heartbeat thread advances the claim's monotonic lease counter,
+//!   publish the shard's batch record, and durably complete it with a
+//!   [`ShardReport`]. The heartbeat waits on a stop signal, so it ends
+//!   the moment the shard's work does;
 //! * **idle** — with every shard claimed, poll until every shard is done
 //!   or the queue is retired. A standalone worker also requeues stalled
 //!   leases on the way; a coordinator-supervised one leaves that to the
@@ -287,13 +287,6 @@ fn run_shard(state: &WorkerState<'_>, shard: usize) -> Option<usize> {
     let n = units.len();
     let _shard_span = obs::span(SpanKind::WorkerShard, shard as u64, n as u64);
 
-    // Suffix priority mass, for the lease's remaining-work stamp:
-    // `suffix[i]` = mass of `units[i..]`.
-    let mut suffix = vec![0u64; n + 1];
-    for i in (0..n).rev() {
-        suffix[i] = suffix[i + 1].saturating_add(state.manifest.unit_priority(units[i]));
-    }
-
     let before = state.pipeline.stage_counts();
     let batch_key = state.manifest.batch_key(shard, state.fingerprints);
     let published: HashMap<u32, UnitOutcome> = state
@@ -334,13 +327,9 @@ fn run_shard(state: &WorkerState<'_>, shard: usize) -> Option<usize> {
             let mut beat = 0u64;
             loop {
                 beat += 1;
-                let mass = suffix[cursor.load(Ordering::Relaxed).min(n)];
-                let stamp = LeaseStamp {
-                    counter: beat,
-                    mass,
-                };
+                let stamp = LeaseStamp { counter: beat };
                 state.queue.renew_lease(shard, &cfg.tag, stamp);
-                obs::instant(SpanKind::Heartbeat, shard as u64, mass);
+                obs::instant(SpanKind::Heartbeat, shard as u64, beat);
                 if stop.wait(interval) {
                     break;
                 }

@@ -96,7 +96,9 @@ pub struct FleetEvents {
     pub steals: u64,
     /// Published steal offers (`steal-offer` instants).
     pub steal_offers: u64,
-    /// Autoscale spawns (`scale-up` instants).
+    /// Autoscale spawns (`scale-up` instants). Fleets no longer
+    /// autoscale, so new reports read 0; the field stays so older
+    /// reports still parse.
     pub scale_ups: u64,
     /// Early retirements (`scale-down` instants).
     pub scale_downs: u64,

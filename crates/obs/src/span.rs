@@ -74,11 +74,14 @@ pub enum SpanKind {
     /// Instant: an owner folded a thief's result. `a` = shard, `b` =
     /// units folded. No longer emitted; the id stays reserved.
     StealFold = 15,
-    /// Instant: lease heartbeat renewal. `a` = shard, `b` = remaining mass.
+    /// Instant: lease heartbeat renewal. `a` = shard, `b` = the beat's
+    /// counter value.
     Heartbeat = 16,
     /// Instant: coordinator requeued expired leases. `a` = shards requeued.
     LeaseExpire = 17,
-    /// Instant: coordinator autoscaled a worker up. `a` = worker index, `b` = mass estimate.
+    /// Instant: coordinator autoscaled a worker up. `a` = worker index,
+    /// `b` = remaining-work estimate. No longer emitted (a fleet is a
+    /// fixed number of workers); the id stays reserved.
     ScaleUp = 18,
     /// Instant: coordinator respawned a worker. `a` = worker index.
     Respawn = 19,
@@ -210,7 +213,7 @@ impl SpanKind {
             SpanKind::Evict => ("evicted", "resident-bytes"),
             SpanKind::StealOffer => ("shard", "offered"),
             SpanKind::StealClaim | SpanKind::StealFold => ("shard", "units"),
-            SpanKind::Heartbeat => ("shard", "mass"),
+            SpanKind::Heartbeat => ("shard", "beat"),
             SpanKind::LeaseExpire => ("requeued", "unused"),
             SpanKind::ScaleUp => ("worker", "mass"),
             SpanKind::Respawn => ("worker", "unused"),

@@ -588,46 +588,21 @@ impl Pipeline {
     /// `threads` workers with shared stage stores, returning one
     /// corpus-ordered artifact vector per design point.
     ///
-    /// Units are scheduled point-major off one dynamic queue: widened
-    /// DDGs and MII bounds computed for the first point are cache hits
-    /// for every later point that shares them, and no worker idles while
-    /// another point still has units left.
+    /// Units are handed out point-major off one dynamic queue, in the
+    /// order of `points`: widened DDGs and MII bounds computed for the
+    /// first point are cache hits for every later point that shares
+    /// them, and no worker idles while another point still has units
+    /// left. A caller that wants the heaviest units first puts their
+    /// points first (the evaluator sorts by
+    /// `widening_cost::sweep_priority`); the order is pure scheduling
+    /// and cannot change a single output bit.
     #[must_use]
     pub fn sweep(
         &self,
         points: &[PointSpec],
         threads: usize,
     ) -> Vec<Vec<Result<CompiledLoop, PipelineError>>> {
-        self.sweep_ordered(points, threads, None)
-    }
-
-    /// [`Pipeline::sweep`] with an explicit **execution order** over
-    /// the flat unit grid (`unit = point_index · |loops| +
-    /// loop_index`): the dynamic queue hands units out in `order`
-    /// instead of point-major FIFO, so a caller can front-load its
-    /// compile-cost-heavy design points (the evaluator orders by
-    /// `widening_cost::sweep_priority`, the same LPT ordering the
-    /// distributed shards use). Results are still returned in
-    /// `(point, corpus)` order — execution order is pure scheduling and
-    /// cannot change a single output bit.
-    ///
-    /// `order` must be a permutation of `0..points.len() × |loops|`;
-    /// `None` keeps FIFO.
-    #[must_use]
-    pub fn sweep_ordered(
-        &self,
-        points: &[PointSpec],
-        threads: usize,
-        order: Option<&[u32]>,
-    ) -> Vec<Vec<Result<CompiledLoop, PipelineError>>> {
         let n = self.loops().len();
-        let total = points.len() * n;
-        debug_assert!(order.is_none_or(|o| {
-            let mut seen = vec![false; total];
-            o.len() == total
-                && o.iter()
-                    .all(|&u| !std::mem::replace(&mut seen[u as usize], true))
-        }));
         // Queue-wait attribution: each pool thread remembers when its
         // previous unit ended; the gap to the next unit's start is time
         // the thread spent idle on the dynamic queue. Clamped to the
@@ -637,8 +612,7 @@ impl Pipeline {
             static LAST_UNIT_END: Cell<u64> = const { Cell::new(0) };
         }
         let sweep_start = obs::now_ns();
-        let flat = par_map(total, threads, |slot| {
-            let unit = order.map_or(slot, |o| o[slot] as usize);
+        let flat = par_map(points.len() * n, threads, |unit| {
             let (li, pi) = (unit % n, unit / n);
             let spec = &points[pi];
             let (a, b) = (
@@ -658,18 +632,9 @@ impl Pipeline {
             if let Some(now) = obs::now_ns() {
                 LAST_UNIT_END.set(now);
             }
-            (unit, outcome)
+            outcome
         });
-        // Scatter back to (point, corpus) order: the permutation covers
-        // every unit exactly once, so every slot fills.
-        let mut scattered: Vec<Option<Result<CompiledLoop, PipelineError>>> =
-            (0..total).map(|_| None).collect();
-        for (unit, outcome) in flat {
-            scattered[unit] = Some(outcome);
-        }
-        let mut it = scattered
-            .into_iter()
-            .map(|o| o.expect("order covered every unit"));
+        let mut it = flat.into_iter();
         points
             .iter()
             .map(|_| it.by_ref().take(n).collect())

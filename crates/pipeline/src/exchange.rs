@@ -422,4 +422,88 @@ mod tests {
             sim_summary_key(1, &peak, 101)
         );
     }
+
+    // Batch records are read back from a store other processes write:
+    // whatever bytes they hold, decoding returns exactly the entries
+    // the bytes encode, or `None` — never a panic.
+    mod decoding {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_outcome() -> impl Strategy<Value = UnitOutcome> {
+            let ok = (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
+                |(ii, mii, registers, spill_ops)| UnitOutcome::Ok {
+                    ii,
+                    mii,
+                    registers,
+                    spill_ops,
+                },
+            );
+            let pressure =
+                (any::<u32>(), any::<u32>()).prop_map(|(needed, available)| UnitOutcome::Failed {
+                    cause: FailureCause::Pressure { needed, available },
+                });
+            prop_oneof![
+                ok,
+                pressure,
+                Just(UnitOutcome::Failed {
+                    cause: FailureCause::Schedule
+                }),
+                Just(UnitOutcome::Failed {
+                    cause: FailureCause::Rewrite
+                }),
+            ]
+        }
+
+        fn arb_batch() -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec((any::<u32>(), arb_outcome()), 0..12)
+                .prop_map(|entries| encode_unit_batch(&entries))
+        }
+
+        /// `None`, or entries that re-encode to exactly `bytes`.
+        fn decodes_exactly_or_not_at_all(bytes: &[u8]) -> Result<(), TestCaseError> {
+            if let Some(entries) = decode_unit_batch(bytes) {
+                prop_assert_eq!(encode_unit_batch(&entries), bytes);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+                decodes_exactly_or_not_at_all(&bytes)?;
+                // Behind a valid version, the count and entries are
+                // random.
+                let mut framed = u32::from(BATCH_VERSION).to_le_bytes().to_vec();
+                framed.extend_from_slice(&bytes);
+                decodes_exactly_or_not_at_all(&framed)?;
+            }
+
+            #[test]
+            fn truncation_is_rejected(
+                bytes in arb_batch(),
+                extra in proptest::collection::vec(any::<u8>(), 1..8),
+            ) {
+                decodes_exactly_or_not_at_all(&bytes)?;
+                prop_assert!(decode_unit_batch(&bytes).is_some());
+                for cut in 0..bytes.len() {
+                    prop_assert_eq!(decode_unit_batch(&bytes[..cut]), None);
+                }
+                // Trailing bytes are rejected too.
+                let mut extended = bytes;
+                extended.extend_from_slice(&extra);
+                prop_assert_eq!(decode_unit_batch(&extended), None);
+            }
+
+            #[test]
+            fn bit_flips_never_panic(bytes in arb_batch(), bit in any::<usize>()) {
+                let mut flipped = bytes;
+                let at = bit % (flipped.len() * 8);
+                flipped[at / 8] ^= 1 << (at % 8);
+                decodes_exactly_or_not_at_all(&flipped)?;
+            }
+        }
+    }
 }

@@ -2,8 +2,11 @@
 //! scheduler and the cyclic register allocator, isolated from caching,
 //! I/O and fleet plumbing.
 //!
-//! Three tiers, all over the same 60-loop corpus:
+//! Four tiers, all over the same 60-loop corpus:
 //!
+//! * `allocate/*` — the **allocator alone**: `allocate_in` over the
+//!   lifetimes of each loop's base schedule, precomputed outside the
+//!   timer (the packer race every base schedule and spill round runs).
 //! * `schedule_allocate/*` — the **schedule + allocate hot loop**: the
 //!   widened graphs and MII bounds are precomputed outside the timer,
 //!   so the measurement is exactly one `ModuloScheduler` run plus
@@ -23,7 +26,7 @@ use std::hint::black_box;
 use widening::machine::{Configuration, CycleModel};
 use widening::pipeline::{compile_ddg, PointSpec};
 use widening::regalloc::{
-    allocate_in, lifetimes_into, schedule_with_registers, AllocScratch, SpillOptions,
+    allocate_in, lifetimes, lifetimes_into, schedule_with_registers, AllocScratch, SpillOptions,
 };
 use widening::sched::{MiiBounds, ModuloScheduler, SchedScratch, SchedulerOptions};
 use widening::transform::widen;
@@ -54,6 +57,25 @@ fn bench_sched_alloc_throughput(c: &mut Criterion) {
         // corpus, as the sweep pipeline runs it.
         let mut sched_scratch = SchedScratch::new();
         let mut alloc_scratch = AllocScratch::new();
+        let base: Vec<_> = prepared
+            .iter()
+            .map(|(wide, bounds)| {
+                let s = scheduler
+                    .schedule_with(wide, bounds, 1, &mut sched_scratch)
+                    .expect("corpus loops schedule");
+                (lifetimes(wide, &s, MODEL), s.ii())
+            })
+            .collect();
+        g.bench_function(format!("allocate/{label}"), |b| {
+            b.iter(|| {
+                let mut regs = 0u64;
+                for (lts, ii) in &base {
+                    let a = allocate_in(lts, *ii, &mut alloc_scratch);
+                    regs += u64::from(a.registers_used());
+                }
+                black_box(regs)
+            })
+        });
         let mut lts = Vec::new();
         g.bench_function(format!("schedule_allocate/{label}"), |b| {
             b.iter(|| {

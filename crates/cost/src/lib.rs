@@ -58,7 +58,7 @@ pub use area::AreaModel;
 pub use calibrate::{calibrate, CalibrationReport};
 pub use cell::{CellGeometry, CellModel};
 pub use model::{CostModel, DesignPoint, IMPLEMENTABLE_BUDGET};
-pub use priority::{configuration_priority, sweep_priority};
+pub use priority::sweep_priority;
 pub use published::{PublishedAccessTime, PublishedCell, ACCESS_TIMES, CELLS};
 pub use sia::Technology;
 pub use timing::TimingModel;

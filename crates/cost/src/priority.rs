@@ -21,8 +21,6 @@
 //! by it before queueing them, and the distributed manifest, which
 //! orders each shard's units by it. No result depends on the order.
 
-use widening_machine::Configuration;
-
 /// Reference register-file size at which pressure stops being the
 /// dominant compile cost (the paper's largest file).
 const PRESSURE_REFERENCE_RF: u32 = 256;
@@ -53,13 +51,6 @@ pub fn sweep_priority(replication: u32, width: u32, registers: Option<u32>) -> u
     }
 }
 
-/// [`sweep_priority`] for a full machine configuration (partitioning
-/// does not change compile cost — only the resource mix matters).
-#[must_use]
-pub fn configuration_priority(cfg: &Configuration) -> u64 {
-    sweep_priority(cfg.replication(), cfg.widening(), Some(cfg.registers()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,15 +71,5 @@ mod tests {
         assert!(sweep_priority(16, 16, None) < sweep_priority(1, 1, Some(256)));
         // But keeps the bandwidth order within the peak band.
         assert!(sweep_priority(4, 2, None) > sweep_priority(1, 1, None));
-    }
-
-    #[test]
-    fn configuration_wrapper_ignores_partitioning() {
-        let mono: Configuration = "4w2(128:1)".parse().unwrap();
-        let split: Configuration = "4w2(128:4)".parse().unwrap();
-        assert_eq!(
-            configuration_priority(&mono),
-            configuration_priority(&split)
-        );
     }
 }

@@ -1,10 +1,9 @@
 //! Dense storage primitives for the compile-chain hot paths.
 //!
-//! Everything in the scheduler and register allocator is keyed by a
-//! small dense integer — a [`NodeId`](https://docs.rs) index, an edge
-//! index, a lifetime index, a kernel row, a cylinder slot. This crate
-//! provides the flat-table and word-bitset building blocks those hot
-//! paths share, all designed around one discipline:
+//! Everything in the scheduler is keyed by a small dense integer — a
+//! [`NodeId`](https://docs.rs) index, an edge index, a kernel row. This
+//! crate provides the flat-table and word-bitset building blocks those
+//! hot paths share, all designed around one discipline:
 //!
 //! * **reset, don't reallocate** — every container has a `reset(..)`
 //!   that clears and re-sizes in place, so a scratch arena warmed up
@@ -15,8 +14,7 @@
 //!
 //! The types here are deliberately minimal: no iterators that allocate,
 //! no entry APIs, no hashing. See the `sched` crate's `SchedScratch`
-//! and the `regalloc` crate's `AllocScratch` for the arenas composed
-//! from these parts.
+//! for the arena composed from these parts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1084,6 +1084,7 @@ mod tests {
             let bounds = stage_mii(wide.ddg(), &machine, spec.model);
             let result =
                 stage_base_schedule(wide.ddg(), &machine, spec.model, &spec.opts, &bounds)
+                    .0
                     .map(Arc::new);
             let bytes = encode_base(&result);
             let back = decode_base(&bytes, wide.ddg(), &machine, spec.model).expect("decodes");

@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use widening_ir::{Ddg, Loop};
 use widening_machine::CycleModel;
 use widening_obs as obs;
-use widening_obs::{MetricsRegistry, SpanKind};
+use widening_obs::{Histogram, MetricsRegistry, SpanKind};
 use widening_regalloc::SpillOptions;
 use widening_sched::{MiiBounds, Strategy};
 use widening_transform::WideningOutcome;
@@ -149,6 +149,11 @@ pub struct Pipeline {
     widened: StageStore<WideKey, Arc<WideningOutcome>>,
     bounds: StageStore<MiiKey, Arc<MiiBounds>>,
     base: StageStore<BaseKey, Result<Arc<BaseSchedule>, PipelineError>>,
+    /// Time each live base-schedule run spends in the register
+    /// allocator (`store.base-schedule.allocate-ns`), one sample per
+    /// live run, so the ledger splits the stage into allocator and
+    /// scheduler.
+    base_allocate: Arc<Histogram>,
     scheduled: StageStore<SchedKey, Result<Arc<ScheduledStage>, PipelineError>>,
     /// Stage 5: executable wide-loop bytecode lowered from the
     /// scheduled stage. Keyed identically to `scheduled` — lowering
@@ -186,6 +191,7 @@ impl Pipeline {
             widened: StageStore::pinned(StoreMetrics::for_stage(&metrics, "widen")),
             bounds: StageStore::pinned(StoreMetrics::for_stage(&metrics, "mii")),
             base: StageStore::pinned(StoreMetrics::for_stage(&metrics, "base-schedule")),
+            base_allocate: metrics.histogram("store.base-schedule.allocate-ns"),
             scheduled: StageStore::bounded(
                 config.memory_budget,
                 StoreMetrics::for_stage(&metrics, "schedule"),
@@ -424,14 +430,16 @@ impl Pipeline {
                 decode.cancel();
                 let _run = obs::span(SpanKind::BaseSchedule, a, b);
                 let bounds = self.mii_bounds(li, spec.replication, spec.width, spec.model);
-                let result = stage_base_schedule(
+                let (result, allocating) = stage_base_schedule(
                     wide.ddg(),
                     &spec.machine(),
                     spec.model,
                     &spec.opts,
                     &bounds,
-                )
-                .map(Arc::new);
+                );
+                self.base_allocate
+                    .record(u64::try_from(allocating.as_nanos()).unwrap_or(u64::MAX));
+                let result = result.map(Arc::new);
                 self.disk_store(key_bytes, || codec::encode_base(&result));
                 (result, Fetch::Computed)
             },

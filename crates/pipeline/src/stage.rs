@@ -14,6 +14,7 @@
 
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use widening_ir::Ddg;
 use widening_machine::{Configuration, CycleModel};
@@ -309,31 +310,36 @@ thread_local! {
 }
 
 /// Stage 3a — schedule + allocate once, ignoring the register file.
+/// Also returns the time spent in [`allocate_in`] (zero when scheduling
+/// fails first), which the driver records per live run.
 pub(crate) fn stage_base_schedule(
     wide: &Ddg,
     machine: &Configuration,
     model: CycleModel,
     opts: &CompileOptions,
     bounds: &MiiBounds,
-) -> Result<BaseSchedule, PipelineError> {
+) -> (Result<BaseSchedule, PipelineError>, Duration) {
     let scheduler = ModuloScheduler::with_options(*machine, model, opts.scheduler_options());
-    let (schedule, allocation, lts) = STAGE_SCRATCH.with(|cell| {
+    let mut allocating = Duration::ZERO;
+    let result = STAGE_SCRATCH.with(|cell| {
         let (sched_scratch, alloc_scratch) = &mut *cell.borrow_mut();
         let schedule = scheduler
             .schedule_with(wide, bounds, 1, sched_scratch)
             .map_err(PipelineError::Schedule)?;
         let lts = lifetimes(wide, &schedule, model);
+        let started = Instant::now();
         let allocation = allocate_in(&lts, schedule.ii(), alloc_scratch);
-        Ok::<_, PipelineError>((schedule, allocation, lts))
-    })?;
-    let needed = allocation.registers_used();
-    Ok(BaseSchedule {
-        schedule,
-        allocation,
-        lifetimes: lts,
-        needed,
-        fit: std::sync::OnceLock::new(),
-    })
+        allocating = started.elapsed();
+        let needed = allocation.registers_used();
+        Ok(BaseSchedule {
+            schedule,
+            allocation,
+            lifetimes: lts,
+            needed,
+            fit: std::sync::OnceLock::new(),
+        })
+    });
+    (result, allocating)
 }
 
 /// Stage 3 — schedule, allocate and spill-rewrite against a finite

@@ -84,3 +84,34 @@ fn register_file_sweep_reuses_widening_and_mii() {
     // for every loop whose requirement fits the file).
     assert_eq!(counts.schedule_runs, 4 * n, "{counts:?}");
 }
+
+#[test]
+fn base_schedule_allocator_time_is_recorded_once_per_live_run() {
+    let loops = generate(&CorpusSpec::small(24, 11));
+    let pipeline = Pipeline::new(loops);
+    let pts = points(&["1w1(64:1)", "2w2(64:1)", "4w2(32:1)"]);
+    let _ = pipeline.sweep(&pts, 4);
+    let runs = pipeline.stage_counts().base_schedule_runs;
+    let allocate = pipeline
+        .metrics()
+        .histogram("store.base-schedule.allocate-ns");
+    let latency = pipeline
+        .metrics()
+        .histogram("store.base-schedule.latency-ns");
+    assert!(runs > 0);
+    assert_eq!(allocate.count(), runs, "one sample per live base run");
+    assert!(allocate.sum() > 0);
+    // The allocator runs inside the stage, so its time is part of the
+    // stage's latency.
+    assert!(
+        allocate.sum() <= latency.sum(),
+        "allocate {} ns > stage latency {} ns",
+        allocate.sum(),
+        latency.sum()
+    );
+
+    // A replay runs no stage and records nothing.
+    let _ = pipeline.sweep(&pts, 4);
+    assert_eq!(pipeline.stage_counts().base_schedule_runs, runs);
+    assert_eq!(allocate.count(), runs);
+}

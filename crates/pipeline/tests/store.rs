@@ -60,6 +60,9 @@ fn warm_start_runs_zero_live_compile_stages() {
     assert_eq!(wc.mii_runs, 0, "{wc:?}");
     assert_eq!(wc.base_schedule_runs, 0, "{wc:?}");
     assert_eq!(wc.schedule_runs, 0, "{wc:?}");
+    // Disk decodes are not live runs: no allocator time is recorded.
+    let allocate = warm.metrics().histogram("store.base-schedule.allocate-ns");
+    assert_eq!(allocate.count(), 0);
     assert!(wc.disk_hits() > 0, "{wc:?}");
     assert_eq!(warm.disk_errors(), 0);
 

@@ -19,30 +19,37 @@
 //!
 //! # Dense packing representation
 //!
-//! The hot path keeps per-register occupancy as a **cylinder bitset**
-//! (one bit per slot, `c = K·II` slots), so the pairwise `overlaps`
-//! probe of the original `Vec<Vec<Arc>>` representation becomes a
-//! word-AND over at most `⌈c/64⌉` words:
+//! The hot path keeps **slot-major register sets** on the cylinder of
+//! `c = K·II` slots: `busy[w·c + p]` holds the registers `64w … 64w+63`
+//! occupied at slot `p`. A word row is appended whenever a register
+//! opens a new word, so the table is `c·⌈R/64⌉` words for `R`
+//! registers. An arc covers the wrapped run `[start, start + min(len,
+//! c))`, the full circle for `len ≥ c` and nothing for a degenerate
+//! `len = 0` arc, and two arcs overlap iff their slots meet — exactly
+//! the `overlaps` contract. So:
 //!
-//! * an arc's slot coverage equals the wrapped run
-//!   `[start, start + min(len, c))`, and two circular arcs overlap iff
-//!   their coverage sets intersect (for `len ≥ c` the set is the full
-//!   circle; a degenerate `len = 0` arc covers nothing and overlaps
-//!   nothing — exactly the `overlaps` contract);
-//! * end-fit's smallest-gap search keeps an **endpoint table bucketed
-//!   by cylinder slot**: walking slots backwards from the arc's start
-//!   and stopping at the first slot holding a disjoint register finds
-//!   the minimiser of `(start + c − end) mod c` directly — the cost is
-//!   the winning gap, not a scan of every register and occupant;
-//! * before that walk, end-fit checks for a **free register**: one AND
-//!   per register and word against the arc's mask. Every register has
-//!   an occupant end in some bucket, so the walk succeeds iff a
-//!   register is disjoint from the arc. When none is, the arc opens a
-//!   register at once instead of walking all `c` buckets to learn that;
-//! * the min-density cut evaluates candidate points (`{0} ∪ starts`)
-//!   against two **sorted endpoint arrays** — density at `p` is
-//!   `#{segment starts ≤ p} − #{segment ends ≤ p}` plus the full-circle
-//!   arc count — replacing the O(c·arcs) per-point coverage scan;
+//! * an arc's **free set** is the complement of the OR of the rows it
+//!   covers, masked to the open registers: one OR per covered slot and
+//!   word, not one AND per register. An arc covers a few slots, while a
+//!   wide loop's kernel opens dozens of registers;
+//! * **first-fit** takes the lowest free bit;
+//! * **end-fit** also keeps `ends[w·c + p]`, the registers with an
+//!   occupant ending at slot `p`. Walking `p = start, start−1, …` and
+//!   stopping at the first slot whose end set meets the free set finds
+//!   the minimiser of the backward gap `(start + c − end) mod c`; the
+//!   lowest bit there is the lowest register on ties. An arc whose free
+//!   set is empty opens a register without walking.
+//!
+//! The arc orders come from **stable counting sorts**; both keys, the
+//! start and `c − len`, are at most `c`:
+//!
+//! * adjacency order `(start, Reverse(len), lifetime, instance)`: the
+//!   lifetimes sorted longest first and expanded in that order, then
+//!   their arcs sorted by start;
+//! * longest-first order: the adjacency order sorted by `Reverse(len)`;
+//! * the min-density cut reads every density off one **coverage
+//!   difference array** over the `c` slots, at the candidates
+//!   `{0} ∪ starts` taken in order straight off the sorted arcs;
 //! * the cut-interval processing order is a **rotation** of adjacency
 //!   order at the cut (the arc keys form a total order, so the rotation
 //!   is exactly the sorted linearised order), not a second sort.
@@ -59,8 +66,7 @@
 //! as the reference implementations for the equivalence tests).
 
 use std::cmp::Reverse;
-
-use widening_dense::words;
+use std::ops::Range;
 
 use crate::lifetime::{max_lives_with, Lifetime};
 
@@ -180,7 +186,7 @@ impl RegisterAllocation {
 }
 
 /// One circular arc on the expanded kernel cylinder.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Arc {
     lifetime: u32,
     instance: u32,
@@ -213,6 +219,13 @@ impl Arc {
         }
         self.covers(other.start, c) || other.covers(self.start, c)
     }
+
+    /// The arc's slots on a cylinder of `c` slots: `[start, start + len)`
+    /// split at the wrap into its head and its wrapped tail.
+    fn slots(&self, c: usize) -> (Range<usize>, Range<usize>) {
+        let (s, e) = (self.start as usize, (self.start + self.len) as usize);
+        (s..e.min(c), 0..e.saturating_sub(c))
+    }
 }
 
 /// A packed register assignment: `(lifetime, instance, register)` in
@@ -220,45 +233,36 @@ impl Arc {
 type Packing = Vec<(u32, u32, u32)>;
 
 /// Cylinders larger than this (in slots) fall back to the legacy
-/// `Vec<Vec<Arc>>` packers rather than materialising per-register
-/// bitsets. Real schedules stay far below it: over the sweep grid,
-/// spill rounds included, the seed-1998 1180-loop corpus peaks at
-/// c = 304 (5 words, II 38 × K 8), and seeds 202, 7 and 31 at 320, 176
-/// and 224. Only adversarial lifetimes with enormous spans reach the
-/// fallback.
+/// `Vec<Vec<Arc>>` packers rather than materialising slot-major
+/// register sets. Real schedules stay far below it: over the sweep
+/// grid, spill rounds included, the seed-1998 1180-loop corpus peaks at
+/// c = 304 (II 38 × K 8), and seeds 202, 7 and 31 at 320, 176 and 224.
+/// Only adversarial lifetimes with enormous spans reach the fallback.
 const DENSE_SLOT_LIMIT: u64 = 1 << 14;
 
-/// Reusable working storage for [`allocate_in`]: arc tables, cylinder
-/// bitsets, endpoint tables and the candidate packings, all cleared —
+/// Reusable working storage for [`allocate_in`]: the arc orders, the
+/// slot-major register sets and the candidate packings, all cleared —
 /// not reallocated — between calls.
 #[derive(Debug, Clone, Default)]
 pub struct AllocScratch {
-    /// Arcs in adjacency (start-position) order.
+    /// Arcs in adjacency order, `(start, Reverse(len), lifetime,
+    /// instance)`.
     arcs: Vec<Arc>,
-    /// Per-arc cylinder coverage bitsets (`wpc` words each, matching
-    /// `arcs` order).
-    masks: Vec<u64>,
-    /// Arc index permutations: identity (adjacency order) and
-    /// longest-first.
-    idx_adj: Vec<u32>,
-    idx_len: Vec<u32>,
-    /// Cut-interval processing order.
-    idx_cut: Vec<u32>,
-    /// Per-register occupancy bitsets (flat, `wpc` words per register).
-    occ: Vec<u64>,
-    /// End-fit endpoint table, bucketed by cylinder slot: `buckets[p]`
-    /// lists the registers with an occupant end at slot `p`.
-    end_buckets: Vec<Vec<u32>>,
-    /// Min-density sweep: candidate cut points and sorted segment
-    /// endpoints.
-    cand: Vec<u64>,
-    seg_starts: Vec<u64>,
-    seg_ends: Vec<u64>,
+    /// Lifetime indices longest first: the order the arcs are expanded
+    /// in before their counting sort by start.
+    lt_order: Vec<u32>,
+    /// Indices into `arcs`, longest first: the second packing order.
+    by_len: Vec<u32>,
+    /// Counting-sort buckets, one per key `0..=c`.
+    counts: Vec<u32>,
+    /// The running packer's slot-major register sets.
+    sets: SlotSets,
     /// Best packing so far and the candidate being evaluated.
     best: Packing,
     tmp: Packing,
-    /// `max_lives` difference-array buffer.
-    rows: Vec<i64>,
+    /// Difference-array buffer: the `MaxLives` rows, then the cut
+    /// pass's slot coverage.
+    diff: Vec<i64>,
 }
 
 impl AllocScratch {
@@ -292,35 +296,17 @@ pub fn allocate(lifetimes: &[Lifetime], ii: u32) -> RegisterAllocation {
 #[must_use]
 pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> RegisterAllocation {
     assert!(ii >= 1, "II must be at least 1");
-    let ml = max_lives_with(lifetimes, ii, &mut s.rows);
-    let k = lifetimes
-        .iter()
-        .map(|lt| lt.concurrent_instances(ii))
-        .max()
-        .unwrap_or(1)
-        .max(1)
-        .next_power_of_two();
-    let c = u64::from(k) * u64::from(ii);
+    let ml = max_lives_with(lifetimes, ii, &mut s.diff);
+    let (k, c) = cylinder(lifetimes, ii);
 
-    // Expand each lifetime into K arcs (one per kernel copy) and sort by
-    // start position (adjacency ordering), then length descending for
+    // Expand each lifetime into K arcs (one per kernel copy) in
+    // adjacency order: by start position, then length descending for
     // deterministic, well-packed placement.
-    s.arcs.clear();
-    for (i, lt) in lifetimes.iter().enumerate() {
-        let len = u64::from(lt.len()).min(c);
-        for j in 0..k {
-            let start = (u64::from(lt.start) + u64::from(j) * u64::from(ii)) % c;
-            arcs_push(&mut s.arcs, i as u32, j, start, len);
-        }
-    }
-    // (start, len, lifetime, instance) is a total order, so the unstable
-    // sort is deterministic.
-    s.arcs
-        .sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
-
     let (registers_used, triples) = if c <= DENSE_SLOT_LIMIT {
-        pack_best_dense(lifetimes, ii, k, c, ml, s)
+        adjacency_order(lifetimes, ii, k, c as usize, s);
+        pack_best(lifetimes, ii, k, c as usize, ml, s)
     } else {
+        expand_sorted(lifetimes, ii, k, c, &mut s.arcs);
         pack_best_legacy(lifetimes, ii, k, c, s)
     };
 
@@ -342,102 +328,168 @@ pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> Reg
     }
 }
 
-fn arcs_push(arcs: &mut Vec<Arc>, lifetime: u32, instance: u32, start: u64, len: u64) {
-    arcs.push(Arc {
-        lifetime,
-        instance,
-        start,
-        len,
-    });
+/// The expansion degree `K` (see [`RegisterAllocation::kernel_unroll`])
+/// and the cylinder size `K·II`.
+fn cylinder(lifetimes: &[Lifetime], ii: u32) -> (u32, u64) {
+    let k = lifetimes
+        .iter()
+        .map(|lt| lt.concurrent_instances(ii))
+        .max()
+        .unwrap_or(1)
+        .max(1)
+        .next_power_of_two();
+    (k, u64::from(k) * u64::from(ii))
 }
 
-/// Runs the six packers on the dense (bitset) representation and
-/// returns the tightest packing. Mirrors [`pack_best_legacy`] result
-/// for result, candidate order and strict-improvement tie-breaking.
+/// The `k` arcs of lifetime `i`, in instance order: kernel copy `j`
+/// starts `j·II` slots later around the cylinder of `c` slots.
+fn arcs_of(lt: &Lifetime, i: u32, ii: u32, k: u32, c: u64) -> impl Iterator<Item = Arc> + Clone {
+    let (start, len) = (u64::from(lt.start), u64::from(lt.len()).min(c));
+    (0..k).map(move |j| Arc {
+        lifetime: i,
+        instance: j,
+        start: (start + u64::from(j) * u64::from(ii)) % c,
+        len,
+    })
+}
+
+/// Fills `s.arcs` with every arc in adjacency order, `(start,
+/// Reverse(len), lifetime, instance)`, by two stable counting sorts:
+/// the lifetimes longest first, then their arcs, expanded in that order
+/// (instances ascending), by start.
+fn adjacency_order(lifetimes: &[Lifetime], ii: u32, k: u32, c: usize, s: &mut AllocScratch) {
+    let longest_first = |&i: &u32| c - (lifetimes[i as usize].len() as usize).min(c);
+    counting_sort(
+        0..lifetimes.len() as u32,
+        c + 1,
+        longest_first,
+        &mut s.counts,
+        &mut s.lt_order,
+    );
+    let expanded = s
+        .lt_order
+        .iter()
+        .flat_map(|&i| arcs_of(&lifetimes[i as usize], i, ii, k, c as u64));
+    counting_sort(
+        expanded,
+        c,
+        |a: &Arc| a.start as usize,
+        &mut s.counts,
+        &mut s.arcs,
+    );
+}
+
+/// The second packing order, longest arcs first: a stable counting sort
+/// of the adjacency order by `Reverse(len)`, so ties keep `(start,
+/// lifetime, instance)` order.
+fn longest_first(arcs: &[Arc], c: usize, counts: &mut Vec<u32>, out: &mut Vec<u32>) {
+    let key = |&i: &u32| c - arcs[i as usize].len as usize;
+    counting_sort(0..arcs.len() as u32, c + 1, key, counts, out);
+}
+
+/// Stable counting sort: `out` receives `items` ordered by `key` (every
+/// key below `keys`), equal keys in input order. `items` is walked
+/// twice, to count and to place.
+fn counting_sort<T: Copy + Default>(
+    items: impl Iterator<Item = T> + Clone,
+    keys: usize,
+    key: impl Fn(&T) -> usize,
+    counts: &mut Vec<u32>,
+    out: &mut Vec<T>,
+) {
+    counts.clear();
+    counts.resize(keys, 0);
+    for item in items.clone() {
+        counts[key(&item)] += 1;
+    }
+    // Exclusive prefix sums: each bucket's first output slot.
+    let mut next = 0;
+    for n in counts.iter_mut() {
+        let here = *n;
+        *n = next;
+        next += here;
+    }
+    out.clear();
+    out.resize(next as usize, T::default());
+    for item in items {
+        let slot = &mut counts[key(&item)];
+        out[*slot as usize] = item;
+        *slot += 1;
+    }
+}
+
+/// Every arc, comparison-sorted into adjacency order: the expansion of
+/// the oversized-cylinder fallback, where a counting sort would need a
+/// bucket per slot.
+fn expand_sorted(lifetimes: &[Lifetime], ii: u32, k: u32, c: u64, arcs: &mut Vec<Arc>) {
+    arcs.clear();
+    for (i, lt) in lifetimes.iter().enumerate() {
+        arcs.extend(arcs_of(lt, i as u32, ii, k, c));
+    }
+    // (start, len, lifetime, instance) is a total order, so the unstable
+    // sort is deterministic.
+    arcs.sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
+}
+
+/// Runs the six packers on slot-major register sets and returns the
+/// tightest packing. Mirrors [`pack_best_legacy`] result for result,
+/// candidate order and strict-improvement tie-breaking.
 ///
 /// The race stops once the best packing uses `max_lives` registers:
 /// every packing needs at least that many, and only a strictly smaller
 /// count replaces the best, so no later packer could change the answer.
-fn pack_best_dense<'a>(
+fn pack_best<'a>(
     lifetimes: &[Lifetime],
     ii: u32,
     k: u32,
-    c: u64,
+    c: usize,
     max_lives: u32,
     s: &'a mut AllocScratch,
 ) -> (u32, &'a Packing) {
-    let n = s.arcs.len();
-    let wpc = words::words_for(c as usize);
-    s.masks.clear();
-    s.masks.resize(n * wpc, 0);
-    for (i, a) in s.arcs.iter().enumerate() {
-        if a.len > 0 {
-            words::set_wrapped_run(
-                &mut s.masks[i * wpc..(i + 1) * wpc],
-                c as usize,
-                a.start as usize,
-                a.len as usize,
-            );
-        }
-    }
-    s.idx_adj.clear();
-    s.idx_adj.extend(0..n as u32);
-    s.idx_len.clear();
-    s.idx_len.extend(0..n as u32);
-    // A second arc order — longest arcs first — often packs dense mixes
-    // a register or two tighter; both orders feed both greedy packers.
-    let arcs = &s.arcs;
-    s.idx_len.sort_unstable_by_key(|&i| {
-        let a = &arcs[i as usize];
-        (Reverse(a.len), a.start, a.lifetime, a.instance)
-    });
-
+    let AllocScratch {
+        arcs,
+        by_len,
+        counts,
+        sets,
+        best,
+        tmp,
+        diff,
+        ..
+    } = s;
     // Run the packers and keep the tightest result. End-fit is Rau's
     // published heuristic; first-fit and the min-density-cut interval
     // pass are classic fallbacks; Lam's private-cyclic expansion wins
     // when the shared cylinder fragments badly.
-    let mut best_regs = pack_end_fit_dense(
-        &s.arcs,
-        &s.idx_adj,
-        &s.masks,
-        wpc,
-        c,
-        &mut s.occ,
-        &mut s.end_buckets,
-        &mut s.best,
-    );
+    let mut best_regs = pack_end_fit(arcs.iter(), c, sets, best);
     debug_assert!(best_regs >= max_lives, "end-fit beat MaxLives");
     for which in 0..5 {
         if best_regs == max_lives {
             break;
         }
         let regs = match which {
-            0 => pack_first_fit_dense(&s.arcs, &s.idx_adj, &s.masks, wpc, &mut s.occ, &mut s.tmp),
-            1 => pack_end_fit_dense(
-                &s.arcs,
-                &s.idx_len,
-                &s.masks,
-                wpc,
-                c,
-                &mut s.occ,
-                &mut s.end_buckets,
-                &mut s.tmp,
-            ),
-            2 => pack_first_fit_dense(&s.arcs, &s.idx_len, &s.masks, wpc, &mut s.occ, &mut s.tmp),
-            3 => pack_cut_interval_dense(s, wpc, c),
-            _ => pack_private_cyclic(lifetimes, ii, k, &mut s.tmp),
+            0 => pack_first_fit(arcs.iter(), c, sets, tmp),
+            1 => {
+                // A second arc order — longest arcs first — often packs
+                // dense mixes a register or two tighter; both orders
+                // feed both greedy packers.
+                longest_first(arcs, c, counts, by_len);
+                pack_end_fit(by_len.iter().map(|&i| &arcs[i as usize]), c, sets, tmp)
+            }
+            2 => pack_first_fit(by_len.iter().map(|&i| &arcs[i as usize]), c, sets, tmp),
+            3 => pack_cut_interval(arcs, c, diff, sets, tmp),
+            _ => pack_private_cyclic(lifetimes, ii, k, tmp),
         };
         debug_assert!(regs >= max_lives, "packer {which} beat MaxLives");
         if regs < best_regs {
             best_regs = regs;
-            std::mem::swap(&mut s.best, &mut s.tmp);
+            std::mem::swap(best, tmp);
         }
     }
-    (best_regs, &s.best)
+    (best_regs, best)
 }
 
 /// The original `Vec<Vec<Arc>>` packers, used verbatim when the
-/// cylinder is too large to bitset (`c > DENSE_SLOT_LIMIT`).
+/// cylinder is too large for slot-major sets (`c > DENSE_SLOT_LIMIT`).
 fn pack_best_legacy<'a>(
     lifetimes: &[Lifetime],
     ii: u32,
@@ -488,229 +540,266 @@ fn pack_private_cyclic(
     base
 }
 
-// ----- dense (bitset) packers --------------------------------------------
+// ----- slot-major packers ------------------------------------------------
 
-/// First-fit over cylinder bitsets: each arc goes to the lowest-indexed
-/// register whose occupancy words AND to zero against the arc's mask.
-fn pack_first_fit_dense(
-    arcs: &[Arc],
-    order: &[u32],
-    masks: &[u64],
-    wpc: usize,
-    occ: &mut Vec<u64>,
-    out: &mut Packing,
-) -> u32 {
-    occ.clear();
-    out.clear();
-    for &i in order {
-        let arc = &arcs[i as usize];
-        let mask = &masks[i as usize * wpc..(i as usize + 1) * wpc];
-        let nregs = occ.len() / wpc;
-        // Single-word cylinders (c ≤ 64, the common case) probe a flat
-        // `u64` per register — one AND per probe, no slicing.
-        let r = if wpc == 1 {
-            let m = mask[0];
-            occ.iter().position(|&w| w & m == 0)
-        } else {
-            (0..nregs).find(|&r| words::disjoint(&occ[r * wpc..(r + 1) * wpc], mask))
-        };
-        let r = match r {
-            Some(r) => {
-                words::union_into(&mut occ[r * wpc..(r + 1) * wpc], mask);
-                r
-            }
-            None => {
-                occ.extend_from_slice(mask);
-                nregs
-            }
-        };
-        out.push((arc.lifetime, arc.instance, r as u32));
-    }
-    (occ.len() / wpc) as u32
+/// Slot-major register sets on a cylinder of `c` slots, one word per 64
+/// open registers: `busy[w·c + p]` holds the registers `64w … 64w+63`
+/// occupied at slot `p`, and `ends[w·c + p]` those with an occupant
+/// ending at `p` (read by end-fit only). A word row is appended to both
+/// whenever a register opens a new word, so each table is `c·⌈R/64⌉`
+/// words for `R` registers.
+#[derive(Debug, Clone, Default)]
+struct SlotSets {
+    busy: Vec<u64>,
+    ends: Vec<u64>,
+    /// The current arc's free registers, one word per 64.
+    free: Vec<u64>,
+    /// Registers opened so far.
+    nregs: usize,
 }
 
-/// End-fit over cylinder bitsets + slot-bucketed endpoint tables:
-/// among the registers whose occupancy is disjoint from the arc, pick
-/// the one whose nearest preceding occupant end leaves the smallest
-/// backward gap `(start + c − end) mod c`, lowest register on ties.
-///
-/// `buckets[p]` lists every register with an occupant end at slot `p`.
-/// Walking `p = start, start−1, …` (gap `g = 0, 1, …`) and stopping at
-/// the first slot holding a disjoint register finds exactly the
-/// reference minimum: a disjoint register with true gap `g' < g` has
-/// its nearest preceding end at slot `start − g'`, so it is in that
-/// bucket and the walk would already have stopped there — hence any
-/// disjoint register met at slot distance `g` has true gap `g`. The
-/// per-arc cost is the winning gap plus the endpoint entries passed
-/// over, instead of a scan of every register. An arc that fits no
-/// register skips the walk: a first pass of one AND per register and
-/// word finds no disjoint register.
-#[allow(clippy::too_many_arguments)]
-fn pack_end_fit_dense(
-    arcs: &[Arc],
-    order: &[u32],
-    masks: &[u64],
-    wpc: usize,
-    c: u64,
-    occ: &mut Vec<u64>,
-    buckets: &mut Vec<Vec<u32>>,
-    out: &mut Packing,
-) -> u32 {
-    occ.clear();
-    out.clear();
-    if buckets.len() < c as usize {
-        buckets.resize_with(c as usize, Vec::new);
+impl SlotSets {
+    fn reset(&mut self) {
+        self.busy.clear();
+        self.ends.clear();
+        self.nregs = 0;
     }
-    for b in &mut buckets[..c as usize] {
-        b.clear();
+
+    /// The open registers among word `w`'s 64: all of them, or the low
+    /// bits of the last, partly filled word.
+    fn opened(&self, w: usize) -> u64 {
+        match self.nregs - 64 * w {
+            n if n >= 64 => u64::MAX,
+            n => (1 << n) - 1,
+        }
     }
-    let mut nregs = 0usize;
-    for &i in order {
-        let arc = &arcs[i as usize];
-        let mask = &masks[i as usize * wpc..(i as usize + 1) * wpc];
-        // The walk finds a register iff one is disjoint from the arc:
-        // every register has an occupant end in some bucket.
-        let any_free = if wpc == 1 {
-            occ.iter().any(|&w| w & mask[0] == 0)
-        } else {
-            occ.chunks_exact(wpc).any(|row| words::disjoint(row, mask))
-        };
-        let mut best: Option<usize> = None;
-        if any_free {
-            'walk: for g in 0..c {
-                let p = (arc.start + c - g) % c;
-                // Lowest disjoint register in this bucket wins the tie.
-                let mut cand: Option<usize> = None;
-                for &r in &buckets[p as usize] {
-                    let r = r as usize;
-                    if cand.is_some_and(|b| r >= b) {
-                        continue;
-                    }
-                    let free = if wpc == 1 {
-                        occ[r] & mask[0] == 0
-                    } else {
-                        words::disjoint(&occ[r * wpc..(r + 1) * wpc], mask)
-                    };
-                    if free {
-                        cand = Some(r);
-                    }
-                }
-                if cand.is_some() {
-                    best = cand;
-                    break 'walk;
-                }
+
+    /// The open registers of word `w` that hold nothing in the arc's
+    /// slots: the complement of the OR of the word's rows the arc covers.
+    fn free_in(&self, w: usize, arc: &Arc, c: usize) -> u64 {
+        let (head, tail) = arc.slots(c);
+        let row = &self.busy[w * c..(w + 1) * c];
+        let taken = row[head]
+            .iter()
+            .chain(&row[tail])
+            .fold(0, |acc, &b| acc | b);
+        !taken & self.opened(w)
+    }
+
+    /// First-fit's pick: the lowest free register, from the first word
+    /// that has one.
+    fn lowest_free(&self, arc: &Arc, c: usize) -> Option<usize> {
+        (0..self.nregs.div_ceil(64)).find_map(|w| {
+            let f = self.free_in(w, arc, c);
+            (f != 0).then(|| 64 * w + f.trailing_zeros() as usize)
+        })
+    }
+
+    /// Fills `free` with every word's free registers and returns whether
+    /// there are any.
+    fn find_free(&mut self, arc: &Arc, c: usize) -> bool {
+        self.free.clear();
+        for w in 0..self.nregs.div_ceil(64) {
+            let f = self.free_in(w, arc, c);
+            self.free.push(f);
+        }
+        self.free.iter().any(|&f| f != 0)
+    }
+
+    /// End-fit's pick among the free registers: walking `p = start,
+    /// start−1, …` around the cylinder, the lowest register in the first
+    /// end set that meets the free set. Each word walks its own row, and
+    /// only as far as a gap smaller than a lower word's best, so ties go
+    /// to the lower word.
+    fn nearest_end(&self, start: usize, c: usize) -> usize {
+        let (mut best_gap, mut best) = (c, None);
+        for (w, &f) in self.free.iter().enumerate() {
+            if f == 0 {
+                continue;
+            }
+            let row = &self.ends[w * c..(w + 1) * c];
+            let walk = row[..=start]
+                .iter()
+                .rev()
+                .chain(row[start + 1..].iter().rev());
+            let hit = walk.take(best_gap).enumerate().find_map(|(gap, &e)| {
+                let set = e & f;
+                (set != 0).then_some((gap, set))
+            });
+            if let Some((gap, set)) = hit {
+                (best_gap, best) = (gap, Some(64 * w + set.trailing_zeros() as usize));
             }
         }
-        let r = match best {
-            Some(r) => {
-                words::union_into(&mut occ[r * wpc..(r + 1) * wpc], mask);
-                r
-            }
-            None => {
-                occ.extend_from_slice(mask);
-                nregs += 1;
-                nregs - 1
-            }
-        };
-        buckets[((arc.start + arc.len) % c) as usize].push(r as u32);
-        out.push((arc.lifetime, arc.instance, r as u32));
+        best.expect("every open register has an occupant end")
     }
-    nregs as u32
+
+    /// Opens the next register, appending a zeroed word row to both
+    /// tables when it starts a new word.
+    fn open(&mut self, c: usize) -> usize {
+        let r = self.nregs;
+        if r.is_multiple_of(64) {
+            self.busy.resize(self.busy.len() + c, 0);
+            self.ends.resize(self.ends.len() + c, 0);
+        }
+        self.nregs += 1;
+        r
+    }
+
+    /// Places `arc` in register `r`: busy over its slots, and an end at
+    /// slot `(start + len) mod c`.
+    fn occupy(&mut self, r: usize, arc: &Arc, c: usize) {
+        let (row, bit) = (r / 64 * c, 1u64 << (r % 64));
+        let (head, tail) = arc.slots(c);
+        let busy = &mut self.busy[row..row + c];
+        for b in &mut busy[head] {
+            *b |= bit;
+        }
+        for b in &mut busy[tail] {
+            *b |= bit;
+        }
+        self.ends[row + (arc.start + arc.len) as usize % c] |= bit;
+    }
 }
 
-/// Min-density cut on sorted endpoints, then greedy interval colouring
-/// over the linearised coordinate. The cut is the first point of
-/// minimum density among `{0} ∪ starts`; density at `p` counts the
-/// arcs covering `p`, evaluated as `#{segment starts ≤ p} − #{segment
-/// ends ≤ p}` (+1 per full-circle arc) — one sorted endpoint sweep
-/// instead of scanning every arc per candidate.
-fn pack_cut_interval_dense(s: &mut AllocScratch, wpc: usize, c: u64) -> u32 {
-    let AllocScratch {
-        arcs,
-        masks,
-        idx_cut,
-        occ,
-        cand,
-        seg_starts,
-        seg_ends,
-        tmp,
-        ..
-    } = s;
-    // Candidate cut points, ascending (matches the original 0..c scan
-    // filtered to starts).
-    cand.clear();
-    cand.push(0);
-    cand.extend(arcs.iter().map(|a| a.start));
-    cand.sort_unstable();
-    cand.dedup();
-    // Decompose each arc into at most two linear segments; full-circle
-    // arcs (len ≥ c) and degenerate zero-length arcs contribute a
-    // uniform density at every point (`covers` returns `true`
-    // everywhere for both), so they fold into a constant base.
-    seg_starts.clear();
-    seg_ends.clear();
-    let mut base = 0u64;
-    for a in arcs.iter() {
-        if a.len >= c || a.len == 0 {
+/// First-fit: each arc goes to the lowest open register free over its
+/// slots, or opens one.
+fn pack_first_fit<'a>(
+    order: impl Iterator<Item = &'a Arc>,
+    c: usize,
+    sets: &mut SlotSets,
+    out: &mut Packing,
+) -> u32 {
+    sets.reset();
+    out.clear();
+    for arc in order {
+        let r = match sets.lowest_free(arc, c) {
+            Some(r) => r,
+            None => sets.open(c),
+        };
+        sets.occupy(r, arc, c);
+        out.push((arc.lifetime, arc.instance, r as u32));
+    }
+    sets.nregs as u32
+}
+
+/// End-fit: among the registers free over the arc's slots, pick the one
+/// whose nearest preceding occupant end leaves the smallest backward gap
+/// `(start + c − end) mod c`, lowest register on ties; open one when
+/// none is free.
+///
+/// The end sets answer this directly. Walking `p = start, start−1, …`
+/// (gap `g = 0, 1, …`) and stopping at the first slot whose end set
+/// meets the free set finds exactly the reference minimum: a free
+/// register with true gap `g' < g` has an occupant end at slot
+/// `start − g'`, so the walk would already have stopped there — hence
+/// every free register met at distance `g` has true gap `g`. Every open
+/// register has an occupant end, so the walk succeeds iff the free set
+/// is not empty.
+fn pack_end_fit<'a>(
+    order: impl Iterator<Item = &'a Arc>,
+    c: usize,
+    sets: &mut SlotSets,
+    out: &mut Packing,
+) -> u32 {
+    sets.reset();
+    out.clear();
+    for arc in order {
+        let r = if sets.find_free(arc, c) {
+            sets.nearest_end(arc.start as usize, c)
+        } else {
+            sets.open(c)
+        };
+        sets.occupy(r, arc, c);
+        out.push((arc.lifetime, arc.instance, r as u32));
+    }
+    sets.nregs as u32
+}
+
+/// Min-density cut, then greedy interval colouring over the linearised
+/// coordinate. The cut is the first point of minimum density among
+/// `{0} ∪ starts`, where density at `p` counts the arcs covering `p`.
+/// One coverage difference array over the `c` slots gives every
+/// density, read at the candidates in ascending order straight off the
+/// adjacency-ordered arcs.
+fn pack_cut_interval(
+    arcs: &[Arc],
+    c: usize,
+    diff: &mut Vec<i64>,
+    sets: &mut SlotSets,
+    out: &mut Packing,
+) -> u32 {
+    // Full-circle arcs (len ≥ c) and degenerate zero-length arcs cover
+    // every point (`covers` returns `true` everywhere for both), so they
+    // fold into a constant base.
+    diff.clear();
+    diff.resize(c + 1, 0);
+    let mut base = 0i64;
+    let mut zero_len = false;
+    for a in arcs {
+        let (s, len) = (a.start as usize, a.len as usize);
+        if len == 0 || len >= c {
             base += 1;
+            zero_len |= len == 0;
             continue;
         }
-        let e = (a.start + a.len) % c;
-        if a.start < e {
-            seg_starts.push(a.start);
-            seg_ends.push(e);
+        let e = s + len;
+        diff[s] += 1;
+        if e <= c {
+            diff[e] -= 1;
         } else {
-            seg_starts.push(a.start); // [start, c): its end c exceeds every p
-            seg_ends.push(c);
-            if e > 0 {
-                seg_starts.push(0);
-                seg_ends.push(e);
-            }
+            // Wraps: [s, c) and [0, e − c).
+            diff[0] += 1;
+            diff[e - c] -= 1;
         }
     }
-    seg_starts.sort_unstable();
-    seg_ends.sort_unstable();
-    let mut cut = 0u64;
-    let mut best_density = u64::MAX;
-    for &p in cand.iter() {
-        let d = base + seg_starts.partition_point(|&x| x <= p) as u64
-            - seg_ends.partition_point(|&x| x <= p) as u64;
-        if d < best_density {
-            best_density = d;
-            cut = p;
+    // Candidates in ascending order, each with the index of the first
+    // arc starting at or after it; a repeated start re-reads the same
+    // density and never wins, so the first occurrence sets the split.
+    let (mut cut, mut split, mut best) = (0, 0, i64::MAX);
+    let (mut density, mut summed) = (base, 0);
+    let starts = arcs.iter().enumerate().map(|(i, a)| (i, a.start as usize));
+    for (i, p) in std::iter::once((0, 0)).chain(starts) {
+        while summed <= p {
+            density += diff[summed];
+            summed += 1;
+        }
+        if density < best {
+            (best, cut, split) = (density, p, i);
         }
     }
 
     // Greedy first-fit in linearised order: distance clockwise from the
     // cut. An arc's slot set is rotation-invariant, so segment
-    // disjointness in linearised coordinates is exactly mask
-    // disjointness in cylinder coordinates. The arcs are in adjacency
-    // order, a total order on `(start, Reverse(len), lifetime,
-    // instance)`, so sorting by `((start − cut) mod c, …)` is a rotation:
-    // the arcs starting at or after the cut, then those before it.
-    let split = arcs.partition_point(|a| a.start < cut);
-    idx_cut.clear();
-    idx_cut.extend((split..arcs.len()).chain(0..split).map(|i| i as u32));
-    if arcs.iter().any(|a| a.len == 0) {
+    // disjointness in linearised coordinates is exactly slot-set
+    // disjointness on the cylinder. The arcs are in adjacency order, a
+    // total order on `(start, Reverse(len), lifetime, instance)`, so
+    // sorting by `((start − cut) mod c, …)` is a rotation: the arcs
+    // starting at or after the cut, then those before it.
+    let order = arcs[split..].iter().chain(&arcs[..split]);
+    if zero_len {
         // Degenerate zero-length arcs: the original segment logic treats
         // the empty segment [s, s) as a blocking *point* (it refuses
         // registers where s falls strictly inside an occupied segment),
-        // which a coverage bitset cannot express. Keep the original
-        // semantics on this cold path.
-        return pack_cut_segments(arcs, idx_cut, c, cut, tmp);
+        // which a slot set cannot express. Keep the original semantics
+        // on this cold path.
+        return pack_cut_segments(order, c as u64, cut as u64, out);
     }
-    pack_first_fit_dense(arcs, idx_cut, masks, wpc, occ, tmp)
+    pack_first_fit(order, c, sets, out)
 }
 
 /// The original cut-interval segment packer body, shared by the
-/// zero-length-arc path of [`pack_cut_interval_dense`] (exact
-/// degenerate-point semantics) and by [`pack_cut_interval_ref`].
-fn pack_cut_segments(arcs: &[Arc], order: &[u32], c: u64, cut: u64, out: &mut Packing) -> u32 {
+/// zero-length-arc path of [`pack_cut_interval`] (exact degenerate-point
+/// semantics) and by [`pack_cut_interval_ref`].
+fn pack_cut_segments<'a>(
+    order: impl Iterator<Item = &'a Arc>,
+    c: u64,
+    cut: u64,
+    out: &mut Packing,
+) -> u32 {
     out.clear();
     let lin = |p: u64| (p + c - cut) % c;
     let mut registers: Vec<Vec<(u64, u64)>> = Vec::new(); // busy [from, to) segments
-    for &i in order {
-        let arc = &arcs[i as usize];
+    for arc in order {
         let (s, e) = (lin(arc.start), lin(arc.start) + arc.len.min(c));
         // An arc crossing the cut occupies [s, c) and wraps to [0, e-c).
         let new_segs: &[(u64, u64)] = if e > c {
@@ -814,7 +903,7 @@ fn pack_cut_interval_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
         (lin(a.start), Reverse(a.len), a.lifetime, a.instance)
     });
     let mut out = Vec::new();
-    let regs = pack_cut_segments(arcs, &order, c, cut, &mut out);
+    let regs = pack_cut_segments(order.iter().map(|&i| &arcs[i as usize]), c, cut, &mut out);
     (regs, out)
 }
 
@@ -981,47 +1070,46 @@ mod tests {
         assert!(!b.overlaps(&d, c));
     }
 
-    /// Build the dense-side inputs (sorted arcs + masks + orders) the
-    /// way `allocate_in` does, for packer-level equivalence checks.
-    fn dense_inputs(lts: &[Lifetime], ii: u32) -> (Vec<Arc>, Vec<u64>, usize, u64) {
-        let k = lts
-            .iter()
-            .map(|l| l.concurrent_instances(ii))
-            .max()
-            .unwrap_or(1)
-            .max(1)
-            .next_power_of_two();
-        let c = u64::from(k) * u64::from(ii);
-        let mut arcs = Vec::new();
+    #[test]
+    fn counting_sorted_arc_orders_match_comparison_sorts() {
+        // Four starts and four lengths (zero and the full circle
+        // included) across 40 lifetimes: nearly every arc ties with
+        // another on start, on length or on both, so only stable
+        // counting sorts reproduce the comparison orders.
+        let ii = 4;
+        let lts: Vec<Lifetime> = (0..40)
+            .map(|i| {
+                let start = [0, 1, 5, 9][(i % 4) as usize];
+                lt(i, start, start + [2, 0, 8, 3, 8][(i % 5) as usize])
+            })
+            .collect();
+        let (k, c) = cylinder(&lts, ii);
+        assert_eq!((k, c), (2, 8));
+
+        let mut expected: Vec<Arc> = Vec::new();
         for (i, l) in lts.iter().enumerate() {
-            let len = u64::from(l.len()).min(c);
-            for j in 0..k {
-                let start = (u64::from(l.start) + u64::from(j) * u64::from(ii)) % c;
-                arcs_push(&mut arcs, i as u32, j, start, len);
-            }
+            expected.extend(arcs_of(l, i as u32, ii, k, c));
         }
-        arcs.sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
-        let wpc = words::words_for(c as usize);
-        let mut masks = vec![0u64; arcs.len() * wpc];
-        for (i, a) in arcs.iter().enumerate() {
-            if a.len > 0 {
-                words::set_wrapped_run(
-                    &mut masks[i * wpc..(i + 1) * wpc],
-                    c as usize,
-                    a.start as usize,
-                    a.len as usize,
-                );
-            }
-        }
-        (arcs, masks, wpc, c)
+        expected.sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
+        let mut s = AllocScratch::new();
+        adjacency_order(&lts, ii, k, c as usize, &mut s);
+        assert_eq!(s.arcs, expected, "adjacency order");
+
+        let mut by_len: Vec<u32> = (0..expected.len() as u32).collect();
+        by_len.sort_unstable_by_key(|&i| {
+            let a = &expected[i as usize];
+            (Reverse(a.len), a.start, a.lifetime, a.instance)
+        });
+        longest_first(&s.arcs, c as usize, &mut s.counts, &mut s.by_len);
+        assert_eq!(s.by_len, by_len, "longest-first order");
     }
 
     #[test]
     fn dense_packers_match_reference_packers() {
         // Several lifetime mixes, including wrap-heavy and full-circle
-        // shapes: every dense packer must reproduce its reference packer
-        // bit for bit (registers AND triples), and so must the whole
-        // race, MaxLives exit included.
+        // shapes: every slot-major packer must reproduce its reference
+        // packer bit for bit (registers AND triples), and so must the
+        // whole race, MaxLives exit included.
         let cases: Vec<(Vec<Lifetime>, u32)> = vec![
             // End-fit needs MaxLives + 1 here and a later packer reaches
             // MaxLives, so the race must not stop one register early.
@@ -1054,7 +1142,9 @@ mod tests {
         for (case, (lts, ii)) in cases.iter().enumerate() {
             let (race_regs, _) = assert_dense_matches_reference(lts, *ii, &format!("case {case}"));
             if case == 0 {
-                let (arcs, _, _, c) = dense_inputs(lts, *ii);
+                let (k, c) = cylinder(lts, *ii);
+                let mut arcs = Vec::new();
+                expand_sorted(lts, *ii, k, c, &mut arcs);
                 let ml = max_lives_with(lts, *ii, &mut Vec::new());
                 assert_eq!(pack_end_fit_ref(&arcs, c).0, ml + 1);
                 assert_eq!(race_regs, ml);
@@ -1062,55 +1152,53 @@ mod tests {
         }
     }
 
-    /// Asserts that every dense packer reproduces its reference packer
-    /// bit for bit (registers AND triples), and so does the whole race,
-    /// MaxLives exit included. Returns the race's register count and
-    /// the cylinder's words per register.
-    fn assert_dense_matches_reference(lts: &[Lifetime], ii: u32, what: &str) -> (u32, usize) {
-        let (arcs, masks, wpc, c) = dense_inputs(lts, ii);
-        let idx: Vec<u32> = (0..arcs.len() as u32).collect();
-        let mut occ = Vec::new();
-        let mut buckets: Vec<Vec<u32>> = Vec::new();
+    /// Asserts that the counting sorts reproduce the comparison-sorted
+    /// arc orders, that every slot-major packer reproduces its reference
+    /// packer bit for bit (registers AND triples) — first-fit and end-fit
+    /// in both orders — and that so does the whole race, MaxLives exit
+    /// included. Returns the race's register count and the cylinder
+    /// size.
+    fn assert_dense_matches_reference(lts: &[Lifetime], ii: u32, what: &str) -> (u32, u64) {
+        let (k, c) = cylinder(lts, ii);
+        let cu = c as usize;
+        let mut arcs = Vec::new();
+        expand_sorted(lts, ii, k, c, &mut arcs);
+        let mut s = AllocScratch::new();
+        adjacency_order(lts, ii, k, cu, &mut s);
+        assert_eq!(s.arcs, arcs, "adjacency order {what}");
+        let mut by_len = arcs.clone();
+        by_len.sort_unstable_by_key(|a| (Reverse(a.len), a.start, a.lifetime, a.instance));
+        longest_first(&arcs, cu, &mut s.counts, &mut s.by_len);
+        let longest = || s.by_len.iter().map(|&i| &arcs[i as usize]);
+        assert!(longest().eq(&by_len), "longest-first order {what}");
+
+        let mut sets = SlotSets::default();
         let mut out = Vec::new();
+        for (order, name) in [(&arcs, "adjacency"), (&by_len, "longest-first")] {
+            let (rr, ra) = pack_first_fit_ref(order, c);
+            let dr = pack_first_fit(order.iter(), cu, &mut sets, &mut out);
+            assert_eq!((rr, &ra), (dr, &out), "first-fit, {name} order, {what}");
 
-        let (rr, ra) = pack_first_fit_ref(&arcs, c);
-        let dr = pack_first_fit_dense(&arcs, &idx, &masks, wpc, &mut occ, &mut out);
-        assert_eq!((rr, &ra), (dr, &out), "first-fit {what}");
-
-        let (rr, ra) = pack_end_fit_ref(&arcs, c);
-        let dr = pack_end_fit_dense(
-            &arcs,
-            &idx,
-            &masks,
-            wpc,
-            c,
-            &mut occ,
-            &mut buckets,
-            &mut out,
-        );
-        assert_eq!((rr, &ra), (dr, &out), "end-fit {what}");
+            let (rr, ra) = pack_end_fit_ref(order, c);
+            let dr = pack_end_fit(order.iter(), cu, &mut sets, &mut out);
+            assert_eq!((rr, &ra), (dr, &out), "end-fit, {name} order, {what}");
+        }
 
         let (rr, ra) = pack_cut_interval_ref(&arcs, c);
-        let mut s = AllocScratch::new();
-        s.arcs = arcs.clone();
-        s.masks = masks;
-        let dr = pack_cut_interval_dense(&mut s, wpc, c);
-        assert_eq!((rr, &ra), (dr, &s.tmp), "cut-interval {what}");
+        let dr = pack_cut_interval(&arcs, cu, &mut Vec::new(), &mut sets, &mut out);
+        assert_eq!((rr, &ra), (dr, &out), "cut-interval {what}");
 
-        let k = (c / u64::from(ii)) as u32;
         let ml = max_lives_with(lts, ii, &mut Vec::new());
-        let mut dense = AllocScratch::new();
-        dense.arcs = arcs.clone();
-        let race = pack_best_dense(lts, ii, k, c, ml, &mut dense);
+        let race = pack_best(lts, ii, k, cu, ml, &mut s);
         let mut legacy = AllocScratch::new();
         legacy.arcs = arcs;
         let reference = pack_best_legacy(lts, ii, k, c, &mut legacy);
         assert_eq!(race, reference, "race {what}");
-        (race.0, wpc)
+        (race.0, c)
     }
 
-    /// Random lifetimes on a cylinder of 65–600 slots, so the dense
-    /// packers take their multi-word (`wpc ≥ 2`) paths. The first
+    /// Random lifetimes on a cylinder of 65–600 slots, so every slot-major
+    /// row spans more than one 64-slot stretch of the cylinder. The first
     /// lifetime spans more than half the cylinder, which pins the
     /// expansion degree to `k`; the rest start anywhere and span up to
     /// the whole cylinder.
@@ -1143,16 +1231,72 @@ mod tests {
             })
     }
 
+    /// Crowded, tie-heavy cylinders of 1–320 slots: up to 99 lifetimes
+    /// whose starts and lengths come from pools of three values, so arcs
+    /// tie on start and on length all the time. A pooled length is zero,
+    /// the full cylinder or anything between. The first lifetime spans
+    /// exactly `k·II`: it pins the expansion degree to `k` and is a
+    /// full-circle arc.
+    fn arb_crowded_cylinder() -> impl Strategy<Value = (Vec<Lifetime>, u32)> {
+        let pool = || proptest::collection::vec((0u32..1000, 0u32..4), 3);
+        (
+            0u32..=3,
+            1u32..=40,
+            pool(),
+            pool(),
+            proptest::collection::vec((0usize..3, 0usize..3), 1..100),
+        )
+            .prop_map(|(log_k, ii, starts, lens, picks)| {
+                let c = (1 << log_k) * ii;
+                let lens: Vec<u32> = lens
+                    .into_iter()
+                    .map(|(seed, kind)| match kind {
+                        0 => 0,
+                        1 => c,
+                        _ => 1 + seed % c,
+                    })
+                    .collect();
+                let lts = picks
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (s, l))| {
+                        let start = starts[s].0;
+                        lt(i as u32, start, start + if i == 0 { c } else { lens[l] })
+                    })
+                    .collect();
+                (lts, ii)
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The multi-word (`wpc ≥ 2`) paths of every dense packer, and
-        /// of the race, must match the reference packers too.
+        /// The slot-major packers and the race must match the reference
+        /// packers on cylinders of more than 64 slots too.
         #[test]
         fn multi_word_dense_packers_match_reference_packers((lts, ii) in arb_wide_cylinder()) {
-            let (_, wpc) = assert_dense_matches_reference(&lts, ii, "on a wide cylinder");
-            prop_assert!(wpc >= 2, "wpc = {wpc}");
+            let (_, c) = assert_dense_matches_reference(&lts, ii, "on a wide cylinder");
+            prop_assert!(c >= 65, "c = {c}");
         }
+    }
+
+    #[test]
+    fn slot_major_packers_match_reference_past_64_registers() {
+        // Register sets one word per 64 registers: crowded cylinders
+        // open a second word (and more), and tie-heavy, zero-length and
+        // full-circle arcs stress the counting sorts and the end walk.
+        let mut rng = proptest::test_runner::TestRng::from_name("past_64_registers");
+        let (mut most_regs, mut widest, mut zero_len) = (0, 0, 0);
+        for case in 0..64 {
+            let (lts, ii) = arb_crowded_cylinder().generate(&mut rng);
+            let (regs, c) = assert_dense_matches_reference(&lts, ii, &format!("case {case}"));
+            most_regs = most_regs.max(regs);
+            widest = widest.max(c);
+            zero_len += usize::from(lts.iter().any(|l| l.start == l.end));
+        }
+        assert!(most_regs > 64, "most registers used: {most_regs}");
+        assert!(widest >= 65, "widest cylinder: {widest}");
+        assert!(zero_len > 0, "no case had a zero-length lifetime");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! ```text
 //! repro [--quick[=N]] [--csv] [--seed S] [--threads N] [--simulate]
 //!       [--exec interpret|lowered|differential] [--cache-dir DIR]
-//!       [--cache-budget BYTES] [--extend N] [--shards N]
-//!       [--chaos-exit-units N] [--trace FILE] <experiment>... | all | list
+//!       [--cache-budget BYTES] [--shards N] [--chaos-exit-units N]
+//!       [--trace FILE] <experiment>... | all | list
 //! repro worker --queue DIR --cache-dir DIR [--threads N]
 //!       [--lease-ttl-ms MS] [--no-requeue] [--trace-file FILE]
 //! repro trace summarize FILE
@@ -44,11 +44,6 @@
 //! * `--cache-budget BYTES` — bound the in-memory schedule-stage tier
 //!   (accepts `K`/`M`/`G` suffixes, e.g. `--cache-budget 64M`); folded
 //!   design points are LRU-evicted past the budget.
-//! * `--extend N` — route the **last `N` loops of the corpus** through
-//!   the incremental ingestion path (`Evaluator::extend` →
-//!   `Pipeline::extend`) instead of baking them in up front. The corpus
-//!   contents — and therefore every analytic result — are identical
-//!   with or without the flag; only the ingestion path differs.
 //! * `--shards N` — run the `sweep` experiment through the distributed
 //!   engine: the coordinator cuts the `(loop × config)` grid into
 //!   guided self-scheduled shards of loop columns (each ⌈R/p⌉ of the R
@@ -112,7 +107,6 @@ fn main() -> ExitCode {
     let mut threads: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
     let mut cache_budget: Option<usize> = None;
-    let mut extend: Option<usize> = None;
     let mut shards: Option<usize> = None;
     let mut chaos_exit_units: Option<u64> = None;
     let mut trace: Option<String> = None;
@@ -144,10 +138,6 @@ fn main() -> ExitCode {
                 Some(b) => cache_budget = Some(b),
                 None => return usage("--cache-budget needs a byte count (K/M/G ok)"),
             },
-            "--extend" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => extend = Some(n),
-                None => return usage("--extend needs a loop count"),
-            },
             "--shards" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => shards = Some(n),
                 _ => return usage("--shards needs a positive worker count"),
@@ -178,10 +168,6 @@ fn main() -> ExitCode {
                     None => return usage("--cache-budget=BYTES needs a byte count (K/M/G ok)"),
                 }
             }
-            a if a.starts_with("--extend=") => match a["--extend=".len()..].parse() {
-                Ok(n) => extend = Some(n),
-                Err(_) => return usage("--extend=N needs an integer"),
-            },
             a if a.starts_with("--shards=") => match a["--shards=".len()..].parse() {
                 Ok(n) if n >= 1 => shards = Some(n),
                 _ => return usage("--shards=N needs a positive worker count"),
@@ -256,7 +242,7 @@ fn main() -> ExitCode {
         }
         _ => None,
     };
-    let ctx = build_context(quick, seed, threads, cache_dir, cache_budget, extend)
+    let ctx = build_context(quick, seed, threads, cache_dir, cache_budget)
         .with_backend(exec.unwrap_or_default());
     eprintln!(
         "corpus: {} loops (seed {}), {} worker threads, {} exec backend",
@@ -597,7 +583,6 @@ fn build_context(
     threads: Option<usize>,
     cache_dir: Option<String>,
     cache_budget: Option<usize>,
-    extend: Option<usize>,
 ) -> Context {
     let mut spec = CorpusSpec::default();
     if let Some(n) = quick {
@@ -606,12 +591,7 @@ fn build_context(
     if let Some(s) = seed {
         spec.seed = s;
     }
-    // `--extend N` holds N loops back and feeds them through the
-    // incremental ingestion path below.
-    let held_back = extend.unwrap_or(0).min(spec.loops.saturating_sub(1));
-    let full = generate(&spec);
-    let (initial, appended) = full.split_at(full.len() - held_back.min(full.len()));
-    let mut eval = Evaluator::new(initial.to_vec());
+    let mut eval = Evaluator::new(generate(&spec));
     if let Some(n) = threads {
         eval = eval.with_threads(n);
     }
@@ -621,7 +601,6 @@ fn build_context(
             memory_budget: cache_budget,
         });
     }
-    eval.extend(appended.to_vec());
     Context::over(eval)
 }
 
@@ -648,8 +627,8 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!(
         "usage: repro [--quick[=N]] [--csv] [--seed S] [--threads N] [--simulate] \
          [--exec interpret|lowered|differential] [--cache-dir DIR] \
-         [--cache-budget BYTES] [--extend N] [--shards N] \
-         [--chaos-exit-units N] [--trace FILE] <experiment>... | all | list"
+         [--cache-budget BYTES] [--shards N] [--chaos-exit-units N] \
+         [--trace FILE] <experiment>... | all | list"
     );
     eprintln!(
         "       repro worker --queue DIR --cache-dir DIR [--threads N] [--lease-ttl-ms MS] \

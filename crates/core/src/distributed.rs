@@ -10,8 +10,8 @@
 //! [`UnitOutcome`]s per shard into the shared store's result tier;
 //! [`sweep_distributed`] reads them back, then folds the outcomes **in
 //! corpus order per design point** with the exact scoring arithmetic of
-//! the in-process evaluator (`score_eval` + left-to-right
-//! `fold_scores`), so the f64 association order — and therefore every
+//! the in-process evaluator (`score_eval` + the left-to-right fold of
+//! `aggregate`), so the f64 association order — and therefore every
 //! bit of every aggregate — matches a single-process sweep over the
 //! same grid. Units no batch record covers (a worker's best-effort
 //! publish was swallowed by a dying disk) are recompiled locally
@@ -218,9 +218,9 @@ pub fn merge_published(
 
     // Unit id → outcome, one record per shard. Unit ids (and the key
     // lists) are manifest-relative, so the records only apply when the
-    // evaluator's corpus IS the manifest's corpus — an evaluator
-    // extended (or rebuilt) since the sweep recompiles instead. A spec
-    // absent from the manifest likewise finds no coverage.
+    // evaluator's corpus IS the manifest's corpus — an evaluator over
+    // another corpus recompiles instead. A spec absent from the
+    // manifest likewise finds no coverage.
     let manifest = manifest.filter(|m| m.loops == **loops);
     let mut batched: std::collections::HashMap<u32, UnitOutcome> = std::collections::HashMap::new();
     if let (Some(man), Some(ex)) = (manifest, exchange.as_ref()) {

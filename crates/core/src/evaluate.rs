@@ -22,8 +22,8 @@
 //! evaluator *seals* its schedule-stage entries, releasing them for LRU
 //! eviction. Every query goes through [`Evaluator::sweep_specs`], which
 //! compiles all `(loop × design point)` work units of a batch on one
-//! dynamic worker queue; [`Evaluator::extend`] grows the corpus
-//! incrementally, folding only the new units into memoized aggregates.
+//! dynamic worker queue. The corpus is fixed when the evaluator is
+//! built, so a memoized aggregate never goes stale.
 
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
@@ -120,10 +120,6 @@ pub struct Evaluator {
     references: Arc<ReferenceMemo>,
     cost: Arc<CostModel>,
     aggregates: Arc<Mutex<HashMap<EvalKey, Arc<CorpusEval>>>>,
-    /// Serializes [`Evaluator::extend`] calls: concurrent extensions
-    /// would interleave their incremental folds and scramble per-loop
-    /// order. Held only by `extend`; queries never take it.
-    extending: Arc<Mutex<()>>,
     threads: usize,
 }
 
@@ -138,7 +134,6 @@ impl Evaluator {
             pipeline: Arc::new(pipeline),
             cost: Arc::new(CostModel::paper()),
             aggregates: Arc::new(Mutex::new(HashMap::new())),
-            extending: Arc::new(Mutex::new(())),
             threads: pool::default_threads(),
         }
     }
@@ -164,47 +159,7 @@ impl Evaluator {
         self
     }
 
-    /// Appends `more` loops to the corpus through the pipeline's
-    /// incremental ingestion path, then brings every already-memoized
-    /// corpus aggregate up to date by compiling and folding **only the
-    /// new `(loop × design point)` units** — existing stage entries are
-    /// untouched and replay from the store. Aggregates returned before
-    /// the extension keep describing the old corpus (they are immutable
-    /// snapshots); re-query to observe the grown one.
-    pub fn extend(&self, more: Vec<Loop>) {
-        let _one_extension_at_a_time = self.extending.lock().expect("extend lock");
-        let range = self.pipeline.extend(more);
-        if range.is_empty() {
-            return;
-        }
-        let loops = self.loops();
-        let specs: Vec<PointSpec> = {
-            let memo = self.aggregates.lock().expect("aggregate lock");
-            memo.keys().copied().collect()
-        };
-        let added = range.len();
-        // Spec-major over the new units only, on the shared worker pool.
-        let flat = pool::par_map(specs.len() * added, self.threads, |unit| {
-            let spec = &specs[unit / added];
-            let li = range.start + unit % added;
-            score_loop(&loops[li], spec.width, &self.pipeline.compile(li, spec))
-        });
-        let mut flat = flat.into_iter();
-        for spec in &specs {
-            let scores: Vec<_> = flat.by_ref().take(added).collect();
-            let mut memo = self.aggregates.lock().expect("aggregate lock");
-            if let Some(agg) = memo.get_mut(spec) {
-                let mut grown = (**agg).clone();
-                fold_scores(&mut grown, scores);
-                *agg = Arc::new(grown);
-            }
-            drop(memo);
-            self.pipeline.seal_point(spec);
-        }
-    }
-
-    /// A snapshot of the corpus being evaluated (loop indices are
-    /// stable; [`Evaluator::extend`] only appends).
+    /// The corpus being evaluated, shared.
     #[must_use]
     pub fn loops(&self) -> Arc<Vec<Loop>> {
         self.pipeline.loops()
@@ -233,8 +188,6 @@ impl Evaluator {
     /// The scalar reference of loop `li` at `trip` iterations, executed
     /// once per `(li, trip)` for the evaluator's lifetime and shared by
     /// every configuration and backend that simulates that pair.
-    /// [`Evaluator::extend`] only appends loops, so a key never goes
-    /// stale.
     pub(crate) fn reference(&self, li: usize, trip: u64) -> Arc<ReferenceRun> {
         self.references.get_or_fetch(
             (li as u32, trip),
@@ -313,47 +266,29 @@ impl Evaluator {
                 .collect()
         };
         heaviest_first(&mut missing);
+        let loops = self.loops();
         let compiled = self.pipeline.sweep(&missing, self.threads);
-        let mut fresh = HashMap::with_capacity(missing.len());
         for (spec, artifacts) in missing.iter().zip(compiled) {
-            let evaluated: Vec<(LoopEval, f64, f64, f64)> = artifacts
+            let evaluated = artifacts
                 .iter()
-                .zip(self.loops().iter())
+                .zip(loops.iter())
                 .map(|(outcome, l)| score_loop(l, spec.width, outcome))
                 .collect();
-            fresh.insert(*spec, self.memoize(spec, Arc::new(aggregate(evaluated))));
+            self.memoize(spec, Arc::new(aggregate(evaluated)));
             // The aggregate is folded: the point's schedule-stage
             // entries may now be evicted under memory pressure.
             self.pipeline.seal_point(spec);
         }
-        // A point computed here answers from `fresh`: an aggregate that
-        // `memoize` rejected still goes back to this caller.
         let memo = self.aggregates.lock().expect("aggregate lock");
-        specs
-            .iter()
-            .map(|s| {
-                let agg = fresh.get(s).or_else(|| memo.get(s));
-                Arc::clone(agg.expect("memoized before this batch began"))
-            })
-            .collect()
+        specs.iter().map(|s| Arc::clone(&memo[s])).collect()
     }
 
-    /// Memoizes `agg` for `spec` — unless the corpus grew while it was
-    /// being computed ([`Evaluator::extend`] racing this query), in
-    /// which case the partial aggregate is returned to this caller as a
-    /// snapshot but NOT cached: caching it would permanently
-    /// under-report the grown corpus, since `extend`'s incremental
-    /// refold only covers specs that were memoized when it scanned. The
-    /// length check and the insert share the memo lock, and `extend`
-    /// grows the corpus *before* scanning, so every interleaving either
-    /// refolds the entry or rejects it here.
+    /// Memoizes `agg` for `spec`, returning the memoized aggregate: a
+    /// point computed twice (two batches racing) keeps the first, which
+    /// is bitwise equal to the second.
     pub(crate) fn memoize(&self, spec: &PointSpec, agg: Arc<CorpusEval>) -> Arc<CorpusEval> {
         let mut memo = self.aggregates.lock().expect("aggregate lock");
-        if agg.per_loop.len() == self.loops().len() {
-            memo.entry(*spec).or_insert(agg).clone()
-        } else {
-            agg
-        }
+        Arc::clone(memo.entry(*spec).or_insert(agg))
     }
 }
 
@@ -425,7 +360,9 @@ pub(crate) fn score_eval(l: &Loop, width: u32, le: LoopEval) -> (LoopEval, f64, 
     }
 }
 
-/// Folds per-loop scores into a fresh [`CorpusEval`], in corpus order.
+/// Folds per-loop scores into a [`CorpusEval`], left to right in corpus
+/// order: the one f64 association the in-process and distributed paths
+/// share, so their aggregates are bitwise equal.
 pub(crate) fn aggregate(results: Vec<(LoopEval, f64, f64, f64)>) -> CorpusEval {
     let mut eval = CorpusEval {
         per_loop: Vec::with_capacity(results.len()),
@@ -437,16 +374,6 @@ pub(crate) fn aggregate(results: Vec<(LoopEval, f64, f64, f64)>) -> CorpusEval {
         at_mii: 0,
         spill_ops: 0,
     };
-    fold_scores(&mut eval, results);
-    eval
-}
-
-/// Folds additional per-loop scores into an existing aggregate — the
-/// incremental half of [`Evaluator::extend`]. Left-to-right folding
-/// keeps the f64 association identical to a full recompute over the
-/// grown corpus, so incremental and from-scratch aggregates are bitwise
-/// equal.
-fn fold_scores(eval: &mut CorpusEval, results: Vec<(LoopEval, f64, f64, f64)>) {
     for (le, cycles, words, static_words) in results {
         match le {
             LoopEval::Ok {
@@ -471,6 +398,7 @@ fn fold_scores(eval: &mut CorpusEval, results: Vec<(LoopEval, f64, f64, f64)>) {
         }
         eval.per_loop.push(le);
     }
+    eval
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //! * `widening-regalloc` — lifetimes, end-fit allocation, spill code;
 //! * `widening-pipeline` — the staged widen → MII → schedule →
 //!   allocate → spill chain over a two-tier artifact store (LRU-bounded
-//!   memory + content-addressed disk persistence), with incremental
-//!   corpora and the multi-config sweep engine (the single
-//!   implementation of the compilation chain);
+//!   memory + content-addressed disk persistence) and the multi-config
+//!   sweep engine (the single implementation of the compilation
+//!   chain);
 //! * `widening-distrib` — the distributed sweep engine: priority-
 //!   ordered sharding of the `(loop × config)` grid, a filesystem job
 //!   queue with lease-expiry requeue, and coordinator/worker processes

@@ -8,8 +8,8 @@
 //!   compile) under an installed span recorder, then the fleet probe
 //!   `--reps` times untraced, and writes one versioned
 //!   `BENCH_<stamp>.json` capturing wall-time probes, per-stage latency
-//!   percentiles, store counters, per-unit `(loop × config)` wall
-//!   times, and fleet-event totals.
+//!   percentiles, store counters, and per-unit `(loop × config)` wall
+//!   times.
 //! * `perf compare BASE CAND` diffs two recorded reports probe by
 //!   probe with the noise-aware min-of-N gate
 //!   ([`widening_obs::compare`]) and exits nonzero on any regression —
@@ -198,8 +198,7 @@ fn record_main(args: &[String]) -> ExitCode {
     }
 
     // One recorder across all repetitions: units from every rep feed
-    // the calibration joint, and fleet instants (none in-process) stay
-    // zero rather than absent.
+    // the calibration joint.
     let recorder = obs::Recorder::new("repro-perf");
     obs::install(&recorder);
     obs::set_thread_label("main");

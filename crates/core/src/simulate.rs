@@ -21,9 +21,9 @@
 //! final store regions and the checksums, never the load regions. It
 //! lives as long as the evaluator, and every configuration and backend
 //! that simulates a pair compares against the same run, so a
-//! three-configuration pass executes each reference once. Loop indices
-//! are stable ([`Evaluator::extend`] only appends), and memory-only
-//! pipelines build no content fingerprints, so the key is the index.
+//! three-configuration pass executes each reference once. The corpus is
+//! fixed for the evaluator's lifetime, and memory-only pipelines build
+//! no content fingerprints, so the key is the loop index.
 //! The memo counts into the pipeline's metrics registry as
 //! `store.reference.*`.
 //!

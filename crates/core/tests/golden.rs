@@ -178,33 +178,23 @@ fn disk_tier_reproduces_seed_aggregates_bitwise() {
 }
 
 #[test]
-fn incremental_extend_matches_from_scratch_bitwise() {
-    // Growing the corpus through `Evaluator::extend` must fold the new
-    // loops into every memoized aggregate with bitwise the same result
-    // as evaluating the full corpus from scratch — including with a
-    // byte-budgeted in-memory tier evicting behind the fold.
-    let full = corpus::generate(&corpus::CorpusSpec::small(40, 9));
-    let (head, tail) = full.split_at(28);
-
-    let grown = Evaluator::new(head.to_vec()).with_store(StoreConfig {
-        cache_dir: None,
-        memory_budget: Some(128 * 1024),
-    });
+fn budgeted_store_reproduces_seed_aggregates_bitwise() {
+    // A byte-budgeted in-memory tier evicting sealed schedule entries
+    // behind the fold must land on the very same golden bits.
+    let ev = Evaluator::new(corpus::generate(&corpus::CorpusSpec::small(40, 9))).with_store(
+        StoreConfig {
+            cache_dir: None,
+            memory_budget: Some(128 * 1024),
+        },
+    );
     let cfg = Configuration::monolithic(4, 2, 64).unwrap();
-    // Memoize aggregates over the head corpus first…
-    let partial = grown.scheduled(&cfg, CycleModel::Cycles4, &EvalOptions::default());
-    assert_eq!(partial.per_loop.len(), 28);
-    let _ = grown.peak(2, 2, CycleModel::Cycles4);
-    // …then ingest the rest incrementally.
-    grown.extend(tail.to_vec());
     check(
         "sched-4w2-64",
-        &grown.scheduled(&cfg, CycleModel::Cycles4, &EvalOptions::default()),
+        &ev.scheduled(&cfg, CycleModel::Cycles4, &EvalOptions::default()),
     );
-    check("peak-2w2", &grown.peak(2, 2, CycleModel::Cycles4));
-    // Only the 12 appended loops were widened again at Y = 2.
-    let counts = grown.pipeline().stage_counts();
-    assert_eq!(counts.widen_runs, 40, "{counts:?}");
+    check("peak-2w2", &ev.peak(2, 2, CycleModel::Cycles4));
+    let counts = ev.pipeline().stage_counts();
+    assert!(counts.schedule_evictions > 0, "{counts:?}");
 }
 
 #[test]

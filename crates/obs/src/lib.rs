@@ -28,9 +28,9 @@
 //!   per-track latency tables.
 //! * [`report`] — the **perf ledger**: a versioned machine-readable
 //!   perf report (`BENCH_<stamp>.json`) with per-stage percentiles,
-//!   store counters, per-unit wall times and fleet events, plus the
-//!   min-of-N noise-gated [`report::compare`] that backs
-//!   `repro perf compare` in CI.
+//!   store counters and per-unit wall times, plus the min-of-N
+//!   noise-gated [`report::compare`] that backs `repro perf compare`
+//!   in CI.
 //!
 //! # Recording
 //!

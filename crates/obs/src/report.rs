@@ -14,9 +14,8 @@
 //!   [`crate::metrics::MetricsRegistry`] histograms;
 //! * **counters** — cache/store counters and gauges from the same
 //!   registry;
-//! * **units** + **fleet** — per-`(loop × config)` wall times and
-//!   fleet events (steals, scale-ups/downs, lease expiries) extracted
-//!   from recorded span traces.
+//! * **units** — per-`(loop × config)` wall times extracted from
+//!   recorded span traces.
 //!
 //! [`compare`] diffs two reports probe-by-probe with a relative
 //! threshold *and* an absolute floor, so microsecond-scale jitter on
@@ -89,33 +88,6 @@ pub struct UnitSample {
     pub wall_ns: u64,
 }
 
-/// Fleet-event totals counted from recorded span traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetEvents {
-    /// Claimed steal batches (`steal-claim` instants).
-    pub steals: u64,
-    /// Published steal offers (`steal-offer` instants).
-    pub steal_offers: u64,
-    /// Autoscale spawns (`scale-up` instants). Fleets no longer
-    /// autoscale, so new reports read 0; the field stays so older
-    /// reports still parse.
-    pub scale_ups: u64,
-    /// Early retirements (`scale-down` instants).
-    pub scale_downs: u64,
-    /// Expired-lease requeues (`lease-expired` instants).
-    pub lease_expiries: u64,
-    /// Worker respawns after crashes (`respawn` instants).
-    pub respawns: u64,
-}
-
-impl FleetEvents {
-    /// True when no fleet event was observed (e.g. an in-process run).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
 /// A complete perf report: the unit of the repo's bench trajectory.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerfReport {
@@ -129,8 +101,6 @@ pub struct PerfReport {
     pub counters: BTreeMap<String, u64>,
     /// Per-unit wall times (calibration input).
     pub units: Vec<UnitSample>,
-    /// Fleet-event totals.
-    pub fleet: FleetEvents,
 }
 
 impl PerfReport {
@@ -186,32 +156,22 @@ impl PerfReport {
         }
     }
 
-    /// Extracts per-unit wall times and fleet-event totals from
-    /// recorded span traces (the worker `.trace.bin` files or an
-    /// in-process recorder snapshot). Appends to `units`; fleet totals
-    /// are summed into `fleet`.
+    /// Extracts per-unit wall times from recorded span traces (the
+    /// worker `.trace.bin` files or an in-process recorder snapshot),
+    /// appending to `units`.
     pub fn absorb_traces(&mut self, traces: &[ProcessTrace]) {
         for trace in traces {
             for track in &trace.tracks {
                 for event in &track.events {
-                    match event.kind {
-                        SpanKind::SweepUnit if !event.is_instant() => {
-                            let (x, y, z) = crate::span::unpack_point(event.b);
-                            self.units.push(UnitSample {
-                                loop_index: u32::try_from(event.a).unwrap_or(u32::MAX),
-                                replication: x,
-                                width: y,
-                                registers: z,
-                                wall_ns: event.end_ns.saturating_sub(event.start_ns),
-                            });
-                        }
-                        SpanKind::StealClaim => self.fleet.steals += 1,
-                        SpanKind::StealOffer => self.fleet.steal_offers += 1,
-                        SpanKind::ScaleUp => self.fleet.scale_ups += 1,
-                        SpanKind::ScaleDown => self.fleet.scale_downs += 1,
-                        SpanKind::LeaseExpire => self.fleet.lease_expiries += 1,
-                        SpanKind::Respawn => self.fleet.respawns += 1,
-                        _ => {}
+                    if event.kind == SpanKind::SweepUnit && !event.is_instant() {
+                        let (x, y, z) = crate::span::unpack_point(event.b);
+                        self.units.push(UnitSample {
+                            loop_index: u32::try_from(event.a).unwrap_or(u32::MAX),
+                            replication: x,
+                            width: y,
+                            registers: z,
+                            wall_ns: event.end_ns.saturating_sub(event.start_ns),
+                        });
                     }
                 }
             }
@@ -294,14 +254,6 @@ impl PerfReport {
                     .collect(),
             ),
         );
-        let mut fleet = BTreeMap::new();
-        fleet.insert("steals".into(), num(self.fleet.steals));
-        fleet.insert("steal_offers".into(), num(self.fleet.steal_offers));
-        fleet.insert("scale_ups".into(), num(self.fleet.scale_ups));
-        fleet.insert("scale_downs".into(), num(self.fleet.scale_downs));
-        fleet.insert("lease_expiries".into(), num(self.fleet.lease_expiries));
-        fleet.insert("respawns".into(), num(self.fleet.respawns));
-        root.insert("fleet".into(), Value::Object(fleet));
         Value::Object(root).to_json()
     }
 
@@ -410,21 +362,6 @@ impl PerfReport {
                     .transpose()?,
                 wall_ns: field("wall_ns")?,
             });
-        }
-        if let Some(fleet) = obj.get("fleet").and_then(Value::as_object) {
-            let field = |key: &str| {
-                fleet.get(key).map_or(Ok(0), |v| {
-                    get_u64(Some(v)).ok_or(format!("fleet.{key}: bad value"))
-                })
-            };
-            report.fleet = FleetEvents {
-                steals: field("steals")?,
-                steal_offers: field("steal_offers")?,
-                scale_ups: field("scale_ups")?,
-                scale_downs: field("scale_downs")?,
-                lease_expiries: field("lease_expiries")?,
-                respawns: field("respawns")?,
-            };
         }
         Ok(report)
     }
@@ -638,8 +575,6 @@ mod tests {
             registers: None,
             wall_ns: 11_000,
         });
-        r.fleet.steals = 2;
-        r.fleet.scale_ups = 1;
         r
     }
 
@@ -722,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_traces_extracts_units_and_fleet_events() {
+    fn absorb_traces_extracts_unit_wall_times() {
         use crate::span::{pack_point, Event};
         use crate::trace::TrackTrace;
         let events = vec![
@@ -765,8 +700,5 @@ mod tests {
         assert_eq!(r.units[0].replication, 4);
         assert_eq!(r.units[0].registers, Some(64));
         assert_eq!(r.units[0].wall_ns, 500);
-        assert_eq!(r.fleet.steals, 1);
-        assert_eq!(r.fleet.lease_expiries, 1);
-        assert!(!r.fleet.is_empty());
     }
 }

@@ -151,12 +151,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a collection length, rejecting sizes no honest encoder
-    /// produces (> 2²⁴ elements). (Not a container size — the matching
-    /// emptiness query is [`Reader::exhausted`].)
+    /// produces: more than 2²⁴ elements, or more than the bytes left
+    /// (every counted element takes at least one byte). A decoder may
+    /// therefore preallocate the count it reads. (Not a container size
+    /// — the matching emptiness query is [`Reader::exhausted`].)
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&mut self) -> Option<usize> {
         let n = self.u32()?;
-        (n <= MAX_LEN).then_some(n as usize)
+        (n <= MAX_LEN && n as usize <= self.remaining()).then_some(n as usize)
     }
 }
 
@@ -186,10 +188,9 @@ pub fn fnv128(bytes: &[u8]) -> u128 {
 /// Content fingerprint of a dependence graph: the 128-bit hash of its
 /// canonical encoding. Loops with identical bodies share artifacts on
 /// disk regardless of corpus position, which is what makes the
-/// disk-tier keys stable under [`crate::Pipeline::extend`] and across
-/// processes with reordered corpora — and what lets distributed sweep
-/// workers on different hosts agree on result keys without exchanging
-/// loop indices.
+/// disk-tier keys stable across processes with reordered corpora — and
+/// what lets distributed sweep workers on different hosts agree on
+/// result keys without exchanging loop indices.
 #[must_use]
 pub fn ddg_fingerprint(ddg: &Ddg) -> u128 {
     let mut w = Writer::new();
@@ -1157,5 +1158,37 @@ mod tests {
         ));
         // Trailing garbage after the marker is rejected.
         assert!(decode_sched(&[2, 0], &cfg, CycleModel::Cycles4).is_none());
+    }
+
+    #[test]
+    fn reader_len_rejects_counts_past_the_input() {
+        let counted = |n: u32, tail: usize| {
+            let mut w = Writer::new();
+            w.len(n as usize);
+            w.bytes(&vec![0; tail]);
+            w.into_bytes()
+        };
+        // A count may describe at most the bytes left after it.
+        assert_eq!(Reader::new(&counted(0, 0)).len(), Some(0));
+        assert_eq!(Reader::new(&counted(3, 3)).len(), Some(3));
+        assert_eq!(Reader::new(&counted(4, 3)).len(), None);
+        assert_eq!(Reader::new(&counted(1 << 24, 8)).len(), None);
+        // A corrupt lifetimes count fails at the count, which the
+        // decoder would otherwise preallocate (12 bytes per element).
+        let lifetime = Lifetime {
+            def: NodeId(0),
+            start: 1,
+            end: 5,
+        };
+        let mut w = Writer::new();
+        encode_lifetimes(&mut w, &[lifetime]);
+        let mut bytes = w.into_bytes();
+        bytes[..4].copy_from_slice(&(1u32 << 24).to_le_bytes());
+        assert!(decode_lifetimes(&mut Reader::new(&bytes)).is_none());
+        bytes[..4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            decode_lifetimes(&mut Reader::new(&bytes)),
+            Some(vec![lifetime])
+        );
     }
 }

@@ -1,13 +1,12 @@
-//! The memoized [`Pipeline`] driver: the two-tier stage store, the
-//! incremental corpus, and the multi-config sweep engine. The disk tier
+//! The memoized [`Pipeline`] driver: the two-tier stage store over one
+//! fixed corpus, and the multi-config sweep engine. The disk tier
 //! is the pipeline's view of the segment log: the segments present when
 //! it opened, plus its own appends. Content fingerprints, the disk
 //! half of every stage key, are computed per loop on first use.
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use widening_ir::{Ddg, Loop};
 use widening_machine::CycleModel;
@@ -100,7 +99,7 @@ impl StoreConfig {
     }
 }
 
-/// The staged compilation driver for one (growable) corpus.
+/// The staged compilation driver for one corpus, fixed at construction.
 ///
 /// Every stage is memoized in a two-tier `StageStore` under a content
 /// key:
@@ -128,20 +127,18 @@ impl StoreConfig {
 ///
 /// The driver is `Sync`; corpus evaluation, simulation and
 /// [`Pipeline::sweep`] all hit the same stores from the worker pool.
-/// [`Pipeline::extend`] appends loops without touching any existing
-/// stage entry.
 #[derive(Debug)]
 pub struct Pipeline {
     /// The store configuration this pipeline was built with (kept so
     /// consumers — warm-start simulation, distributed sweeps — can open
     /// the same cache directory's exchange tiers).
     config: StoreConfig,
-    /// Append-only corpus: `extend` swaps in a longer vector, existing
-    /// indices never move, and callers work on cheap `Arc` snapshots.
-    loops: RwLock<Arc<Vec<Loop>>>,
+    /// The corpus, fixed at construction: a loop index names the same
+    /// loop for the pipeline's lifetime.
+    loops: Arc<Vec<Loop>>,
     /// Per-loop content fingerprints, parallel to `loops` (the disk
     /// tier's half of every stage key), each computed on first use.
-    fingerprints: RwLock<Arc<Vec<OnceLock<u128>>>>,
+    fingerprints: Box<[OnceLock<u128>]>,
     log: Option<SegmentLog>,
     /// The metrics registry behind every stage store's counters; also
     /// open to consumers for their own pipeline-scoped metrics.
@@ -185,8 +182,8 @@ impl Pipeline {
         let fingerprints = loops.iter().map(|_| OnceLock::new()).collect();
         let metrics = MetricsRegistry::new();
         Pipeline {
-            loops: RwLock::new(loops),
-            fingerprints: RwLock::new(Arc::new(fingerprints)),
+            loops,
+            fingerprints,
             log,
             widened: StageStore::pinned(StoreMetrics::for_stage(&metrics, "widen")),
             bounds: StageStore::pinned(StoreMetrics::for_stage(&metrics, "mii")),
@@ -228,40 +225,13 @@ impl Pipeline {
     /// Panics if `li` is out of corpus bounds.
     #[must_use]
     pub fn content_fingerprint(&self, li: usize) -> u128 {
-        let cells = Arc::clone(&self.fingerprints.read().expect("fingerprint lock"));
-        *cells[li].get_or_init(|| codec::ddg_fingerprint(self.loops()[li].ddg()))
+        *self.fingerprints[li].get_or_init(|| codec::ddg_fingerprint(self.loops[li].ddg()))
     }
 
-    /// A snapshot of the corpus being compiled. Loop indices are stable:
-    /// [`Pipeline::extend`] only ever appends.
+    /// The corpus being compiled, shared.
     #[must_use]
     pub fn loops(&self) -> Arc<Vec<Loop>> {
-        Arc::clone(&self.loops.read().expect("corpus lock"))
-    }
-
-    /// Appends `more` loops to the corpus without invalidating a single
-    /// existing stage entry, returning the index range the new loops
-    /// occupy. Only the new `(loop × config)` units ever enter a
-    /// subsequent sweep's work queue as live work — every existing unit
-    /// replays from the store.
-    pub fn extend(&self, more: Vec<Loop>) -> Range<usize> {
-        if more.is_empty() {
-            let n = self.loops().len();
-            return n..n;
-        }
-        let mut loops = self.loops.write().expect("corpus lock");
-        let mut fps = self.fingerprints.write().expect("fingerprint lock");
-        let start = loops.len();
-        let mut grown = Vec::with_capacity(start + more.len());
-        grown.extend(loops.iter().cloned());
-        let mut fp_grown = Vec::with_capacity(start + more.len());
-        fp_grown.extend(fps.iter().cloned());
-        fp_grown.extend(more.iter().map(|_| OnceLock::new()));
-        grown.extend(more);
-        let end = grown.len();
-        *loops = Arc::new(grown);
-        *fps = Arc::new(fp_grown);
-        start..end
+        Arc::clone(&self.loops)
     }
 
     /// Cumulative stage execution/lookup/disk counters.
@@ -334,8 +304,7 @@ impl Pipeline {
             key,
             |_| 0,
             || {
-                let loops = self.loops();
-                let ddg = loops[li].ddg();
+                let ddg = self.loops[li].ddg();
                 let key_bytes = || self.widen_key_bytes(li, width);
                 let (a, b) = (li as u64, u64::from(width));
                 let decode = obs::span(SpanKind::WidenDecode, a, b);
@@ -580,9 +549,8 @@ impl Pipeline {
                 let stage = compiled
                     .scheduled()
                     .expect("registers given, so compile produced a schedule stage");
-                let loops = self.loops();
                 Arc::new(widening_lower::lower(
-                    loops[li].ddg(),
+                    self.loops[li].ddg(),
                     compiled.wide(),
                     &stage.result,
                 ))
@@ -610,7 +578,7 @@ impl Pipeline {
         points: &[PointSpec],
         threads: usize,
     ) -> Vec<Vec<Result<CompiledLoop, PipelineError>>> {
-        let n = self.loops().len();
+        let n = self.loops.len();
         // Queue-wait attribution: each pool thread remembers when its
         // previous unit ended; the gap to the next unit's start is time
         // the thread spent idle on the dynamic queue. Clamped to the

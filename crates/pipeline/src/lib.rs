@@ -44,11 +44,6 @@
 //!   re-verified against their graph and machine, so a corrupt or stale
 //!   record degrades to a cache miss, never a wrong result.
 //!
-//! The corpus itself is growable: [`Pipeline::extend`] appends loops
-//! without invalidating any existing stage entry (indices are stable,
-//! disk keys are content-addressed), so only the new `(loop × config)`
-//! units of a subsequent sweep run as live work.
-//!
 //! Failures are data, not panics: a loop whose register pressure cannot
 //! be resolved (the paper's `8w1(32-RF)` case) yields a structured
 //! [`PipelineError`], whose [`FailureCause`] projection corpus results

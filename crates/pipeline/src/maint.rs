@@ -100,7 +100,7 @@ pub fn record_run(root: &Path) -> Option<u64> {
 }
 
 /// Usage of one artifact kind: a stage (`widen`, `sched`, …) or an
-/// exchange kind (`result`, `batch`, `simsum`).
+/// exchange kind (`batch`, `simsum`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindUsage {
     /// Stage or exchange kind name.

@@ -40,10 +40,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use widening_machine::{Configuration, CycleModel};
-use widening_pipeline::codec::{Reader, Writer};
 use widening_pipeline::exchange::{sim_summary_key, SIM_SUMMARY_KIND};
 use widening_pipeline::{pool, Exchange, PointSpec};
 use widening_sim::{simulate_with_reference, Backend, SimStats};
+use widening_wire::{Reader, Writer};
 
 use crate::evaluate::{EvalOptions, Evaluator};
 
@@ -354,6 +354,30 @@ mod tests {
             bytes[at] ^= flip;
             prop_assert_eq!(decode_sim_summary(&bytes).is_some(), at >= 4);
         }
+    }
+
+    #[test]
+    fn golden_sim_summary() {
+        let stats = SimStats {
+            cycles: 1000,
+            blocks: 8,
+            steady_state_cycles: 960,
+            issued_ops: 4096,
+            masked_lanes: 3,
+            cross_block_reads: 7,
+            spill_slot_accesses: 0x0102_0304_0506_0708,
+        };
+        let hex: String = encode_sim_summary(5, &stats)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "0100000005000000e8030000000000000800000000000000c003000000000000",
+                "0010000000000000030000000000000007000000000000000807060504030201",
+            )
+        );
     }
 
     #[test]

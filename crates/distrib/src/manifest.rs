@@ -3,11 +3,12 @@
 
 use widening_cost::sweep_priority;
 use widening_ir::{Loop, LoopBuilder};
-use widening_pipeline::codec::{self, Reader, Writer};
+use widening_pipeline::codec::{decode_ddg, encode_ddg};
 use widening_pipeline::exchange::{
     batch_result_key, decode_point_spec, encode_point_spec, unit_result_key,
 };
 use widening_pipeline::PointSpec;
+use widening_wire::{fnv128, Reader, Writer};
 
 /// Bump on any change to the manifest encoding or to the meaning of its
 /// shards: stale queues (and workers built before the change) then read
@@ -125,7 +126,7 @@ impl SweepManifest {
     /// directories so unrelated sweeps never collide).
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        codec::fnv128(&self.encode())
+        fnv128(&self.encode())
     }
 
     /// Encodes the manifest as a self-versioned record.
@@ -136,12 +137,10 @@ impl SweepManifest {
         w.u32(MANIFEST_VERSION);
         w.len(self.loops.len());
         for l in &self.loops {
-            let name = l.name().as_bytes();
-            w.len(name.len());
-            w.bytes(name);
+            w.str(l.name());
             w.u64(l.trip_count());
             w.u64(l.weight().to_bits());
-            codec::encode_ddg(&mut w, l.ddg());
+            encode_ddg(&mut w, l.ddg());
         }
         w.len(self.specs.len());
         for spec in &self.specs {
@@ -168,17 +167,16 @@ impl SweepManifest {
         if r.take(4)? != MAGIC || r.u32()? != MANIFEST_VERSION {
             return None;
         }
-        let nloops = r.len()?;
-        let mut loops = Vec::with_capacity(nloops.min(r.remaining() / MIN_LOOP_BYTES));
+        let nloops = r.len(MIN_LOOP_BYTES)?;
+        let mut loops = Vec::with_capacity(nloops);
         for _ in 0..nloops {
-            let name_len = r.len()?;
-            let name = std::str::from_utf8(r.take(name_len)?).ok()?;
+            let name = r.str()?;
             let trip = r.u64()?;
             let weight = f64::from_bits(r.u64()?);
             if trip == 0 || !weight.is_finite() || weight <= 0.0 {
                 return None;
             }
-            let ddg = codec::decode_ddg(&mut r)?;
+            let ddg = decode_ddg(&mut r)?;
             loops.push(
                 LoopBuilder::new(name, ddg)
                     .trip_count(trip)
@@ -186,12 +184,12 @@ impl SweepManifest {
                     .build(),
             );
         }
-        let nspecs = r.len()?;
-        let mut specs = Vec::with_capacity(nspecs.min(r.remaining() / MIN_SPEC_BYTES));
+        let nspecs = r.len(MIN_SPEC_BYTES)?;
+        let mut specs = Vec::with_capacity(nspecs);
         for _ in 0..nspecs {
             specs.push(decode_point_spec(&mut r)?);
         }
-        let nshards = r.len()?;
+        let nshards = r.len(U32_BYTES)?;
         // Every unit must appear in some shard's list, 4 bytes each: a
         // grid the rest of the buffer cannot cover is rejected before
         // its coverage map is allocated.
@@ -200,10 +198,10 @@ impl SweepManifest {
             return None;
         }
         let mut seen = vec![false; total];
-        let mut shards = Vec::with_capacity(nshards.min(r.remaining() / U32_BYTES));
+        let mut shards = Vec::with_capacity(nshards);
         for _ in 0..nshards {
-            let len = r.len()?;
-            let mut shard = Vec::with_capacity(len.min(r.remaining() / U32_BYTES));
+            let len = r.len(U32_BYTES)?;
+            let mut shard = Vec::with_capacity(len);
             for _ in 0..len {
                 let u = r.u32()?;
                 let slot = seen.get_mut(u as usize)?;

@@ -55,7 +55,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use widening_pipeline::codec::{self, Reader, Writer};
+use widening_wire::{fnv128, Reader, Writer};
 
 use crate::manifest::SweepManifest;
 
@@ -328,7 +328,7 @@ impl JobQueue {
 fn lease_observation(bytes: &[u8]) -> u64 {
     match LeaseStamp::decode(bytes) {
         Some(stamp) => stamp.counter,
-        None => codec::fnv128(bytes) as u64,
+        None => fnv128(bytes) as u64,
     }
 }
 
@@ -389,6 +389,16 @@ mod tests {
 
     fn stamp(counter: u64) -> LeaseStamp {
         LeaseStamp { counter }
+    }
+
+    #[test]
+    fn golden_lease_stamp() {
+        let hex: String = stamp(0x0102_0304_0506_0708)
+            .encode("w-7")
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, "574c5345020000000807060504030201772d37");
     }
 
     // Claim files are read back from a shared directory that other

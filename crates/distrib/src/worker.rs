@@ -32,9 +32,9 @@ use std::time::Duration;
 
 use widening_obs as obs;
 use widening_obs::SpanKind;
-use widening_pipeline::codec::{Reader, Writer};
 use widening_pipeline::exchange::{decode_unit_batch, encode_unit_batch, BATCH_KIND};
 use widening_pipeline::{Exchange, Pipeline, StageCounts, StoreConfig, UnitOutcome};
+use widening_wire::{Reader, Writer};
 
 use crate::manifest::SweepManifest;
 use crate::queue::{JobQueue, LeaseObserver, LeaseStamp};
@@ -541,6 +541,17 @@ mod tests {
                 prop_assert_eq!(decoded, None);
             }
         }
+    }
+
+    #[test]
+    fn golden_shard_report() {
+        let counts: Vec<u64> = (1..=17).map(|i| i * 0x0101).collect();
+        let bytes = report(4, 96, 12, &counts).encode();
+        assert_eq!(bytes.len(), 16 + 17 * 8);
+        assert_eq!(
+            widening_wire::fnv128(&bytes),
+            0x3d9b_fa8b_b3f9_2bfd_85a5_aa14_cadb_3a73
+        );
     }
 
     #[test]

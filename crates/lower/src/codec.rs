@@ -2,14 +2,15 @@
 //! pipeline's disk tier can persist lowered programs next to schedules
 //! and allocations.
 //!
-//! The format is little-endian and total on decode: every length,
-//! index and discriminant is bounds-checked against the header tables,
-//! and any truncation, trailing garbage or out-of-range reference
-//! returns `None` instead of panicking. Bump [`PROGRAM_VERSION`] on any
-//! shape change — old artifacts then decode to `None` and the stage
-//! re-lowers.
+//! The format is little-endian, written and read with the shared
+//! `widening-wire` codec, and total on decode: every length, index and
+//! discriminant is bounds-checked against the header tables, and any
+//! truncation, trailing garbage or out-of-range reference returns
+//! `None` instead of panicking. Bump [`PROGRAM_VERSION`] on any shape
+//! change — old artifacts then decode to `None` and the stage re-lowers.
 
 use widening_ir::OpKind;
+use widening_wire::{Reader, Writer};
 
 use crate::program::{Inst, InstOp, OperandDesc, ReadMode, WideProgram};
 
@@ -19,8 +20,8 @@ pub const PROGRAM_VERSION: u16 = 1;
 /// Encodes `program` into a self-describing byte buffer.
 #[must_use]
 pub fn encode_program(program: &WideProgram) -> Vec<u8> {
-    let mut out = Vec::with_capacity(program.approx_bytes());
-    put_u16(&mut out, PROGRAM_VERSION);
+    let mut w = Writer::with_capacity(program.approx_bytes());
+    w.u16(PROGRAM_VERSION);
     for v in [
         program.y,
         program.ii,
@@ -32,16 +33,16 @@ pub fn encode_program(program: &WideProgram) -> Vec<u8> {
         program.registers,
         program.spill_ops,
     ] {
-        put_u32(&mut out, v);
+        w.u32(v);
     }
-    out.push(u8::from(program.track_owners));
-    put_u32(&mut out, program.rows.len() as u32);
+    w.u8(u8::from(program.track_owners));
+    w.len(program.rows.len());
     for &r in &program.rows {
-        put_u32(&mut out, r);
+        w.u32(r);
     }
-    put_u32(&mut out, program.insts.len() as u32);
+    w.len(program.insts.len());
     for inst in &program.insts {
-        put_u32(&mut out, inst.node);
+        w.u32(inst.node);
         match inst.op {
             InstOp::Compute {
                 original,
@@ -53,23 +54,23 @@ pub fn encode_program(program: &WideProgram) -> Vec<u8> {
                 ops_per_lane,
                 lt,
             } => {
-                out.push(0);
-                put_u32(&mut out, original);
-                out.push(op_code(op));
-                out.push(u8::from(produces));
+                w.u8(0);
+                w.u32(original);
+                w.u8(op_code(op));
+                w.u8(u8::from(produces));
                 for v in [first_lane, lanes, ops_start, ops_per_lane, lt] {
-                    put_u32(&mut out, v);
+                    w.u32(v);
                 }
             }
-            InstOp::SpillStore => out.push(1),
+            InstOp::SpillStore => w.u8(1),
             InstOp::SpillReload { distance, lt } => {
-                out.push(2);
-                put_u32(&mut out, distance);
-                put_u32(&mut out, lt);
+                w.u8(2);
+                w.u32(distance);
+                w.u32(lt);
             }
         }
     }
-    put_u32(&mut out, program.operands.len() as u32);
+    w.len(program.operands.len());
     for od in &program.operands {
         for v in [
             od.src,
@@ -80,32 +81,32 @@ pub fn encode_program(program: &WideProgram) -> Vec<u8> {
             od.delta,
             od.lt,
         ] {
-            put_u32(&mut out, v);
+            w.u32(v);
         }
-        out.push(match od.mode {
+        w.u8(match od.mode {
             ReadMode::Strict => 0,
             ReadMode::ForwardCheck => 1,
             ReadMode::SpillServed => 2,
             ReadMode::SpillForward => 3,
         });
     }
-    put_u32(&mut out, program.reg_table.len() as u32);
+    w.len(program.reg_table.len());
     for &r in &program.reg_table {
-        put_u32(&mut out, r);
+        w.u32(r);
     }
-    put_u32(&mut out, program.mem_nodes.len() as u32);
+    w.len(program.mem_nodes.len());
     for &(v, is_load) in &program.mem_nodes {
-        put_u32(&mut out, v);
-        out.push(u8::from(is_load));
+        w.u32(v);
+        w.u8(u8::from(is_load));
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes a program previously produced by [`encode_program`].
 /// Returns `None` on any version, shape or bounds mismatch.
 #[must_use]
 pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.u16()? != PROGRAM_VERSION {
         return None;
     }
@@ -127,7 +128,7 @@ pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
         _ => return None,
     };
 
-    let num_rows = r.len_of(4)?;
+    let num_rows = r.len(4)?;
     if num_rows != max_t as usize + 2 {
         return None;
     }
@@ -139,7 +140,7 @@ pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
         return None;
     }
 
-    let num_insts = r.len_of(5)?;
+    let num_insts = r.len(5)?;
     if *rows.last()? != num_insts as u32 {
         return None;
     }
@@ -190,7 +191,7 @@ pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
         insts.push(Inst { node, op });
     }
 
-    let num_ops = r.len_of(29)?;
+    let num_ops = r.len(29)?;
     let mut operands = Vec::with_capacity(num_ops);
     for _ in 0..num_ops {
         let src = r.u32()?;
@@ -222,7 +223,7 @@ pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
         });
     }
 
-    let table_len = r.len_of(4)?;
+    let table_len = r.len(4)?;
     let mut reg_table = Vec::with_capacity(table_len);
     for _ in 0..table_len {
         let reg = r.u32()?;
@@ -236,7 +237,7 @@ pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
     }
     let num_lifetimes = (table_len / k as usize) as u32;
 
-    let num_mem = r.len_of(5)?;
+    let num_mem = r.len(5)?;
     let mut mem_nodes = Vec::with_capacity(num_mem);
     for _ in 0..num_mem {
         let v = r.u32()?;
@@ -250,7 +251,7 @@ pub fn decode_program(bytes: &[u8]) -> Option<WideProgram> {
         }
         mem_nodes.push((v, is_load));
     }
-    if r.pos != r.bytes.len() {
+    if !r.exhausted() {
         return None;
     }
 
@@ -320,51 +321,6 @@ fn op_kind(code: u8) -> Option<OpKind> {
     OpKind::ALL.get(code as usize).copied()
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        let s = self.bytes.get(self.pos..self.pos + 2)?;
-        self.pos += 2;
-        Some(u16::from_le_bytes(s.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let s = self.bytes.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(s.try_into().ok()?))
-    }
-
-    /// Reads an element count whose elements occupy at least
-    /// `min_elem_bytes` each, rejecting counts the remaining input
-    /// cannot possibly hold (so corrupt lengths never drive huge
-    /// allocations).
-    fn len_of(&mut self, min_elem_bytes: usize) -> Option<usize> {
-        let len = self.u32()? as usize;
-        if len > (self.bytes.len() - self.pos) / min_elem_bytes {
-            return None;
-        }
-        Some(len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,6 +357,30 @@ mod tests {
         let bytes = encode_program(&p);
         let q = decode_program(&bytes).expect("roundtrip decodes");
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn golden_program_bytes() {
+        let hex: String = encode_program(&sample_program())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "0100020000000100000004000000080000000300000003000000100000000800",
+                "000000000000000a000000000000000100000001000000010000000100000002",
+                "0000000200000002000000020000000300000003000000000000000000000000",
+                "0001000000000200000000000000000000000000000001000000000100000004",
+                "0100000000020000000000000001000000010000000200000000020000000100",
+                "00000000020000000200000001000000ffffffff040000000000000000000000",
+                "00000000000000000000000000000000ffffffff000000000000000000000000",
+                "00000000000100000000000000ffffffff000100000000000000000000000100",
+                "00000000000000000000ffffffff000100000000000000000000000100000001",
+                "00000000000000ffffffff000800000000000000020000000400000006000000",
+                "010000000300000005000000070000000200000000000000010200000000",
+            )
+        );
     }
 
     #[test]

@@ -437,12 +437,6 @@ impl WideProgram {
         self.insts.len()
     }
 
-    /// Pre-resolved operand descriptors.
-    #[must_use]
-    pub fn num_operands(&self) -> usize {
-        self.operands.len()
-    }
-
     /// Rough in-memory footprint, for store budgeting.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {

@@ -2,9 +2,10 @@
 //! Resources* reproduction: structured tracing spans, latency
 //! histograms, and a merged Perfetto-loadable fleet timeline.
 //!
-//! The crate is deliberately **zero-dependency** (std only) and sits at
-//! the bottom of the workspace graph, below `widening-pipeline`, so any
-//! crate can record into it. It has four layers:
+//! The crate is deliberately **std-only**: its one dependency is the
+//! std-only `widening-wire` codec, and it sits at the bottom of the
+//! workspace graph, below `widening-pipeline`, so any crate can record
+//! into it. It has four layers:
 //!
 //! * [`span`](mod@span) — a process-global **span recorder**. Each
 //!   recording thread owns a bounded, preallocated ring of fixed-size
@@ -16,9 +17,10 @@
 //!   [`metrics::Histogram`]s with p50/p90/p99 extraction, grouped in a
 //!   [`metrics::MetricsRegistry`]. These back the pipeline's stage
 //!   counters.
-//! * [`trace`] — a hand-rolled **versioned binary trace file** format
-//!   (`WTRC` v1). Every fleet worker process writes one file next to
-//!   its results; the coordinator reads them all back.
+//! * [`trace`] — a **versioned binary trace file** format (`WTRC` v1),
+//!   encoded with the shared `widening-wire` codec. Every fleet worker
+//!   process writes one file next to its results; the coordinator reads
+//!   them all back.
 //! * [`chrome`] + [`analyze`] + [`json`] — the merged timeline:
 //!   [`chrome::chrome_trace_json`] turns any number of per-process
 //!   traces into one Chrome trace-event JSON document (one `pid` track

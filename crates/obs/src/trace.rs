@@ -3,8 +3,8 @@
 //! Each fleet worker process serialises its [`ProcessTrace`] into one
 //! file next to its published results; the coordinator reads every file
 //! back and merges them onto one timeline ([`crate::chrome`]). The
-//! format is hand-rolled little-endian (this crate sits below
-//! `widening-pipeline`, so it cannot borrow the pipeline codec):
+//! format is little-endian, written and read with the shared
+//! `widening-wire` codec:
 //!
 //! ```text
 //! magic    "WTRC"                     4 bytes
@@ -27,12 +27,20 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use widening_wire::{Reader, Writer};
+
 use crate::span::{Event, SpanKind};
 
 /// File magic.
 pub const TRACE_MAGIC: [u8; 4] = *b"WTRC";
 /// Current format version.
 pub const TRACE_VERSION: u32 = 1;
+
+/// Bytes of one encoded event: kind, start, end and both arguments.
+const EVENT_BYTES: usize = 1 + 4 * 8;
+/// Fewest bytes one encoded track takes: tid, label length and event
+/// count.
+const MIN_TRACK_BYTES: usize = 3 * 4;
 
 /// One recording thread's events, in recording order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,67 +78,52 @@ impl ProcessTrace {
     /// Serialise to the `WTRC` v1 byte format.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.event_count() * 33);
-        out.extend_from_slice(&TRACE_MAGIC);
-        put_u32(&mut out, TRACE_VERSION);
-        put_u64(&mut out, self.wall_anchor_ns);
-        put_u64(&mut out, self.dropped);
-        put_str(&mut out, &self.process);
-        put_u32(&mut out, self.tracks.len() as u32);
+        let mut w = Writer::with_capacity(64 + self.event_count() * EVENT_BYTES);
+        w.bytes(&TRACE_MAGIC);
+        w.u32(TRACE_VERSION);
+        w.u64(self.wall_anchor_ns);
+        w.u64(self.dropped);
+        w.str(&self.process);
+        w.len(self.tracks.len());
         for track in &self.tracks {
-            put_u32(&mut out, track.tid);
-            put_str(&mut out, &track.label);
-            put_u32(&mut out, track.events.len() as u32);
+            w.u32(track.tid);
+            w.str(&track.label);
+            w.len(track.events.len());
             for event in &track.events {
-                out.push(event.kind as u8);
-                put_u64(&mut out, event.start_ns);
-                put_u64(&mut out, event.end_ns);
-                put_u64(&mut out, event.a);
-                put_u64(&mut out, event.b);
+                w.u8(event.kind as u8);
+                w.u64(event.start_ns);
+                w.u64(event.end_ns);
+                w.u64(event.a);
+                w.u64(event.b);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decode a `WTRC` trace; `None` on any corruption or version skew.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        if cur.take(4)? != TRACE_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(4)? != TRACE_MAGIC || r.u32()? != TRACE_VERSION {
             return None;
         }
-        if cur.u32()? != TRACE_VERSION {
-            return None;
-        }
-        let wall_anchor_ns = cur.u64()?;
-        let dropped = cur.u64()?;
-        let process = cur.str()?;
-        let track_count = cur.u32()? as usize;
-        // Each track needs ≥ 12 bytes: cheap bound against hostile counts.
-        if track_count > cur.remaining() / 12 + 1 {
-            return None;
-        }
-        let mut tracks = Vec::with_capacity(track_count.min(1024));
-        for _ in 0..track_count {
-            let tid = cur.u32()?;
-            let label = cur.str()?;
-            let event_count = cur.u32()? as usize;
-            if event_count > cur.remaining() / 33 + 1 {
-                return None;
-            }
-            let mut events = Vec::with_capacity(event_count);
-            for _ in 0..event_count {
-                let kind = SpanKind::from_u8(cur.u8()?)?;
-                let start_ns = cur.u64()?;
-                let end_ns = cur.u64()?;
-                let a = cur.u64()?;
-                let b = cur.u64()?;
+        let wall_anchor_ns = r.u64()?;
+        let dropped = r.u64()?;
+        let process = r.str()?.to_owned();
+        let ntracks = r.len(MIN_TRACK_BYTES)?;
+        let mut tracks = Vec::with_capacity(ntracks);
+        for _ in 0..ntracks {
+            let tid = r.u32()?;
+            let label = r.str()?.to_owned();
+            let nevents = r.len(EVENT_BYTES)?;
+            let mut events = Vec::with_capacity(nevents);
+            for _ in 0..nevents {
                 events.push(Event {
-                    kind,
-                    start_ns,
-                    end_ns,
-                    a,
-                    b,
+                    kind: SpanKind::from_u8(r.u8()?)?,
+                    start_ns: r.u64()?,
+                    end_ns: r.u64()?,
+                    a: r.u64()?,
+                    b: r.u64()?,
                 });
             }
             tracks.push(TrackTrace { tid, label, events });
@@ -141,54 +134,6 @@ impl ProcessTrace {
             dropped,
             tracks,
         })
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
     }
 }
 
@@ -280,6 +225,35 @@ mod tests {
         let bytes = trace.encode();
         assert_eq!(&bytes[..4], b"WTRC");
         assert_eq!(ProcessTrace::decode(&bytes), Some(trace));
+    }
+
+    #[test]
+    fn golden_trace_bytes() {
+        let trace = ProcessTrace {
+            process: "w1".into(),
+            wall_anchor_ns: 0x0102_0304_0506_0708,
+            dropped: 2,
+            tracks: vec![TrackTrace {
+                tid: 3,
+                label: "s0".into(),
+                events: vec![Event {
+                    kind: SpanKind::Widen,
+                    start_ns: 10,
+                    end_ns: 40,
+                    a: 2,
+                    b: 0x1_0202,
+                }],
+            }],
+        };
+        let hex: String = trace.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "5754524301000000080706050403020102000000000000000200000077310100",
+                "00000300000002000000733001000000000a0000000000000028000000000000",
+                "0002000000000000000202010000000000",
+            )
+        );
     }
 
     #[test]

@@ -1,24 +1,20 @@
-//! Hand-rolled versioned binary codec for persisted stage artifacts —
-//! and the public wire primitives the distributed sweep layer encodes
-//! its manifests and results with.
+//! The versioned binary codecs of the persisted stage artifacts, and
+//! the canonical dependence-graph encoding behind loop fingerprints.
 //!
-//! The environment is offline, so the disk tier cannot lean on serde:
-//! every artifact is encoded with the little-endian primitives below.
-//! Decoding is *total* — every function returns `Option` and rejects
-//! out-of-range tags, truncated buffers and structurally inconsistent
-//! parts instead of panicking — and *verifying* where it matters:
-//! dependence graphs re-run [`Ddg::from_parts`] validation, schedules
-//! are re-verified against their graph and machine through
+//! Every record is written and read with the shared `widening-wire`
+//! primitives. Decoding is *total* — every function returns `Option`
+//! and rejects out-of-range tags, truncated buffers and structurally
+//! inconsistent parts instead of panicking — and *verifying* where it
+//! matters: dependence graphs re-run [`Ddg::from_parts`] validation,
+//! schedules are re-verified against their graph and machine through
 //! [`Schedule::new`], and allocations re-check their location-table
 //! invariants. A corrupt cache file therefore degrades to a cache miss,
 //! never to a wrong result.
 //!
-//! The public surface ([`Writer`], [`Reader`], [`encode_ddg`],
-//! [`decode_ddg`], [`ddg_fingerprint`], [`fnv128`]) is what
-//! out-of-crate consumers — the `widening-distrib` coordinator/worker
-//! protocol and the evaluator's simulation summaries — build their own
-//! versioned records from, so every byte that crosses a process
-//! boundary shares one set of primitives.
+//! The public surface is [`encode_ddg`], [`decode_ddg`] and
+//! [`ddg_fingerprint`]: the fleet's manifest carries loop graphs in this
+//! encoding, and workers on different hosts agree on result keys through
+//! the fingerprint.
 //!
 //! Format versioning for stage artifacts lives in the container header
 //! written by the disk tier (`crate::disk`); bump its `FORMAT_VERSION`
@@ -33,157 +29,10 @@ use widening_regalloc::{
 };
 use widening_sched::{MiiBounds, RecurrenceInfo, Schedule, ScheduleError, Strategy};
 use widening_transform::{CompactReason, NodeMapping, WideningOutcome};
+use widening_wire::{fnv128, Reader, Writer};
 
 use crate::error::PipelineError;
 use crate::stage::{BaseSchedule, ScheduledStage};
-
-/// Append-only little-endian byte sink.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Writer::default()
-    }
-
-    /// Consumes the sink, returning the encoded bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends raw bytes verbatim (length is the caller's business).
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a collection length (encoded as `u32`; decoders cap it).
-    pub fn len(&mut self, n: usize) {
-        debug_assert!(n <= u32::MAX as usize);
-        self.u32(n as u32);
-    }
-}
-
-/// Cursor over an encoded buffer; every read is bounds-checked and
-/// returns `None` past the end — decoding corrupt input can fail, never
-/// panic.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-/// Upper bound on decoded collection lengths: rejects absurd sizes from
-/// corrupt buffers before they reach `Vec::with_capacity`.
-const MAX_LEN: u32 = 1 << 24;
-
-impl<'a> Reader<'a> {
-    /// A cursor at the start of `buf`.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Whether every byte has been consumed — decoders require this so
-    /// trailing garbage is rejected.
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Bytes not yet consumed — the most any count read from the buffer
-    /// can honestly describe, so decoders bound preallocations by it.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Consumes and returns the next `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Option<i64> {
-        Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// Reads a collection length, rejecting sizes no honest encoder
-    /// produces: more than 2²⁴ elements, or more than the bytes left
-    /// (every counted element takes at least one byte). A decoder may
-    /// therefore preallocate the count it reads. (Not a container size
-    /// — the matching emptiness query is [`Reader::exhausted`].)
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&mut self) -> Option<usize> {
-        let n = self.u32()?;
-        (n <= MAX_LEN && n as usize <= self.remaining()).then_some(n as usize)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Content hashing (FNV-1a), used for loop fingerprints and file names.
-
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-/// 64-bit FNV-1a — the container checksum.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV64_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME)
-    })
-}
-
-/// 128-bit FNV-1a — content fingerprints and disk file names.
-#[must_use]
-pub fn fnv128(bytes: &[u8]) -> u128 {
-    bytes.iter().fold(FNV128_OFFSET, |h, &b| {
-        (h ^ u128::from(b)).wrapping_mul(FNV128_PRIME)
-    })
-}
 
 /// Content fingerprint of a dependence graph: the 128-bit hash of its
 /// canonical encoding. Loops with identical bodies share artifacts on
@@ -354,10 +203,9 @@ pub fn encode_ddg(w: &mut Writer, ddg: &Ddg) {
 /// Decodes a dependence graph, re-running full [`Ddg::from_parts`]
 /// validation — a corrupt buffer yields `None`, never an invalid graph.
 pub fn decode_ddg(r: &mut Reader<'_>) -> Option<Ddg> {
-    let n = r.len()?;
-    // An op takes at least 2 bytes and an edge 13: counts never size an
-    // allocation past what the buffer could hold.
-    let mut ops = Vec::with_capacity(n.min(r.remaining() / 2));
+    // An op takes at least 2 bytes (kind, flags) and an edge 13.
+    let n = r.len(2)?;
+    let mut ops = Vec::with_capacity(n);
     for _ in 0..n {
         let kind = op_kind_from(r.u8()?)?;
         let flags = r.u8()?;
@@ -378,8 +226,8 @@ pub fn decode_ddg(r: &mut Reader<'_>) -> Option<Ddg> {
         }
         ops.push(op);
     }
-    let m = r.len()?;
-    let mut edges = Vec::with_capacity(m.min(r.remaining() / 13));
+    let m = r.len(13)?;
+    let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
         edges.push(Edge {
             src: NodeId(r.u32()?),
@@ -413,7 +261,7 @@ fn decode_schedule(
     model: CycleModel,
 ) -> Option<Schedule> {
     let ii = r.u32()?;
-    let n = r.len()?;
+    let n = r.len(4)?;
     let mut times = Vec::with_capacity(n);
     for _ in 0..n {
         times.push(r.u32()?);
@@ -431,7 +279,7 @@ fn encode_lifetimes(w: &mut Writer, lts: &[Lifetime]) {
 }
 
 fn decode_lifetimes(r: &mut Reader<'_>) -> Option<Vec<Lifetime>> {
-    let n = r.len()?;
+    let n = r.len(12)?;
     let mut lts = Vec::with_capacity(n);
     for _ in 0..n {
         let def = NodeId(r.u32()?);
@@ -464,12 +312,12 @@ fn decode_allocation(r: &mut Reader<'_>) -> Option<RegisterAllocation> {
     let registers_used = r.u32()?;
     let max_lives = r.u32()?;
     let kernel_unroll = r.u32()?;
-    let n = r.len()?;
+    let n = r.len(8)?;
     let mut assignment = Vec::with_capacity(n);
     for _ in 0..n {
         assignment.push((r.u32()?, r.u32()?));
     }
-    let m = r.len()?;
+    let m = r.len(4)?;
     let mut locations = Vec::with_capacity(m);
     for _ in 0..m {
         locations.push(r.u32()?);
@@ -525,7 +373,9 @@ pub(crate) fn decode_widen(
     if r.u32()? != width {
         return None;
     }
-    let n = r.len()?;
+    // A mapping entry takes at least 5 bytes (tag, then a node id or a
+    // lane count).
+    let n = r.len(5)?;
     if n != original_nodes {
         return None;
     }
@@ -534,7 +384,7 @@ pub(crate) fn decode_widen(
         mapping.push(match r.u8()? {
             0 => NodeMapping::Wide(NodeId(r.u32()?)),
             1 => {
-                let lanes = r.len()?;
+                let lanes = r.len(4)?;
                 let mut ids = Vec::with_capacity(lanes);
                 for _ in 0..lanes {
                     ids.push(NodeId(r.u32()?));
@@ -576,11 +426,12 @@ pub(crate) fn decode_mii(bytes: &[u8], wide_nodes: usize) -> Option<MiiBounds> {
     let mut r = Reader::new(bytes);
     let res_mii = r.u32()?;
     let rec_mii = r.u32()?;
-    let n = r.len()?;
+    // A recurrence takes at least 8 bytes (its bound, its node count).
+    let n = r.len(8)?;
     let mut recurrences = Vec::with_capacity(n);
     for _ in 0..n {
         let rec = r.u32()?;
-        let m = r.len()?;
+        let m = r.len(4)?;
         if m == 0 {
             return None;
         }
@@ -798,12 +649,13 @@ fn encode_spills(w: &mut Writer, spills: &[SpillRecord]) {
 }
 
 fn decode_spills(r: &mut Reader<'_>, nodes: usize) -> Option<Vec<SpillRecord>> {
-    let n = r.len()?;
+    // A spill takes at least 12 bytes (victim, store, reload count).
+    let n = r.len(12)?;
     let mut spills = Vec::with_capacity(n);
     for _ in 0..n {
         let victim = NodeId(r.u32()?);
         let store = NodeId(r.u32()?);
-        let m = r.len()?;
+        let m = r.len(8)?;
         let mut reloads = Vec::with_capacity(m);
         for _ in 0..m {
             reloads.push((r.u32()?, NodeId(r.u32()?)));
@@ -943,7 +795,7 @@ pub(crate) fn decode_lowered(
     let mut r = Reader::new(bytes);
     match r.u8()? {
         0 => {
-            let program = widening_lower::codec::decode_program(r.take(bytes.len() - 1)?)?;
+            let program = widening_lower::codec::decode_program(r.take(r.remaining())?)?;
             Some(Ok(Arc::new(program)))
         }
         1 => {
@@ -1160,34 +1012,120 @@ mod tests {
         assert!(decode_sched(&[2, 0], &cfg, CycleModel::Cycles4).is_none());
     }
 
+    /// The golden sample: `vector_divide` on `4w2(8:1)`, whose file
+    /// forces spill code.
+    fn golden_point() -> (widening_ir::Loop, WideningOutcome, Configuration) {
+        let l = widening_workload::kernels::all().swap_remove(5);
+        let wide = stage_widen(l.ddg(), 2);
+        (l, wide, "4w2(8:1)".parse().unwrap())
+    }
+
+    fn golden_stage() -> Result<ScheduledStage, PipelineError> {
+        let (_, wide, cfg) = golden_point();
+        let opts = CompileOptions::default();
+        stage_schedule(wide.ddg(), &cfg, CycleModel::Cycles4, &opts, None)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    // Golden formats: each pins the bytes of a fixed sample, so a change
+    // to the encoding (or to a primitive under it) fails here first.
+
     #[test]
-    fn reader_len_rejects_counts_past_the_input() {
-        let counted = |n: u32, tail: usize| {
-            let mut w = Writer::new();
-            w.len(n as usize);
-            w.bytes(&vec![0; tail]);
-            w.into_bytes()
+    fn golden_widen_record() {
+        let (_, wide, _) = golden_point();
+        assert_eq!(
+            fnv128(&encode_widen(&wide)),
+            0x8430_f80a_4120_fe5e_7620_c8af_9f27_e6c0
+        );
+    }
+
+    #[test]
+    fn golden_mii_record() {
+        let (_, wide, cfg) = golden_point();
+        let bounds = stage_mii(wide.ddg(), &cfg, CycleModel::Cycles4);
+        assert_eq!(hex(&encode_mii(&bounds)), "030000000100000000000000");
+        // `complex_mac` carries two recurrence circuits.
+        let l = widening_workload::kernels::all().swap_remove(9);
+        let wide = stage_widen(l.ddg(), 2);
+        let bounds = stage_mii(wide.ddg(), &cfg, CycleModel::Cycles4);
+        assert_eq!(bounds.recurrences().len(), 2);
+        assert_eq!(
+            fnv128(&encode_mii(&bounds)),
+            0x7197_f5f4_1ca7_c1bc_ee27_4cf0_eee2_1df5
+        );
+    }
+
+    #[test]
+    fn golden_base_record() {
+        let (_, wide, cfg) = golden_point();
+        let bounds = stage_mii(wide.ddg(), &cfg, CycleModel::Cycles4);
+        let opts = CompileOptions::default();
+        let base = stage_base_schedule(wide.ddg(), &cfg, CycleModel::Cycles4, &opts, &bounds).0;
+        assert_eq!(
+            fnv128(&encode_base(&base.map(Arc::new))),
+            0xfef9_3b6b_35ee_4317_8711_42ab_d366_e29a
+        );
+    }
+
+    #[test]
+    fn golden_sched_record() {
+        let stage = golden_stage().expect("the sample schedules");
+        assert!(!stage.result.spills.is_empty());
+        assert_eq!(
+            fnv128(&encode_sched(&Ok(Arc::new(stage)))),
+            0x2d69_77fc_d4a3_b169_437c_2ede_f4b2_06ed
+        );
+    }
+
+    #[test]
+    fn golden_fit_marker_and_pressure_failure() {
+        assert_eq!(encode_sched_fit(), [2]);
+        let pressure = PipelineError::Pressure {
+            needed: 40,
+            available: 32,
         };
-        // A count may describe at most the bytes left after it.
-        assert_eq!(Reader::new(&counted(0, 0)).len(), Some(0));
-        assert_eq!(Reader::new(&counted(3, 3)).len(), Some(3));
-        assert_eq!(Reader::new(&counted(4, 3)).len(), None);
-        assert_eq!(Reader::new(&counted(1 << 24, 8)).len(), None);
-        // A corrupt lifetimes count fails at the count, which the
-        // decoder would otherwise preallocate (12 bytes per element).
+        assert_eq!(
+            hex(&encode_sched(&Err(pressure.clone()))),
+            "01002800000020000000"
+        );
+        assert_eq!(hex(&encode_base(&Err(pressure))), "01002800000020000000");
+    }
+
+    #[test]
+    fn golden_lowered_record() {
+        let (l, wide, _) = golden_point();
+        let stage = golden_stage().expect("the sample schedules");
+        let program = widening_lower::lower(l.ddg(), &wide, &stage.result);
+        assert_eq!(
+            fnv128(&encode_lowered(&Ok(Arc::new(program)))),
+            0xc26e_b819_4734_3dc2_ca02_f7ba_6531_d655
+        );
+    }
+
+    #[test]
+    fn lifetimes_count_is_bounded_by_the_input() {
+        // A lifetime takes 12 bytes: a count the bytes left cannot hold
+        // fails at the count, before the decoder preallocates it.
         let lifetime = Lifetime {
             def: NodeId(0),
             start: 1,
             end: 5,
         };
-        let mut w = Writer::new();
-        encode_lifetimes(&mut w, &[lifetime]);
-        let mut bytes = w.into_bytes();
-        bytes[..4].copy_from_slice(&(1u32 << 24).to_le_bytes());
-        assert!(decode_lifetimes(&mut Reader::new(&bytes)).is_none());
-        bytes[..4].copy_from_slice(&1u32.to_le_bytes());
+        let counted = |n: usize| {
+            let mut w = Writer::new();
+            w.len(n);
+            w.u32(lifetime.def.0);
+            w.u32(lifetime.start);
+            w.u32(lifetime.end);
+            w.into_bytes()
+        };
+        assert!(decode_lifetimes(&mut Reader::new(&counted(2))).is_none());
+        assert!(decode_lifetimes(&mut Reader::new(&counted(1 << 24))).is_none());
         assert_eq!(
-            decode_lifetimes(&mut Reader::new(&bytes)),
+            decode_lifetimes(&mut Reader::new(&counted(1))),
             Some(vec![lifetime])
         );
     }

@@ -31,7 +31,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::codec::fnv64;
+use widening_wire::{fnv64, Reader, Writer};
 
 /// Bump when any codec encoding or the on-disk layout changes shape:
 /// old cache directories then read as misses (their `v<N>` subtree is
@@ -150,58 +150,55 @@ impl DiskTier {
 
 /// Encodes `payload` under `key` as one container.
 pub(crate) fn encode_container(key: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + key.len() + 4 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&[0; 8]);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    // The checksum (bytes 6..14) covers everything after it.
-    let checksum = fnv64(&out[14..]);
-    out[6..14].copy_from_slice(&checksum.to_le_bytes());
-    out
+    // The checksum covers everything after it.
+    let mut checked = Writer::with_capacity(4 + key.len() + 4 + payload.len());
+    checked.len(key.len());
+    checked.bytes(key);
+    checked.len(payload.len());
+    checked.bytes(payload);
+    let checked = checked.into_bytes();
+    let mut w = Writer::with_capacity(HEADER_LEN - 4 + checked.len());
+    w.bytes(&MAGIC);
+    w.u16(FORMAT_VERSION);
+    w.u64(fnv64(&checked));
+    w.bytes(&checked);
+    w.into_bytes()
+}
+
+/// The checksum a container of this format version announces, leaving
+/// `r` at its key length; `None` for any other header.
+fn header_checksum(r: &mut Reader<'_>) -> Option<u64> {
+    if r.take(4)? != MAGIC || r.u16()? != FORMAT_VERSION {
+        return None;
+    }
+    r.u64()
 }
 
 /// The key length a container header announces; `None` when the
 /// header is not a container of this format version.
 pub(crate) fn header_key_len(header: &[u8; HEADER_LEN]) -> Option<u32> {
-    let rest = header.strip_prefix(&MAGIC)?;
-    let (version, rest) = rest.split_first_chunk::<2>()?;
-    if u16::from_le_bytes(*version) != FORMAT_VERSION {
-        return None;
-    }
-    let (_checksum, key_len) = rest.split_first_chunk::<8>()?;
-    Some(u32::from_le_bytes(key_len.try_into().ok()?))
+    let mut r = Reader::new(header);
+    header_checksum(&mut r)?;
+    r.u32()
 }
 
 /// The payload of container `bytes`, provided its checksum holds and
 /// its echoed key equals `expected_key`.
 pub(crate) fn parse_container(bytes: &[u8], expected_key: &[u8]) -> Option<Vec<u8>> {
-    let rest = bytes.strip_prefix(&MAGIC)?;
-    let (version, rest) = rest.split_first_chunk::<2>()?;
-    if u16::from_le_bytes(*version) != FORMAT_VERSION {
+    let mut r = Reader::new(bytes);
+    let checksum = header_checksum(&mut r)?;
+    let checked = r.take(r.remaining())?;
+    if checksum != fnv64(checked) {
         return None;
     }
-    let (checksum, checked) = rest.split_first_chunk::<8>()?;
-    if u64::from_le_bytes(*checksum) != fnv64(checked) {
+    let mut r = Reader::new(checked);
+    let key_len = r.u32()? as usize;
+    if r.take(key_len)? != expected_key {
         return None;
     }
-    let (key_len, rest) = checked.split_first_chunk::<4>()?;
-    let key_len = u32::from_le_bytes(*key_len) as usize;
-    if rest.len() < key_len {
-        return None;
-    }
-    let (key, rest) = rest.split_at(key_len);
-    if key != expected_key {
-        return None;
-    }
-    let (payload_len, payload) = rest.split_first_chunk::<4>()?;
-    if u32::from_le_bytes(*payload_len) as usize != payload.len() {
-        return None;
-    }
-    Some(payload.to_vec())
+    let payload_len = r.u32()? as usize;
+    let payload = r.take(payload_len)?;
+    r.exhausted().then(|| payload.to_vec())
 }
 
 #[cfg(test)]
@@ -241,6 +238,18 @@ mod tests {
         assert_eq!(t.load("batch", 7, b"an-impostor!"), None);
         assert!(t.errors() >= 1);
         let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn golden_container_bytes() {
+        let hex: String = encode_container(b"key", b"payload")
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "574152540200c0e346ecb6eeaf9c030000006b6579070000007061796c6f6164"
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use widening_obs::{Histogram, MetricsRegistry, SpanKind};
 use widening_regalloc::SpillOptions;
 use widening_sched::{MiiBounds, Strategy};
 use widening_transform::WideningOutcome;
+use widening_wire::Writer;
 
 use widening_lower::WideProgram;
 
@@ -638,7 +639,7 @@ impl Pipeline {
 
     /// A `stage` key of loop `li`: the stage name, then the loop's
     /// content fingerprint. The caller appends the design-point fields.
-    fn key_of(&self, stage: &str, li: usize) -> codec::Writer {
+    fn key_of(&self, stage: &str, li: usize) -> Writer {
         let mut w = stage_key(stage);
         let fp = self.content_fingerprint(li);
         w.u64(fp as u64);

@@ -39,7 +39,9 @@
 
 use std::path::Path;
 
-use crate::codec::{self, Reader, Writer};
+use widening_wire::{fnv128, Reader, Writer};
+
+use crate::codec;
 use crate::disk::DiskTier;
 use crate::error::{FailureCause, PipelineError};
 use crate::stage::{CompiledLoop, PointSpec};
@@ -79,14 +81,14 @@ impl Exchange {
     /// Publishes `payload` under `(kind, key)`. Atomic (temp + rename)
     /// and best-effort: failures are counted, never surfaced.
     pub fn put(&self, kind: &str, key: &[u8], payload: &[u8]) {
-        self.tier.store(kind, codec::fnv128(key), key, payload);
+        self.tier.store(kind, fnv128(key), key, payload);
     }
 
     /// Loads the payload under `(kind, key)`, verifying the container
     /// checksum and key echo. Any mismatch is a miss.
     #[must_use]
     pub fn get(&self, kind: &str, key: &[u8]) -> Option<Vec<u8>> {
-        self.tier.load(kind, codec::fnv128(key), key)
+        self.tier.load(kind, fnv128(key), key)
     }
 
     /// Swallowed I/O or format failures so far.
@@ -262,7 +264,7 @@ pub fn batch_result_key(unit_keys: &[Vec<u8>]) -> Vec<u8> {
     for k in unit_keys {
         cat.bytes(k);
     }
-    let h = codec::fnv128(&cat.into_bytes());
+    let h = fnv128(&cat.into_bytes());
     let mut w = Writer::new();
     w.u64(h as u64);
     w.u64((h >> 64) as u64);
@@ -293,9 +295,9 @@ pub fn decode_unit_batch(bytes: &[u8]) -> Option<Vec<(u32, UnitOutcome)>> {
     if r.u32()? != u32::from(BATCH_VERSION) {
         return None;
     }
-    let n = r.len()?;
     // An entry takes at least 6 bytes (unit id, tags).
-    let mut entries = Vec::with_capacity(n.min(r.remaining() / 6));
+    let n = r.len(6)?;
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let unit = r.u32()?;
         entries.push((unit, decode_outcome_body(&mut r)?));
@@ -396,6 +398,45 @@ mod tests {
         let swapped = vec![keys[1].clone(), keys[0].clone()];
         assert_ne!(batch_result_key(&keys), batch_result_key(&keys[..1]));
         assert_ne!(batch_result_key(&keys), batch_result_key(&swapped));
+    }
+
+    #[test]
+    fn golden_batch_record() {
+        let entries = [
+            (
+                3,
+                UnitOutcome::Ok {
+                    ii: 5,
+                    mii: 4,
+                    registers: 17,
+                    spill_ops: 2,
+                },
+            ),
+            (
+                9,
+                UnitOutcome::Failed {
+                    cause: FailureCause::Pressure {
+                        needed: 40,
+                        available: 32,
+                    },
+                },
+            ),
+            (
+                10,
+                UnitOutcome::Failed {
+                    cause: FailureCause::Schedule,
+                },
+            ),
+        ];
+        let hex: String = encode_unit_batch(&entries)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "01000000030000000300000000050000000400000011000000020000000900\
+             0000010028000000200000000a0000000101"
+        );
     }
 
     #[test]

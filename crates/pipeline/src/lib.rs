@@ -37,7 +37,8 @@
 //!   ([`StoreConfig::cache_dir`]) — every artifact, memoized failures
 //!   included, is appended to the pipeline's own segment file under its
 //!   content key (the loop graph's 128-bit fingerprint plus the
-//!   design-point fields) with a hand-rolled versioned binary codec.
+//!   design-point fields) in a versioned binary record written with
+//!   the shared `widening-wire` codec.
 //!   Opening a pipeline indexes the record headers of the segments
 //!   already present, so a second process over the same corpus decodes
 //!   every stage instead of executing it; decoded schedules are

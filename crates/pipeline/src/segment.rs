@@ -40,7 +40,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::codec::{fnv128, Writer};
+use widening_wire::{fnv128, Reader, Writer};
+
 use crate::disk::{self, HEADER_LEN};
 
 /// Stage names: the first field of every stage record's key.
@@ -129,7 +130,7 @@ fn next_record(reader: &mut BufReader<File>, left: u64, key: &mut Vec<u8>) -> Op
     reader.read_exact(key).ok()?;
     let mut payload_len = [0; 4];
     reader.read_exact(&mut payload_len).ok()?;
-    let payload_len = u32::from_le_bytes(payload_len);
+    let payload_len = Reader::new(&payload_len).u32()?;
     let len = u32::try_from(framed + u64::from(payload_len))
         .ok()
         .filter(|&len| u64::from(len) <= left)?;

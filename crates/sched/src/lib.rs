@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 
 mod analysis;
+mod dense;
 mod mii;
 mod mrt;
 mod schedule;
@@ -76,5 +77,71 @@ pub fn edge_delay(model: CycleModel, src_kind: OpKind, edge: &Edge) -> i64 {
         i64::from(model.latency(src_kind))
     } else {
         1
+    }
+}
+
+// The private `dense` module's word helpers and bit matrix.
+#[cfg(test)]
+mod tests {
+    use crate::dense::{words, BitMatrix};
+
+    #[test]
+    fn span_mask_edges() {
+        assert_eq!(words::span_mask(0, 64), u64::MAX);
+        assert_eq!(words::span_mask(0, 1), 1);
+        assert_eq!(words::span_mask(63, 64), 1u64 << 63);
+        assert_eq!(words::span_mask(5, 5), 0);
+        assert_eq!(words::span_mask(4, 8), 0b1111_0000);
+    }
+
+    #[test]
+    fn run_ops_match_bit_ops() {
+        // Exhaustive-ish cross-check of the word-level run helpers
+        // against the obvious bit-at-a-time reference.
+        let nbits = 150;
+        for &(start, len) in &[
+            (0, 1),
+            (63, 2),
+            (0, 150),
+            (149, 1),
+            (64, 64),
+            (10, 100),
+            (70, 5),
+        ] {
+            let mut w = vec![0u64; words::words_for(nbits)];
+            words::set_run(&mut w, start, len.min(nbits - start));
+            for i in 0..nbits {
+                let expect = i >= start && i < start + len.min(nbits - start);
+                assert_eq!(words::get(&w, i), expect, "bit {i} of run {start}+{len}");
+            }
+            assert!(!words::run_is_clear(&w, start, len.min(nbits - start)));
+            words::clear_run(&mut w, start, len.min(nbits - start));
+            assert!(w.iter().all(|&x| x == 0));
+        }
+    }
+
+    #[test]
+    fn wrapped_run_wraps() {
+        let nbits = 100;
+        let mut w = vec![0u64; words::words_for(nbits)];
+        words::set_wrapped_run(&mut w, nbits, 90, 20); // [90,100) ∪ [0,10)
+        for i in 0..nbits {
+            assert_eq!(words::get(&w, i), !(10..90).contains(&i));
+        }
+        assert!(!words::wrapped_run_is_clear(&w, nbits, 95, 2));
+        assert!(words::wrapped_run_is_clear(&w, nbits, 10, 80));
+    }
+
+    #[test]
+    fn bitmatrix_round_trip() {
+        let mut m = BitMatrix::new();
+        m.reset(3, 70);
+        assert!(m.insert(2, 69));
+        assert!(!m.insert(2, 69));
+        assert!(m.get(2, 69));
+        assert!(!m.get(1, 69));
+        assert!(!m.get(2, 5));
+        m.reset(1, 4);
+        assert!(!m.get(0, 3));
     }
 }

@@ -12,8 +12,9 @@
 //! a run of `o mod II` rows on one more unit. This matches the capacity
 //! argument behind `ResMII` exactly.
 
-use widening_dense::words;
 use widening_ir::ResourceClass;
+
+use crate::dense::words;
 
 /// Where an operation landed in the MRT; returned for introspection and
 /// needed to release the reservation.
@@ -441,7 +442,7 @@ mod tests {
                 for r in 0..g.rows {
                     assert_eq!(
                         g.cell(u, r) != FREE,
-                        widening_dense::words::get(g.unit_words(u), r as usize),
+                        words::get(g.unit_words(u), r as usize),
                         "unit {u} row {r}"
                     );
                 }

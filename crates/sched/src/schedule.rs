@@ -128,14 +128,6 @@ impl Schedule {
         *self.times.iter().max().expect("schedules are non-empty")
     }
 
-    /// Absolute issue cycle of node `v` in kernel iteration `block`
-    /// (0-based): `t(v) + II·block`. This is the simulator's issue-cycle
-    /// table.
-    #[must_use]
-    pub fn issue_cycle(&self, v: NodeId, block: u64) -> u64 {
-        u64::from(self.times[v.index()]) + u64::from(self.ii) * block
-    }
-
     /// Exact dynamic cycles to issue `blocks` kernel iterations of the
     /// software pipeline, prologue and epilogue included: the last
     /// operation of the last iteration issues at `max_time + II·(blocks−1)`.

@@ -31,11 +31,11 @@
 //! steady-state II attempt performs no heap allocation (asserted by the
 //! `zero_alloc` integration test).
 
-use widening_dense::BitMatrix;
 use widening_ir::{Ddg, NodeId};
 use widening_machine::{Configuration, CycleModel};
 
 use crate::analysis::TimeAnalysis;
+use crate::dense::BitMatrix;
 use crate::edge_delay;
 use crate::mii::MiiBounds;
 use crate::mrt::{Mrt, Placement};

@@ -83,12 +83,6 @@ impl WideningOutcome {
         &self.ddg
     }
 
-    /// Consumes the outcome, returning the widened graph.
-    #[must_use]
-    pub fn into_ddg(self) -> Ddg {
-        self.ddg
-    }
-
     /// The widening degree `Y` the graph was built for.
     #[must_use]
     pub fn width(&self) -> u32 {

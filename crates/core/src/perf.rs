@@ -104,18 +104,20 @@ fn run_suite(
     let _ = eval.baseline_256();
     report.push_sample("baseline256.wall_ns", ns(t.elapsed()));
 
-    // Both execution backends over the paper's winning configuration:
-    // the lowered bytecode, then the interpreter. The pair is the
-    // ledger's record of the lowered backend's speedup. Every rep builds
-    // a fresh evaluator, so every lowered sample includes lowering, and
-    // running it first makes it pay for the cold scalar-reference memo
-    // the interpreter then reuses: the pair can only understate the
-    // speedup, never overstate it.
+    // Every execution backend over the paper's winning configuration:
+    // the lowered bytecode, then the interpreter, then both checked
+    // against each other. The first pair is the ledger's record of the
+    // lowered backend's speedup. Every rep builds a fresh evaluator, so
+    // every lowered sample includes lowering, and running it first
+    // makes it pay for the cold scalar-reference memo the later passes
+    // reuse: the pair can only understate the speedup, never overstate
+    // it. The differential pass is what `--exec differential` costs.
     let sim_cfg: widening_machine::Configuration =
         "4w2(128:1)".parse().expect("static configuration");
     for backend in [
         widening_sim::Backend::Lowered,
         widening_sim::Backend::Interpret,
+        widening_sim::Backend::Differential,
     ] {
         let t = Instant::now();
         let sim = crate::simulate::simulate_corpus(

@@ -100,7 +100,8 @@ impl ProcessTrace {
         w.into_bytes()
     }
 
-    /// Decode a `WTRC` trace; `None` on any corruption or version skew.
+    /// Decode a `WTRC` trace; `None` on any corruption, version skew or
+    /// trailing bytes.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
@@ -128,7 +129,7 @@ impl ProcessTrace {
             }
             tracks.push(TrackTrace { tid, label, events });
         }
-        Some(ProcessTrace {
+        r.exhausted().then_some(ProcessTrace {
             process,
             wall_anchor_ns,
             dropped,
@@ -272,6 +273,14 @@ mod tests {
         bad_kind[kind_pos] = 200;
         assert_eq!(ProcessTrace::decode(&bad_kind), None);
         assert_eq!(ProcessTrace::decode(b""), None);
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = sample().encode();
+        assert_eq!(ProcessTrace::decode(&bytes), Some(sample()));
+        bytes.push(0);
+        assert_eq!(ProcessTrace::decode(&bytes), None);
     }
 
     // Worker traces are read back from a shared directory that other

@@ -3,6 +3,15 @@
 //! with no registers, schedule or spills involved. Its final store
 //! regions and per-node value checksums are the ground truth the wide
 //! simulator is differentially checked against.
+//!
+//! The interpreter is flat. Each node's flow operands are resolved once,
+//! in topological order, into one `(source, distance)` table, so the
+//! iteration loop walks two arrays instead of the graph's edge lists.
+//! Values live in one ring of per-iteration rows whose depth is a power
+//! of two at least one past the largest carried distance, so an
+//! operand read masks its iteration instead of dividing it. Operands
+//! fold from a stack buffer (a heap buffer only for unusually wide
+//! operations).
 
 use widening_ir::{semantics, Ddg, NodeId, OpKind};
 
@@ -87,41 +96,68 @@ pub fn run_reference(ddg: &Ddg, trip: u64) -> ReferenceRun {
     let mut cells = vec![0.0f64; stores.len() * trip_len];
     let mut checksums = vec![0u64; n];
 
-    // Ring-buffered value history deep enough for the largest carried
-    // distance.
-    let depth = ddg.edges().iter().map(|e| e.distance).max().unwrap_or(0) as usize + 1;
-    let mut history = vec![vec![0.0f64; depth]; n];
+    // Every node in topological order with the end of its flow operands
+    // in one flat `(source, distance)` table.
+    let mut operands: Vec<(u32, u32)> = Vec::new();
+    let nodes: Vec<(NodeId, OpKind, usize)> = ddg
+        .zero_distance_topological_order()
+        .into_iter()
+        .map(|v| {
+            operands.extend(
+                ddg.in_edges(v)
+                    .filter(|e| e.kind.is_flow())
+                    .map(|e| (e.src.0, e.distance)),
+            );
+            (v, ddg.op(v).kind(), operands.len())
+        })
+        .collect();
 
-    let order = ddg.zero_distance_topological_order();
-    let mut inputs: Vec<f64> = Vec::new();
+    // The value history: `depth` rows of `n` values, iteration `i` in
+    // row `i & mask`, deep enough for the largest carried distance.
+    let max_distance = operands.iter().map(|&(_, d)| d).max().unwrap_or(0) as usize;
+    let depth = (max_distance + 1).next_power_of_two();
+    let mask = depth - 1;
+    let mut history = vec![0.0f64; depth * n];
+
+    let mut buf = [0.0f64; 8];
+    let mut wide: Vec<f64> = Vec::new();
     for i in 0..trip {
-        for &v in &order {
-            let op = ddg.op(v);
-            inputs.clear();
-            for e in ddg.in_edges(v) {
-                if !e.kind.is_flow() {
-                    continue;
-                }
-                let past = i as i64 - i64::from(e.distance);
-                inputs.push(if past < 0 {
-                    semantics::source_value(e.src.0, past)
+        let row = (i as usize & mask) * n;
+        let mut start = 0;
+        for &(v, kind, end) in &nodes {
+            let read = |&(src, distance): &(u32, u32)| {
+                let past = i as i64 - i64::from(distance);
+                if past < 0 {
+                    semantics::source_value(src, past)
                 } else {
-                    history[e.src.index()][(past as u64 % depth as u64) as usize]
-                });
-            }
-            let value = match op.kind() {
+                    history[(past as usize & mask) * n + src as usize]
+                }
+            };
+            let ops = &operands[start..end];
+            start = end;
+            let inputs: &[f64] = if ops.len() <= buf.len() {
+                for (x, op) in buf.iter_mut().zip(ops) {
+                    *x = read(op);
+                }
+                &buf[..ops.len()]
+            } else {
+                wide.clear();
+                wide.extend(ops.iter().map(read));
+                &wide
+            };
+            let value = match kind {
                 OpKind::Load => {
                     let cell = semantics::initial_memory_value(v.0, i as i64);
                     semantics::squash(cell + inputs.iter().sum::<f64>())
                 }
                 OpKind::Store => {
-                    let value = semantics::eval_op(OpKind::Store, &inputs, v.0, i as i64);
+                    let value = semantics::eval_op(OpKind::Store, inputs, v.0, i as i64);
                     cells[base[v.index()] + i as usize] = value;
                     value
                 }
-                kind => semantics::eval_op(kind, &inputs, v.0, i as i64),
+                kind => semantics::eval_op(kind, inputs, v.0, i as i64),
             };
-            history[v.index()][(i % depth as u64) as usize] = value;
+            history[row + v.index()] = value;
             checksums[v.index()] ^= checksum_step(i, value);
         }
     }
@@ -177,6 +213,69 @@ mod tests {
             let m = semantics::squash(x(i) * x(i));
             acc = semantics::squash(m + acc);
             assert_eq!(region[i as usize].to_bits(), acc.to_bits(), "iteration {i}");
+        }
+    }
+
+    #[test]
+    fn fat_operations_fold_every_operand_in_edge_order() {
+        // Ten operands overflow the stack buffer; a subtract makes the
+        // fold order observable.
+        let mut b = DdgBuilder::new();
+        let xs: Vec<NodeId> = (0..10).map(|_| b.load(1)).collect();
+        let d = b.op(OpKind::FSub);
+        let s = b.store(1);
+        for &x in &xs {
+            b.flow(x, d);
+        }
+        b.flow(d, s);
+        let r = run_reference(&b.build().unwrap(), 6);
+        let (_, region) = r.stores().next().unwrap();
+        for i in 0..6i64 {
+            let inputs: Vec<f64> = xs
+                .iter()
+                .map(|x| semantics::squash(semantics::initial_memory_value(x.0, i)))
+                .collect();
+            let diff = semantics::eval_op(OpKind::FSub, &inputs, d.0, i);
+            let want = semantics::eval_op(OpKind::Store, &[diff], s.0, i);
+            assert_eq!(
+                region[i as usize].to_bits(),
+                want.to_bits(),
+                "iteration {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn carried_distances_read_the_right_ring_row() {
+        // acc[i] = x[i] + acc[i − d]: distances below, at and past a
+        // power of two, so the ring is deeper than `d + 1`.
+        for d in [1u32, 5, 7, 8, 13] {
+            let mut b = DdgBuilder::new();
+            let x = b.load(1);
+            let a = b.op(OpKind::FAdd);
+            let s = b.store(1);
+            b.flow(x, a);
+            b.carried_flow(a, a, d);
+            b.flow(a, s);
+            let r = run_reference(&b.build().unwrap(), 40);
+            let (_, region) = r.stores().next().unwrap();
+            let mut acc: Vec<f64> = Vec::new();
+            for i in 0..40i64 {
+                let xi = semantics::squash(semantics::initial_memory_value(x.0, i));
+                let past = i - i64::from(d);
+                let prev = if past < 0 {
+                    semantics::source_value(a.0, past)
+                } else {
+                    acc[past as usize]
+                };
+                acc.push(semantics::eval_op(OpKind::FAdd, &[xi, prev], a.0, i));
+                let want = semantics::eval_op(OpKind::Store, &[acc[i as usize]], s.0, i);
+                assert_eq!(
+                    region[i as usize].to_bits(),
+                    want.to_bits(),
+                    "d {d}, iteration {i}"
+                );
+            }
         }
     }
 

@@ -78,10 +78,12 @@
 //!   `calibrate` prints how well the analytic `sweep_priority` key
 //!   fits measured unit latencies.
 //! * `repro cache stat` — per-kind artifact/byte usage (stages from
-//!   segment record headers, exchange kinds from files) and the
-//!   generation history of a cache directory.
-//! * `repro cache gc` — prune segments and exchange files untouched for
-//!   the last `--keep-generations N` runs.
+//!   segment record headers, exchange kinds from files, older format
+//!   versions' trees as one `stale-trees` row) and the generation
+//!   history of a cache directory.
+//! * `repro cache gc` — remove older format versions' trees, and prune
+//!   segments and exchange files untouched for the last
+//!   `--keep-generations N` runs.
 
 use std::process::ExitCode;
 
@@ -568,8 +570,14 @@ fn cache_main(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             };
             println!(
-                "cache-gc: examined={} pruned={} pruned-bytes={} cutoff-generation={}",
-                outcome.examined, outcome.pruned, outcome.pruned_bytes, outcome.cutoff_generation
+                "cache-gc: examined={} pruned={} pruned-bytes={} cutoff-generation={} \
+                 stale-trees={} stale-bytes={}",
+                outcome.examined,
+                outcome.pruned,
+                outcome.pruned_bytes,
+                outcome.cutoff_generation,
+                outcome.stale_trees,
+                outcome.stale_bytes
             );
             ExitCode::SUCCESS
         }

@@ -5,8 +5,8 @@
 //!
 //! * `perf record` runs the standard sweep suite `--reps` times
 //!   (fresh evaluator per repetition, so every sample is a cold
-//!   compile) under an installed span recorder, then the fleet probe
-//!   `--reps` times untraced, and writes one versioned
+//!   compile) under an installed span recorder, then the fleet and
+//!   warm-start probes `--reps` times untraced, and writes one versioned
 //!   `BENCH_<stamp>.json` capturing wall-time probes, per-stage latency
 //!   percentiles, store counters, and per-unit `(loop × config)` wall
 //!   times.
@@ -145,24 +145,38 @@ fn run_suite(
 
 /// The fleet probe: the suite's grid as an in-process distributed sweep
 /// by two workers over a fresh store, so every sample pays the cold
-/// shared-store traffic a real fleet pays. Run untraced: the workers'
-/// unit spans would enter the calibration joint a second time.
+/// shared-store traffic a real fleet pays. Then the warm-start probe:
+/// a fresh evaluator, its store's open included, runs the same grid
+/// over the store the fleet left, from disk alone. Both run untraced:
+/// their unit spans would enter the calibration joint a second time.
 fn run_fleet(report: &mut PerfReport, loops: usize) {
     let dir = std::env::temp_dir().join(format!("repro-perf-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let eval = Evaluator::new(generate(&CorpusSpec::small(loops, PERF_SEED)))
-        .with_store(StoreConfig::persistent(&dir));
+    let corpus = generate(&CorpusSpec::small(loops, PERF_SEED));
+    let grid = sweep_grid_specs();
+    let eval = Evaluator::new(corpus.clone()).with_store(StoreConfig::persistent(&dir));
     let t = Instant::now();
     let swept = sweep_distributed(
         &eval,
-        &sweep_grid_specs(),
+        &grid,
         &DistributedOptions::new(2),
         &Launcher::InProcess,
     );
     report.push_sample("sweep.sharded2.wall_ns", ns(t.elapsed()));
     drop(eval);
+    let t = Instant::now();
+    let warm = Evaluator::new(corpus).with_store(StoreConfig::persistent(&dir));
+    let _ = warm.sweep_specs(&grid);
+    report.push_sample("sweep.warm.wall_ns", ns(t.elapsed()));
+    let (live_runs, disk_errors) = (
+        warm.pipeline().stage_counts().live_runs(),
+        warm.pipeline().disk_errors(),
+    );
+    drop(warm);
     let _ = std::fs::remove_dir_all(&dir);
     swept.expect("perf suite fleet sweep");
+    assert_eq!(live_runs, 0, "perf suite warm start ran live stages");
+    assert_eq!(disk_errors, 0, "perf suite warm start hit disk errors");
 }
 
 /// `repro perf record` — run the suite and write the perf report.

@@ -13,7 +13,7 @@ use widening::distrib::{
 use widening::distributed::{merge_published, sweep_distributed, DistributedOptions};
 use widening::{CorpusEval, EvalOptions, Evaluator};
 use widening_machine::{Configuration, CycleModel};
-use widening_pipeline::{PointSpec, StoreConfig};
+use widening_pipeline::{store_root, PointSpec, StoreConfig};
 use widening_workload::corpus::{generate, CorpusSpec};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -206,7 +206,7 @@ fn published_files(cache: &std::path::Path, kind: &str) -> usize {
         }
     }
     let mut count = 0;
-    walk(&cache.join("v2").join(kind), &mut count);
+    walk(&store_root(cache).join(kind), &mut count);
     count
 }
 
@@ -337,7 +337,7 @@ fn a_cold_fleet_leaves_only_claims_done_markers_and_one_batch_per_shard() {
     assert_eq!(left, expected);
     assert_eq!(published_files(&cache, "batch"), manifest.shards.len());
     assert!(
-        !cache.join("v2").join("result").exists(),
+        !store_root(&cache).join("result").exists(),
         "no per-unit result files"
     );
     let _ = std::fs::remove_dir_all(cache);

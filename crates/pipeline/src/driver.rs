@@ -621,14 +621,14 @@ impl Pipeline {
     // -- disk plumbing -------------------------------------------------
 
     /// `key` is a closure so the (fingerprint-based) key material is
-    /// only ever built when a disk tier is actually attached.
+    /// only ever built when a disk tier is actually attached. `decode`
+    /// reads the payload in place, in the log's record buffer.
     fn disk_load<T>(
         &self,
         key: impl FnOnce() -> Vec<u8>,
         decode: impl FnOnce(&[u8]) -> Option<T>,
     ) -> Option<T> {
-        let log = self.log.as_ref()?;
-        decode(&log.load(&key())?)
+        self.log.as_ref()?.load_with(&key(), decode)
     }
 
     fn disk_store(&self, key: impl FnOnce() -> Vec<u8>, encode: impl FnOnce() -> Vec<u8>) {

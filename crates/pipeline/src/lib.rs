@@ -90,6 +90,7 @@ mod segment;
 mod stage;
 mod store;
 
+pub use disk::store_root;
 pub use driver::{Pipeline, StoreConfig};
 pub use error::{FailureCause, PipelineError};
 pub use exchange::{Exchange, UnitOutcome};

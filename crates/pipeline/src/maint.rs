@@ -19,7 +19,12 @@
 //!   generation — those no run of the last `N` used. [`stat`] reports
 //!   usage without deleting anything: per-stage artifact counts and
 //!   bytes read from segment record headers, per-kind file counts and
-//!   bytes for the exchange.
+//!   bytes for the exchange;
+//! * trees an older format version wrote (`<root>/v<N>`, `N` below
+//!   `FORMAT_VERSION`) are unreadable to this build: [`gc`] removes each
+//!   whole, whatever `keep_generations` says, and [`stat`] reports them
+//!   as one [`STALE_TREES`] row. A newer version's tree is never
+//!   touched.
 //!
 //! Everything is best-effort and concurrency-tolerant: a GC racing a
 //! live run can at worst delete artifacts the run was about to reuse,
@@ -31,11 +36,14 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::disk::versioned_root;
+use crate::disk::{store_root, FORMAT_VERSION};
 use crate::segment::{self, SEGMENT_DIR};
 
 /// Name of the generation log inside the versioned root.
 const GENERATIONS_FILE: &str = "generations";
+
+/// The [`stat`] row of the trees older format versions left behind.
+pub const STALE_TREES: &str = "stale-trees";
 
 /// One `(generation, start time)` entry of the generation log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +55,7 @@ pub struct Generation {
 }
 
 fn read_generations(root: &Path) -> Vec<Generation> {
-    let Ok(text) = fs::read_to_string(versioned_root(root).join(GENERATIONS_FILE)) else {
+    let Ok(text) = fs::read_to_string(store_root(root).join(GENERATIONS_FILE)) else {
         return Vec::new();
     };
     let mut out: Vec<Generation> = Vec::new();
@@ -81,7 +89,7 @@ fn read_generations(root: &Path) -> Vec<Generation> {
 /// `None` when the log cannot be written (a dead disk — the run then
 /// proceeds without lifecycle tracking, like every other disk failure).
 pub fn record_run(root: &Path) -> Option<u64> {
-    let vroot = versioned_root(root);
+    let vroot = store_root(root);
     fs::create_dir_all(&vroot).ok()?;
     let next = read_generations(root)
         .last()
@@ -103,10 +111,10 @@ pub fn record_run(root: &Path) -> Option<u64> {
 /// exchange kind (`batch`, `simsum`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindUsage {
-    /// Stage or exchange kind name.
+    /// Stage or exchange kind name, or [`STALE_TREES`].
     pub kind: String,
     /// Artifacts present: segment records of a stage, files of an
-    /// exchange kind.
+    /// exchange kind, whole trees in the [`STALE_TREES`] row.
     pub files: u64,
     /// Total bytes on disk (container headers included).
     pub bytes: u64,
@@ -160,7 +168,7 @@ fn walk_kind(dir: &Path, visit: &mut impl FnMut(&Path, &fs::Metadata)) {
 
 /// The exchange kind directories under the versioned root, sorted.
 fn kind_dirs(root: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = fs::read_dir(versioned_root(root)) else {
+    let Ok(entries) = fs::read_dir(store_root(root)) else {
         return Vec::new();
     };
     let mut dirs: Vec<PathBuf> = entries
@@ -174,14 +182,58 @@ fn kind_dirs(root: &Path) -> Vec<PathBuf> {
 
 /// The segment files of the store under `root`, oldest first.
 fn segment_files(root: &Path) -> Vec<PathBuf> {
-    segment::segment_paths(&versioned_root(root).join(SEGMENT_DIR))
+    segment::segment_paths(&store_root(root).join(SEGMENT_DIR))
 }
 
-/// Inspects a cache directory. `None` when `root` holds no versioned
-/// store at all.
+/// The trees older format versions wrote under cache directory `root`:
+/// directories named `v<N>` with `N < FORMAT_VERSION`, sorted. Newer
+/// versions' trees and every other entry are left out.
+fn stale_trees(root: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = fs::read_dir(root) else {
+        return Vec::new();
+    };
+    let older = |name: &str| {
+        name.strip_prefix('v')
+            .and_then(|digits| {
+                digits
+                    .parse::<u16>()
+                    .ok()
+                    .filter(|v| v.to_string() == digits)
+            })
+            .is_some_and(|version| version < FORMAT_VERSION)
+    };
+    let mut trees: Vec<PathBuf> = entries
+        .flatten()
+        .filter(|e| e.file_type().is_ok_and(|t| t.is_dir()))
+        .filter(|e| e.file_name().to_str().is_some_and(older))
+        .map(|e| e.path())
+        .collect();
+    trees.sort();
+    trees
+}
+
+/// Bytes of the files under `dir`, recursively, without following
+/// symbolic links.
+fn tree_bytes(dir: &Path) -> u64 {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| match e.file_type() {
+            Ok(t) if t.is_dir() => tree_bytes(&e.path()),
+            Ok(t) if t.is_file() => e.metadata().map_or(0, |m| m.len()),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Inspects a cache directory. `None` when `root` holds no store of
+/// this format version and no older one.
 #[must_use]
 pub fn stat(root: &Path) -> Option<CacheStat> {
-    if !versioned_root(root).is_dir() {
+    let stale = stale_trees(root);
+    if !store_root(root).is_dir() && stale.is_empty() {
         return None;
     }
     let generations = read_generations(root);
@@ -204,6 +256,10 @@ pub fn stat(root: &Path) -> Option<CacheStat> {
             *files += 1;
             *bytes += meta.len();
         });
+    }
+    if !stale.is_empty() {
+        let bytes = stale.iter().map(|tree| tree_bytes(tree)).sum();
+        usage.insert(STALE_TREES.to_owned(), (stale.len() as u64, bytes));
     }
     let kinds = usage
         .into_iter()
@@ -230,25 +286,40 @@ pub struct GcOutcome {
     /// when fewer generations are recorded than `keep_generations` —
     /// nothing is old enough to prune yet).
     pub cutoff_generation: u64,
+    /// Trees of older format versions removed, each whole.
+    pub stale_trees: u64,
+    /// Bytes those trees held.
+    pub stale_bytes: u64,
 }
 
-/// Removes every segment and exchange file untouched since the start of
-/// the `keep_generations`-th most recent recorded run. With fewer
-/// recorded runs than `keep_generations` nothing is pruned. `None` when
-/// `root` holds no versioned store.
+/// Removes every tree an older format version wrote, then every segment
+/// and exchange file untouched since the start of the
+/// `keep_generations`-th most recent recorded run. With fewer recorded
+/// runs than `keep_generations` only the old trees go. `None` when
+/// `root` holds no store of this format version and no older one.
 #[must_use]
 pub fn gc(root: &Path, keep_generations: u64) -> Option<GcOutcome> {
-    if !versioned_root(root).is_dir() {
+    let stale = stale_trees(root);
+    if !store_root(root).is_dir() && stale.is_empty() {
         return None;
     }
-    let generations = read_generations(root);
-    let keep = keep_generations.max(1) as usize;
     let mut outcome = GcOutcome {
         examined: 0,
         pruned: 0,
         pruned_bytes: 0,
         cutoff_generation: 0,
+        stale_trees: 0,
+        stale_bytes: 0,
     };
+    for tree in stale {
+        let bytes = tree_bytes(&tree);
+        if fs::remove_dir_all(&tree).is_ok() {
+            outcome.stale_trees += 1;
+            outcome.stale_bytes += bytes;
+        }
+    }
+    let generations = read_generations(root);
+    let keep = keep_generations.max(1) as usize;
     let cutoff = if generations.len() < keep {
         None
     } else {
@@ -303,7 +374,7 @@ mod tests {
     }
 
     fn put_artifact(root: &Path, kind: &str, name: &str, bytes: &[u8]) -> PathBuf {
-        let dir = versioned_root(root).join(kind).join("ab");
+        let dir = store_root(root).join(kind).join("ab");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}.bin"));
         fs::write(&path, bytes).unwrap();
@@ -382,9 +453,9 @@ mod tests {
         let root = temp_root("gc");
         let t0 = SystemTime::now() - Duration::from_secs(1000);
         let nanos = |t: SystemTime| t.duration_since(UNIX_EPOCH).unwrap().as_nanos();
-        fs::create_dir_all(versioned_root(&root)).unwrap();
+        fs::create_dir_all(store_root(&root)).unwrap();
         fs::write(
-            versioned_root(&root).join(GENERATIONS_FILE),
+            store_root(&root).join(GENERATIONS_FILE),
             format!(
                 "1 {}\n2 {}\n3 {}\n",
                 nanos(t0),
@@ -426,5 +497,69 @@ mod tests {
         let root = temp_root("none");
         assert!(stat(&root).is_none());
         assert!(gc(&root, 2).is_none());
+    }
+
+    /// Plants a format tree `v<version>` under `root` holding one
+    /// segment file of `bytes` bytes; returns the tree.
+    fn plant_tree(root: &Path, version: u16, bytes: usize) -> PathBuf {
+        let tree = root.join(format!("v{version}"));
+        fs::create_dir_all(tree.join(SEGMENT_DIR)).unwrap();
+        fs::write(tree.join(SEGMENT_DIR).join("old.seg"), vec![0u8; bytes]).unwrap();
+        tree
+    }
+
+    #[test]
+    fn a_root_holding_only_an_old_tree_is_reported_and_reclaimed() {
+        let root = temp_root("old-only");
+        let old = plant_tree(&root, FORMAT_VERSION - 1, 100);
+        let s = stat(&root).expect("an old tree is a store to report");
+        assert_eq!(s.generation, 0);
+        let rows: Vec<_> = s
+            .kinds
+            .iter()
+            .map(|k| (k.kind.as_str(), k.files, k.bytes))
+            .collect();
+        assert_eq!(rows, [(STALE_TREES, 1, 100)]);
+        let g = gc(&root, 1).expect("an old tree is a store to collect");
+        assert_eq!((g.stale_trees, g.stale_bytes), (1, 100));
+        assert_eq!((g.examined, g.pruned), (0, 0));
+        assert!(!old.exists());
+        assert!(stat(&root).is_none(), "nothing left");
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn gc_removes_every_older_tree_and_never_a_newer_one() {
+        let root = temp_root("trees");
+        let v1 = plant_tree(&root, FORMAT_VERSION - 2, 10);
+        let v2 = plant_tree(&root, FORMAT_VERSION - 1, 20);
+        let newer = plant_tree(&root, FORMAT_VERSION + 1, 40);
+        // Lookalikes that no format version wrote stay too.
+        let others: Vec<PathBuf> = ["queue", "v", "v01", "vx", "w1"]
+            .into_iter()
+            .map(|name| root.join(name))
+            .collect();
+        for dir in &others {
+            fs::create_dir_all(dir).unwrap();
+        }
+        record_run(&root).unwrap();
+        let live = put_segment(&root, &[("widen", 3)]);
+        let s = stat(&root).unwrap();
+        let stale = s.kinds.iter().find(|k| k.kind == STALE_TREES).unwrap();
+        assert_eq!((stale.files, stale.bytes), (2, 30));
+        // However many generations are kept, the old trees go whole.
+        let g = gc(&root, 1000).unwrap();
+        assert_eq!((g.stale_trees, g.stale_bytes), (2, 30));
+        assert_eq!((g.examined, g.pruned), (1, 0));
+        assert!(!v1.exists() && !v2.exists());
+        assert!(store_root(&root).is_dir() && live.exists());
+        assert!(newer.join(SEGMENT_DIR).join("old.seg").exists());
+        assert!(others.iter().all(|dir| dir.is_dir()));
+        assert!(stat(&root)
+            .unwrap()
+            .kinds
+            .iter()
+            .all(|k| k.kind != STALE_TREES));
+        let _ = fs::remove_dir_all(root);
     }
 }

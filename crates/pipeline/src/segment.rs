@@ -14,11 +14,13 @@
 //! skipped, never held) into an index `hash(key) → (segment, offset,
 //! length)`. A later record for the same key replaces an earlier one:
 //! the newest wins. A load reads one record with a positioned read
-//! (`pread`, so this tier builds on Unix only) and re-verifies its
-//! checksum and key echo, so corruption is a counted miss. A pipeline
-//! sees the segments that existed when it opened plus its own appends;
-//! an artifact another process writes later is recomputed, which costs
-//! work, never bits.
+//! (`pread`, so this tier builds on Unix only) into its thread's
+//! reusable record buffer and re-verifies its checksum and key echo, so
+//! corruption is a counted miss. It then decodes in place: the stage
+//! decoder reads the payload in that buffer, and no payload is copied
+//! out or allocated for. A pipeline sees the segments that existed when
+//! it opened plus its own appends; an artifact another process writes
+//! later is recomputed, which costs work, never bits.
 //!
 //! A scan stops at the first record it cannot frame: a torn tail (what
 //! a live writer's segment looks like mid-append, and what a killed
@@ -31,6 +33,7 @@
 //! go through a small LRU of open segments, so a directory of hundreds
 //! of segments never runs a process out of file descriptors.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufReader, Read as _, Write as _};
@@ -196,7 +199,7 @@ impl SegmentLog {
     /// directory cannot be created: the caller then runs without a disk
     /// tier.
     pub(crate) fn open(root: &Path) -> Option<Self> {
-        let dir = disk::versioned_root(root).join(SEGMENT_DIR);
+        let dir = disk::store_root(root).join(SEGMENT_DIR);
         fs::create_dir_all(&dir).ok()?;
         let mut index = Index::default();
         for path in segment_paths(&dir) {
@@ -225,11 +228,26 @@ impl SegmentLog {
         })
     }
 
-    /// Loads the payload of the newest record under `key`, verifying its
-    /// checksum and key echo. Any mismatch or read failure is a counted
-    /// miss; a segment removed since this pipeline opened is a plain
-    /// miss.
-    pub(crate) fn load(&self, key: &[u8]) -> Option<Vec<u8>> {
+    /// Decodes the payload of the newest record under `key` with
+    /// `decode`, in place: the record is read into this thread's record
+    /// buffer, its checksum and key echo are verified, and `decode`
+    /// reads the payload there. Any mismatch or read failure is a
+    /// counted miss; a segment removed since this pipeline opened, or a
+    /// payload `decode` rejects, is a plain miss.
+    ///
+    /// The buffer is reused by the thread's next load and grows to the
+    /// largest record the thread has read. A `decode` that loads again
+    /// gets a buffer of its own.
+    pub(crate) fn load_with<T>(
+        &self,
+        key: &[u8],
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        // Reused rather than allocated per load: a fresh buffer per
+        // record measured slower on warm sweeps.
+        thread_local! {
+            static RECORD: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+        }
         let hash = fnv128(key);
         let loc = *self
             .index
@@ -238,17 +256,28 @@ impl SegmentLog {
             .records
             .get(&hash)?;
         let file = self.handle(loc.segment)?;
-        let mut record = vec![0; loc.len as usize];
-        let payload = file
-            .read_exact_at(&mut record, loc.offset)
-            .ok()
-            .and_then(|()| disk::parse_container(&record, key));
-        if payload.is_none() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let mut buffer = RECORD.take();
+        let len = loc.len as usize;
+        if buffer.len() < len {
+            buffer.resize(len, 0);
         }
-        self.touch(loc.segment);
-        payload
+        let record = &mut buffer[..len];
+        let payload = file
+            .read_exact_at(record, loc.offset)
+            .ok()
+            .and_then(|()| disk::parse_container(record, key));
+        let decoded = match payload {
+            Some(payload) => {
+                self.touch(loc.segment);
+                decode(payload)
+            }
+            None => {
+                self.errors.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        };
+        RECORD.set(buffer);
+        decoded
     }
 
     /// Appends `payload` under `key` to this pipeline's own segment.
@@ -376,6 +405,13 @@ mod tests {
         dir
     }
 
+    impl SegmentLog {
+        /// The payload of the newest record under `key`, copied out.
+        fn load(&self, key: &[u8]) -> Option<Vec<u8>> {
+            self.load_with(key, |payload| Some(payload.to_vec()))
+        }
+    }
+
     fn key(stage: &str, material: &[u8]) -> Vec<u8> {
         let mut w = stage_key(stage);
         w.bytes(material);
@@ -383,7 +419,7 @@ mod tests {
     }
 
     fn segments(root: &Path) -> Vec<PathBuf> {
-        segment_paths(&disk::versioned_root(root).join(SEGMENT_DIR))
+        segment_paths(&disk::store_root(root).join(SEGMENT_DIR))
     }
 
     /// Three records, appended through one log.
@@ -485,6 +521,52 @@ mod tests {
         let log = SegmentLog::open(&root).unwrap();
         assert_eq!(log.load(&k), None);
         assert_eq!(log.errors(), 1);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_is_one_counted_miss_between_good_records() {
+        let recs = records();
+        let at = offsets(&recs);
+        let payload_at = at[1] + HEADER_LEN + recs[1].0.len() + 4;
+        for i in 0..recs[1].1.len() {
+            let root = temp_root();
+            let path = write_records(&root, &recs);
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[payload_at + i] ^= 0x01;
+            fs::write(&path, bytes).unwrap();
+            let log = SegmentLog::open(&root).unwrap();
+            assert_eq!(loads(&log, &recs), [true, false, true], "byte {i}");
+            assert_eq!(log.errors(), 1, "byte {i}");
+            let _ = fs::remove_dir_all(root);
+        }
+    }
+
+    #[test]
+    fn loads_decode_in_place_and_may_nest() {
+        // Records larger and smaller than the thread's buffer, in turn:
+        // every decode sees exactly its own payload.
+        let root = temp_root();
+        let recs: Vec<_> = [4096, 3, 100, 0, 4097]
+            .into_iter()
+            .enumerate()
+            .map(|(i, len)| (key(STAGE_LOWER, &[i as u8]), vec![i as u8 + 1; len]))
+            .collect();
+        write_records(&root, &recs);
+        let log = SegmentLog::open(&root).unwrap();
+        for (k, p) in recs.iter().chain(recs.iter().rev()) {
+            assert_eq!(log.load_with(k, |got| Some(got == &p[..])), Some(true));
+        }
+        // A decode that loads again gets a buffer of its own, and its
+        // own payload is left intact.
+        let nested = log.load_with(&recs[0].0, |outer| {
+            let inner = log.load(&recs[2].0)?;
+            Some((outer == &recs[0].1[..], inner == recs[2].1))
+        });
+        assert_eq!(nested, Some((true, true)));
+        // A payload the decoder rejects is a plain miss.
+        assert_eq!(log.load_with(&recs[1].0, |_| None::<()>), None);
+        assert_eq!(log.errors(), 0);
         let _ = fs::remove_dir_all(root);
     }
 

@@ -17,8 +17,13 @@
 //! bytes may describe at most the bytes left, so a decoder may
 //! preallocate the count it reads.
 //!
-//! [`fnv64`] checksums containers; [`fnv128`] names content: loop
-//! fingerprints, record keys, manifest fingerprints.
+//! Two hashes, for two jobs. [`fnv128`] names content: loop
+//! fingerprints, record keys, manifest fingerprints. Names are short
+//! and their bytes are pinned on disk, so they keep FNV-1a. [`xxh64`]
+//! checksums containers: a warm store re-verifies every record it
+//! loads, megabytes per sweep, so the checksum must run at memory
+//! speed, and XXH64 consumes 32 bytes per step where FNV-1a is
+//! byte-serial.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,6 +92,25 @@ impl Writer {
     #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// The bytes written so far.
+    #[inline]
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Overwrites the little-endian `u64` at byte `at` with `v`: a
+    /// placeholder written earlier for a field, such as a checksum,
+    /// that depends on bytes written after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than 8 bytes were written from `at` on.
+    #[inline]
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a count (a `u32`), read back by [`Reader::len`].
@@ -209,19 +233,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-/// 64-bit FNV-1a: the container checksum.
-#[inline]
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV64_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME)
-    })
-}
 
 /// 128-bit FNV-1a: content fingerprints, record keys and file names.
 #[inline]
@@ -230,6 +243,92 @@ pub fn fnv128(bytes: &[u8]) -> u128 {
     bytes.iter().fold(FNV128_OFFSET, |h, &b| {
         (h ^ u128::from(b)).wrapping_mul(FNV128_PRIME)
     })
+}
+
+const XXH_PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_PRIME_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_PRIME_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// The little-endian `u64` in the first 8 bytes of `bytes`.
+#[inline]
+fn lane(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+#[inline]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME_1)
+}
+
+#[inline]
+fn xxh_merge(acc: u64, v: u64) -> u64 {
+    (acc ^ xxh_round(0, v))
+        .wrapping_mul(XXH_PRIME_1)
+        .wrapping_add(XXH_PRIME_4)
+}
+
+/// XXH64 with seed 0, as the xxHash specification
+/// (`doc/xxhash_spec.md`, Yann Collet) defines it: the container
+/// checksum. Inputs of 32 bytes or more run four independent
+/// accumulators over 32-byte stripes; the tail is folded in by 8-, 4-
+/// and 1-byte steps, then avalanched.
+#[must_use]
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut acc = if bytes.len() >= 32 {
+        let mut v = [
+            XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
+            XXH_PRIME_2,
+            0,
+            XXH_PRIME_1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            v[0] = xxh_round(v[0], lane(&stripe[..8]));
+            v[1] = xxh_round(v[1], lane(&stripe[8..16]));
+            v[2] = xxh_round(v[2], lane(&stripe[16..24]));
+            v[3] = xxh_round(v[3], lane(&stripe[24..]));
+        }
+        let acc = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(acc, xxh_merge)
+    } else {
+        XXH_PRIME_5
+    };
+    acc = acc.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        acc = (acc ^ xxh_round(0, lane(word)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME_1)
+            .wrapping_add(XXH_PRIME_4);
+    }
+    let mut tail = words.remainder();
+    if let Some((half, rest)) = tail.split_first_chunk::<4>() {
+        acc = (acc ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(XXH_PRIME_1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME_2)
+            .wrapping_add(XXH_PRIME_3);
+        tail = rest;
+    }
+    for &byte in tail {
+        acc = (acc ^ u64::from(byte).wrapping_mul(XXH_PRIME_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME_1);
+    }
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(XXH_PRIME_2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(XXH_PRIME_3);
+    acc ^ (acc >> 32)
 }
 
 #[cfg(test)]
@@ -322,11 +421,71 @@ mod tests {
     }
 
     #[test]
+    fn patched_fields_land_in_place() {
+        let mut w = Writer::new();
+        w.u16(0xabcd);
+        w.u64(0);
+        w.u8(7);
+        w.patch_u64(2, 0x0102_0304_0506_0708);
+        assert_eq!(w.as_bytes(), [0xcd, 0xab, 8, 7, 6, 5, 4, 3, 2, 1, 7]);
+    }
+
+    #[test]
     fn fnv_matches_published_vectors() {
         // FNV-1a test vectors (Fowler, Noll and Vo).
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv128(b""), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
         assert_eq!(fnv128(b"a"), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
+    }
+
+    #[test]
+    fn xxh64_matches_known_answers() {
+        // Seed 0. The 39-byte input is one 32-byte stripe plus a tail.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn xxh64_matches_the_xxhsum_sanity_table() {
+        // xxHash's own self-test buffer (`cli/xsum_sanity_check.c`):
+        // byte i is the top byte of 2654435761 · 11400714785074694797^i
+        // (mod 2^64). Its published seed-0 XXH64 values; 222 bytes is
+        // six stripes and a 30-byte tail.
+        let mut state: u64 = 2_654_435_761;
+        let buffer: Vec<u8> = (0..222)
+            .map(|_| {
+                let byte = (state >> 56) as u8;
+                state = state.wrapping_mul(11_400_714_785_074_694_797);
+                byte
+            })
+            .collect();
+        assert_eq!(xxh64(&buffer[..0]), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(&buffer[..1]), 0xe934_a84a_db05_2768);
+        assert_eq!(xxh64(&buffer[..4]), 0x9136_a0dc_a574_57ee);
+        assert_eq!(xxh64(&buffer[..14]), 0x8282_dcc4_994e_35c8);
+        assert_eq!(xxh64(&buffer), 0xb641_ae8c_b691_c174);
+    }
+
+    #[test]
+    fn xxh64_is_pinned_across_stripe_and_tail_lengths() {
+        // Lengths around the 32-byte stripe and each tail step (8-byte
+        // words, a 4-byte half word, single bytes), over the bytes
+        // `i * 7 + 3`.
+        let input = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + 3) as u8).collect() };
+        let pinned = [
+            (8, 0xdab9_9d95_c6f9_0092),
+            (31, 0xa2aa_5f33_cc4a_6119),
+            (32, 0x23c3_c17e_f790_fd97),
+            (33, 0x50a7_cfc7_ba58_8784),
+            (64, 0x0eb6_4b3e_f6ee_b01f),
+            (1000, 0x5f23_5fa0_33f1_a3fb),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(xxh64(&input(len)), want, "length {len}");
+        }
     }
 }

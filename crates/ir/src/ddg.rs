@@ -1,4 +1,13 @@
 //! The data-dependence graph (`Ddg`) and its builder.
+//!
+//! A `Ddg` keeps its adjacency in compressed rows (CSR): one offsets
+//! array of `2n + 2` entries (the out-edge rows, then the in-edge
+//! rows) and one array of `2m` edge ids, each row in ascending edge
+//! order. A graph is four heap blocks (ops, edges, offsets, ids)
+//! however many nodes it has, where a list per node and direction
+//! would cost two blocks per node. Every layer of the compile chain
+//! builds, clones or walks graphs, so their allocation traffic and
+//! resident size scale with that block count.
 
 use std::fmt;
 
@@ -65,9 +74,13 @@ impl Edge {
 pub struct Ddg {
     ops: Vec<Op>,
     edges: Vec<Edge>,
-    // Adjacency (edge indices), built once.
-    succs: Vec<Vec<u32>>,
-    preds: Vec<Vec<u32>>,
+    /// Row offsets into `edge_ids`: node `v`'s out-edges are
+    /// `offsets[v]..offsets[v + 1]`, its in-edges
+    /// `offsets[n + 1 + v]..offsets[n + 2 + v]`.
+    offsets: Vec<u32>,
+    /// Edge indices grouped by row, ascending within each row: the `m`
+    /// out-edge ids, then the `m` in-edge ids.
+    edge_ids: Vec<u32>,
 }
 
 impl Ddg {
@@ -96,17 +109,12 @@ impl Ddg {
                 return Err(GraphError::FlowFromValueless { src: e.src.index() });
             }
         }
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        for (i, e) in edges.iter().enumerate() {
-            succs[e.src.index()].push(i as u32);
-            preds[e.dst.index()].push(i as u32);
-        }
+        let (offsets, edge_ids) = adjacency(n, &edges);
         let ddg = Ddg {
             ops,
             edges,
-            succs,
-            preds,
+            offsets,
+            edge_ids,
         };
         // Distance-0 subgraph must be a DAG.
         if let Some(witness) = topo::zero_distance_cycle_witness(&ddg) {
@@ -158,31 +166,36 @@ impl Ddg {
 
     /// Outgoing edges of `id`.
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> + Clone {
-        self.succs[id.index()]
+        self.out_edge_ids(id)
             .iter()
             .map(|&i| &self.edges[i as usize])
     }
 
     /// Incoming edges of `id`.
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> + Clone {
-        self.preds[id.index()]
+        self.in_edge_ids(id)
             .iter()
             .map(|&i| &self.edges[i as usize])
     }
 
     /// Indices (into [`Ddg::edges`]) of the outgoing edges of `id`, in
-    /// the same order as [`Ddg::out_edges`]. Lets callers index
-    /// per-edge side tables without hashing.
+    /// ascending order, the order of [`Ddg::out_edges`]. Lets callers
+    /// index per-edge side tables without hashing.
     #[must_use]
     pub fn out_edge_ids(&self, id: NodeId) -> &[u32] {
-        &self.succs[id.index()]
+        self.row(id.index())
     }
 
     /// Indices (into [`Ddg::edges`]) of the incoming edges of `id`, in
-    /// the same order as [`Ddg::in_edges`].
+    /// ascending order, the order of [`Ddg::in_edges`].
     #[must_use]
     pub fn in_edge_ids(&self, id: NodeId) -> &[u32] {
-        &self.preds[id.index()]
+        self.row(self.ops.len() + 1 + id.index())
+    }
+
+    /// Adjacency row `r` (`0..n` out-edges, `n + 1..2n + 1` in-edges).
+    fn row(&self, r: usize) -> &[u32] {
+        &self.edge_ids[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
     /// The edge at index `idx` (as returned by [`Ddg::out_edge_ids`] /
@@ -211,27 +224,18 @@ impl Ddg {
     /// Singleton components without a self-edge are not recurrences;
     /// every other component is a recurrence the scheduler must respect.
     #[must_use]
-    pub fn sccs(&self) -> Vec<Vec<NodeId>> {
-        StronglyConnectedComponents::compute(self).into_components()
+    pub fn sccs(&self) -> StronglyConnectedComponents {
+        StronglyConnectedComponents::compute(self)
     }
 
     /// Nodes that belong to some recurrence (an SCC with ≥ 2 nodes, or a
-    /// self-edge of any distance).
+    /// self-edge of any distance), ascending.
     #[must_use]
     pub fn recurrence_nodes(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for comp in self.sccs() {
-            if comp.len() >= 2 {
-                out.extend(comp);
-            } else {
-                let v = comp[0];
-                if self.out_edges(v).any(|e| e.dst == v) {
-                    out.push(v);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        let sccs = self.sccs();
+        self.node_ids()
+            .filter(|&v| sccs.on_circuit(self, v))
+            .collect()
     }
 
     /// A topological order of the distance-0 subgraph. Always exists by
@@ -300,6 +304,38 @@ impl Ddg {
         }
         best
     }
+}
+
+/// The CSR rows of a graph with `n` nodes and `edges`: offsets
+/// (`2n + 2`) and edge ids (`2m`), both filled by one counting sort.
+/// Walking the edges back to front while each row's cursor counts down
+/// from its end keeps every row in ascending edge order.
+fn adjacency(n: usize, edges: &[Edge]) -> (Vec<u32>, Vec<u32>) {
+    assert!(
+        edges.len() <= (u32::MAX / 2) as usize,
+        "edge ids and row offsets fit in u32"
+    );
+    // Degrees land on each row's own slot, so inclusive prefix sums
+    // leave every slot at its row's end. Slot `n` (and `2n + 1`) counts
+    // nothing and becomes the out-rows' (in-rows') total.
+    let mut offsets = vec![0u32; 2 * n + 2];
+    for e in edges {
+        offsets[e.src.index()] += 1;
+        offsets[n + 1 + e.dst.index()] += 1;
+    }
+    let mut total = 0;
+    for slot in &mut offsets {
+        total += *slot;
+        *slot = total;
+    }
+    let mut edge_ids = vec![0u32; 2 * edges.len()];
+    for (i, e) in edges.iter().enumerate().rev() {
+        for r in [e.src.index(), n + 1 + e.dst.index()] {
+            offsets[r] -= 1;
+            edge_ids[offsets[r] as usize] = i as u32;
+        }
+    }
+    (offsets, edge_ids)
 }
 
 /// Incremental builder for [`Ddg`].

@@ -35,7 +35,7 @@
 //! b.flow(add, st);
 //! let ddg = b.build().expect("acyclic at distance 0");
 //! assert_eq!(ddg.num_nodes(), 5);
-//! assert!(ddg.sccs().iter().all(|scc| scc.len() == 1)); // no recurrence
+//! assert!(ddg.sccs().components().all(|scc| scc.len() == 1)); // no recurrence
 //! ```
 
 #![forbid(unsafe_code)]

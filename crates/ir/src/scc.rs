@@ -1,4 +1,12 @@
 //! Strongly connected components (iterative Tarjan).
+//!
+//! The components come back flat: one members array grouped by
+//! component in emission order, plus the end index of each component.
+//! Every caller reads components as slices, in emission order or its
+//! reverse, so a list per component would buy nothing but a heap block
+//! per component. One computation makes a fixed number of allocations
+//! whatever the graph's size: Tarjan sizes its stacks for `n` nodes up
+//! front and reuses one frame stack across roots.
 
 use crate::ddg::{Ddg, NodeId};
 
@@ -7,10 +15,14 @@ use crate::ddg::{Ddg, NodeId};
 ///
 /// Components are emitted in *reverse topological order* of the
 /// condensation (Tarjan's natural output order); [`NodeId`]s inside each
-/// component are sorted ascending for determinism.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// component are sorted ascending for determinism. The default value is
+/// the decomposition of no nodes, a placeholder for reusable scratch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StronglyConnectedComponents {
-    components: Vec<Vec<NodeId>>,
+    /// Node ids grouped by component, in emission order.
+    members: Vec<NodeId>,
+    /// End index (into `members`) of each component.
+    ends: Vec<u32>,
     component_of: Vec<u32>,
 }
 
@@ -21,16 +33,23 @@ impl StronglyConnectedComponents {
         Tarjan::run(ddg)
     }
 
-    /// The components, each a sorted list of node ids.
-    #[must_use]
-    pub fn components(&self) -> &[Vec<NodeId>] {
-        &self.components
+    /// The components in emission order, each a sorted slice of node
+    /// ids.
+    pub fn components(
+        &self,
+    ) -> impl ExactSizeIterator<Item = &[NodeId]> + DoubleEndedIterator + Clone {
+        (0..self.ends.len()).map(|i| self.component(i))
     }
 
-    /// Consumes `self` and returns the component list.
+    /// Component `i` in emission order, a sorted slice of node ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the number of components.
     #[must_use]
-    pub fn into_components(self) -> Vec<Vec<NodeId>> {
-        self.components
+    pub fn component(&self, i: usize) -> &[NodeId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.members[start..self.ends[i] as usize]
     }
 
     /// Index (into [`Self::components`]) of the component containing `v`.
@@ -43,7 +62,7 @@ impl StronglyConnectedComponents {
     /// than one node, or it has a self-edge.
     #[must_use]
     pub fn on_circuit(&self, ddg: &Ddg, v: NodeId) -> bool {
-        self.components[self.component_of(v)].len() > 1 || ddg.out_edges(v).any(|e| e.dst == v)
+        self.component(self.component_of(v)).len() > 1 || ddg.out_edges(v).any(|e| e.dst == v)
     }
 }
 
@@ -53,77 +72,71 @@ struct Tarjan<'g> {
     ddg: &'g Ddg,
     index: Vec<u32>,
     lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
     stack: Vec<u32>,
+    /// Work-list frames: a node and the position of its next out-edge.
+    frames: Vec<(u32, u32)>,
     next_index: u32,
-    components: Vec<Vec<NodeId>>,
+    members: Vec<NodeId>,
+    ends: Vec<u32>,
+    /// [`UNASSIGNED`] until the node's component is emitted, so a
+    /// visited node is on the stack exactly while it is unassigned.
     component_of: Vec<u32>,
 }
 
 const UNVISITED: u32 = u32::MAX;
+const UNASSIGNED: u32 = u32::MAX;
 
 impl<'g> Tarjan<'g> {
     fn run(ddg: &'g Ddg) -> StronglyConnectedComponents {
         let n = ddg.num_nodes();
+        // Every node is pushed once on each stack and lands in one
+        // component: sized for `n`, nothing grows.
         let mut t = Tarjan {
             ddg,
             index: vec![UNVISITED; n],
             lowlink: vec![0; n],
-            on_stack: vec![false; n],
-            stack: Vec::new(),
+            stack: Vec::with_capacity(n),
+            frames: Vec::with_capacity(n),
             next_index: 0,
-            components: Vec::new(),
-            component_of: vec![0; n],
+            members: Vec::with_capacity(n),
+            ends: Vec::with_capacity(n),
+            component_of: vec![UNASSIGNED; n],
         };
         for v in 0..n as u32 {
             if t.index[v as usize] == UNVISITED {
                 t.visit(v);
             }
         }
-        for c in &mut t.components {
-            c.sort_unstable();
-        }
         StronglyConnectedComponents {
-            components: t.components,
+            members: t.members,
+            ends: t.ends,
             component_of: t.component_of,
         }
     }
 
     fn visit(&mut self, root: u32) {
-        // Work-list frame: (node, iterator position over its out-edges).
-        let mut frames: Vec<(u32, usize)> = vec![(root, 0)];
+        let ddg = self.ddg;
         self.begin(root);
-        while let Some(&mut (v, ref mut ei)) = frames.last_mut() {
-            let succ = self.ddg.out_edges(NodeId(v)).nth(*ei).map(|e| e.dst.0);
-            match succ {
-                Some(w) => {
-                    *ei += 1;
+        while let Some(&mut (v, ref mut next)) = self.frames.last_mut() {
+            match ddg.out_edge_ids(NodeId(v)).get(*next as usize) {
+                Some(&e) => {
+                    *next += 1;
+                    let w = ddg.edge(e).dst.0;
                     if self.index[w as usize] == UNVISITED {
                         self.begin(w);
-                        frames.push((w, 0));
-                    } else if self.on_stack[w as usize] {
+                    } else if self.component_of[w as usize] == UNASSIGNED {
                         self.lowlink[v as usize] =
                             self.lowlink[v as usize].min(self.index[w as usize]);
                     }
                 }
                 None => {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
+                    self.frames.pop();
+                    if let Some(&(parent, _)) = self.frames.last() {
                         self.lowlink[parent as usize] =
                             self.lowlink[parent as usize].min(self.lowlink[v as usize]);
                     }
                     if self.lowlink[v as usize] == self.index[v as usize] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = self.stack.pop().expect("scc stack underflow");
-                            self.on_stack[w as usize] = false;
-                            self.component_of[w as usize] = self.components.len() as u32;
-                            comp.push(NodeId(w));
-                            if w == v {
-                                break;
-                            }
-                        }
-                        self.components.push(comp);
+                        self.emit(v);
                     }
                 }
             }
@@ -135,7 +148,23 @@ impl<'g> Tarjan<'g> {
         self.lowlink[v as usize] = self.next_index;
         self.next_index += 1;
         self.stack.push(v);
-        self.on_stack[v as usize] = true;
+        self.frames.push((v, 0));
+    }
+
+    /// Pops `root`'s component off the stack and appends it, sorted.
+    fn emit(&mut self, root: u32) {
+        let component = self.ends.len() as u32;
+        let start = self.members.len();
+        loop {
+            let w = self.stack.pop().expect("scc stack underflow");
+            self.component_of[w as usize] = component;
+            self.members.push(NodeId(w));
+            if w == root {
+                break;
+            }
+        }
+        self.members[start..].sort_unstable();
+        self.ends.push(self.members.len() as u32);
     }
 }
 
@@ -156,7 +185,7 @@ mod tests {
         let g = b.build().unwrap();
         let sccs = StronglyConnectedComponents::compute(&g);
         assert_eq!(sccs.components().len(), 3);
-        assert!(sccs.components().iter().all(|c| c.len() == 1));
+        assert!(sccs.components().all(|c| c.len() == 1));
         for v in g.node_ids() {
             assert!(!sccs.on_circuit(&g, v));
         }
@@ -173,9 +202,9 @@ mod tests {
         b.flow(ld, a);
         let g = b.build().unwrap();
         let sccs = StronglyConnectedComponents::compute(&g);
-        let big: Vec<_> = sccs.components().iter().filter(|c| c.len() > 1).collect();
+        let big: Vec<_> = sccs.components().filter(|c| c.len() > 1).collect();
         assert_eq!(big.len(), 1);
-        assert_eq!(big[0].as_slice(), &[NodeId(0), NodeId(1)]);
+        assert_eq!(big[0], &[NodeId(0), NodeId(1)]);
         assert!(sccs.on_circuit(&g, NodeId(0)));
         assert!(!sccs.on_circuit(&g, NodeId(2)));
         assert_eq!(sccs.component_of(NodeId(0)), sccs.component_of(NodeId(1)));
@@ -207,7 +236,7 @@ mod tests {
         b.flow(n[4], n[5]);
         let g = b.build().unwrap();
         let sccs = StronglyConnectedComponents::compute(&g);
-        let mut seen: Vec<NodeId> = sccs.components().iter().flatten().copied().collect();
+        let mut seen: Vec<NodeId> = sccs.components().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, g.node_ids().collect::<Vec<_>>());
     }
@@ -228,6 +257,6 @@ mod tests {
         let g = b.build().unwrap();
         let sccs = StronglyConnectedComponents::compute(&g);
         assert_eq!(sccs.components().len(), 1);
-        assert_eq!(sccs.components()[0].len(), 60_001);
+        assert_eq!(sccs.component(0).len(), 60_001);
     }
 }

@@ -54,12 +54,16 @@ pub fn zero_distance_cycle_witness(ddg: &Ddg) -> Option<NodeId> {
             indeg[e.dst.index()] += 1;
         }
     }
-    let mut ready: Vec<u32> = indeg
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(i, _)| i as u32)
-        .collect();
+    // Every node enters the worklist at most once: sized up front, it
+    // never grows.
+    let mut ready: Vec<u32> = Vec::with_capacity(n);
+    ready.extend(
+        indeg
+            .iter()
+            .enumerate()
+            .filter(|&(_, &d)| d == 0)
+            .map(|(i, _)| i as u32),
+    );
     let mut removed = 0usize;
     while let Some(v) = ready.pop() {
         removed += 1;

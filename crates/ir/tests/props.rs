@@ -2,7 +2,7 @@
 //! arbitrary generated loop shapes.
 
 use proptest::prelude::*;
-use widening_ir::{Ddg, DdgBuilder, EdgeKind, NodeId, OpKind, StronglyConnectedComponents};
+use widening_ir::{Ddg, DdgBuilder, Edge, EdgeKind, NodeId, OpKind, StronglyConnectedComponents};
 
 /// Strategy: a random but always-valid loop body. Distance-0 edges only
 /// go forward (src < dst), which guarantees the distance-0 DAG
@@ -44,18 +44,65 @@ fn arb_ddg() -> impl Strategy<Value = Ddg> {
         })
 }
 
+/// Strategy: [`arb_ddg`] plus parallel edges (copies of random
+/// edges) and self-loops (carried flow edges on random value
+/// producers), inserted at random positions of the edge list.
+fn arb_multigraph() -> impl Strategy<Value = Ddg> {
+    (
+        arb_ddg(),
+        proptest::collection::vec(
+            (any::<usize>(), any::<usize>(), 1u32..4, any::<bool>()),
+            1..12,
+        ),
+    )
+        .prop_map(|(g, extra)| {
+            let n = g.num_nodes();
+            let mut edges = g.edges().to_vec();
+            for (pick, at, distance, self_loop) in extra {
+                let edge = if self_loop || edges.is_empty() {
+                    // Every third node is a load, which produces a value.
+                    let v = NodeId((pick % n.div_ceil(3) * 3) as u32);
+                    Edge {
+                        src: v,
+                        dst: v,
+                        kind: EdgeKind::Flow,
+                        distance,
+                    }
+                } else {
+                    edges[pick % edges.len()]
+                };
+                edges.insert(at % (edges.len() + 1), edge);
+            }
+            Ddg::from_parts(g.ops().to_vec(), edges).expect("copies and self-loops stay valid")
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
+    fn adjacency_rows_are_the_ascending_edge_ids_of_each_node(g in arb_multigraph()) {
+        for v in g.node_ids() {
+            let ids = |at: fn(&Edge) -> NodeId| -> Vec<u32> {
+                (0..g.num_edges() as u32)
+                    .filter(|&i| at(g.edge(i)) == v)
+                    .collect()
+            };
+            prop_assert_eq!(g.out_edge_ids(v), ids(|e| e.src).as_slice());
+            prop_assert_eq!(g.in_edge_ids(v), ids(|e| e.dst).as_slice());
+            prop_assert!(g.out_edges(v).eq(g.out_edge_ids(v).iter().map(|&i| g.edge(i))));
+            prop_assert!(g.in_edges(v).eq(g.in_edge_ids(v).iter().map(|&i| g.edge(i))));
+        }
+    }
+
+    #[test]
     fn sccs_partition_the_nodes(g in arb_ddg()) {
         let sccs = StronglyConnectedComponents::compute(&g);
-        let mut seen: Vec<NodeId> =
-            sccs.components().iter().flatten().copied().collect();
+        let mut seen: Vec<NodeId> = sccs.components().flatten().copied().collect();
         seen.sort_unstable();
         prop_assert_eq!(seen, g.node_ids().collect::<Vec<_>>());
         // component_of is consistent with the component lists.
-        for (i, comp) in sccs.components().iter().enumerate() {
+        for (i, comp) in sccs.components().enumerate() {
             for &v in comp {
                 prop_assert_eq!(sccs.component_of(v), i);
             }

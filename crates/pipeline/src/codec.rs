@@ -590,9 +590,9 @@ pub(crate) fn encode_base(result: &Result<Arc<BaseSchedule>, PipelineError>) -> 
     match result {
         Ok(base) => {
             w.u8(0);
-            encode_schedule(&mut w, &base.schedule);
-            encode_lifetimes(&mut w, &base.lifetimes);
-            encode_allocation(&mut w, &base.allocation);
+            encode_schedule(&mut w, base.schedule());
+            encode_lifetimes(&mut w, base.lifetimes());
+            encode_allocation(&mut w, base.allocation());
             w.u32(base.needed);
         }
         Err(e) => {
@@ -604,12 +604,14 @@ pub(crate) fn encode_base(result: &Result<Arc<BaseSchedule>, PipelineError>) -> 
 }
 
 /// Decodes a base schedule against the wide graph and machine it was
-/// scheduled for (the schedule is re-verified on both).
+/// scheduled for (the schedule is re-verified on both); `mii` is the
+/// wide graph's stage-2 bound on that machine.
 pub(crate) fn decode_base(
     bytes: &[u8],
     wide: &Ddg,
     cfg: &Configuration,
     model: CycleModel,
+    mii: u32,
 ) -> Option<Result<Arc<BaseSchedule>, PipelineError>> {
     let mut r = Reader::new(bytes);
     let result = match r.u8()? {
@@ -621,8 +623,8 @@ pub(crate) fn decode_base(
             if needed != allocation.registers_used() {
                 return None;
             }
-            Ok(Arc::new(BaseSchedule::from_parts(
-                schedule, allocation, lifetimes, needed,
+            Ok(Arc::new(BaseSchedule::new(
+                wide, schedule, allocation, lifetimes, mii,
             )))
         }
         1 => Err(decode_pipeline_error(&mut r)?),
@@ -940,13 +942,14 @@ mod tests {
                     .0
                     .map(Arc::new);
             let bytes = encode_base(&result);
-            let back = decode_base(&bytes, wide.ddg(), &machine, spec.model).expect("decodes");
+            let back = decode_base(&bytes, wide.ddg(), &machine, spec.model, bounds.mii())
+                .expect("decodes");
             match (&result, &back) {
                 (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(&a.schedule, &b.schedule);
-                    prop_assert_eq!(&a.lifetimes, &b.lifetimes);
+                    prop_assert_eq!(a.schedule(), b.schedule());
+                    prop_assert_eq!(a.lifetimes(), b.lifetimes());
                     prop_assert_eq!(a.needed, b.needed);
-                    assert_alloc_eq(&a.allocation, &b.allocation);
+                    assert_alloc_eq(a.allocation(), b.allocation());
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => prop_assert!(false, "outcome flipped: {:?} vs {:?}", a, b),

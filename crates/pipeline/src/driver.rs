@@ -8,7 +8,7 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use widening_ir::{Ddg, Loop};
+use widening_ir::{Ddg, Edge, Loop, Op};
 use widening_machine::CycleModel;
 use widening_obs as obs;
 use widening_obs::{Histogram, MetricsRegistry, SpanKind};
@@ -386,6 +386,9 @@ impl Pipeline {
             |_| 0,
             || {
                 let wide = self.widened(li, spec.width);
+                // A base's round-1 stage takes the stage-2 bound as its
+                // final MII, so a decoded base needs the bounds too.
+                let bounds = self.mii_bounds(li, spec.replication, spec.width, spec.model);
                 let key_bytes = || self.base_key_bytes(li, spec);
                 let (a, b) = (
                     li as u64,
@@ -393,13 +396,12 @@ impl Pipeline {
                 );
                 let decode = obs::span(SpanKind::BaseDecode, a, b);
                 if let Some(result) = self.disk_load(key_bytes, |bytes| {
-                    codec::decode_base(bytes, wide.ddg(), &spec.machine(), spec.model)
+                    codec::decode_base(bytes, wide.ddg(), &spec.machine(), spec.model, bounds.mii())
                 }) {
                     return (result, Fetch::Disk);
                 }
                 decode.cancel();
                 let _run = obs::span(SpanKind::BaseSchedule, a, b);
-                let bounds = self.mii_bounds(li, spec.replication, spec.width, spec.model);
                 let (result, allocating) = stage_base_schedule(
                     wide.ddg(),
                     &spec.machine(),
@@ -450,15 +452,14 @@ impl Pipeline {
                         codec::decode_sched(bytes, &spec.machine(), spec.model)
                     }) {
                         Some(codec::SchedPayload::Full(result)) => return (result, Fetch::Disk),
-                        // Fit marker: rebuild the stage shared by every
-                        // fitting Z from the (single) persisted base.
-                        // A stale marker — base missing or no longer
+                        // Fit marker: the stage is the (single)
+                        // persisted base's own, shared by every fitting
+                        // Z. A stale marker — base missing or no longer
                         // fitting — falls through to live compute.
                         Some(codec::SchedPayload::FitOfBase) => {
                             if let Ok(base) = self.base_schedule(li, spec) {
                                 if base.needed <= registers {
-                                    let stage = base.fit_stage(wide.ddg(), &bounds);
-                                    return (Ok(stage), Fetch::Disk);
+                                    return (Ok(base.fit_stage()), Fetch::Disk);
                                 }
                             }
                         }
@@ -469,10 +470,10 @@ impl Pipeline {
                     let mut fits_base = false;
                     let result = self.base_schedule(li, spec).and_then(|base| {
                         if base.needed <= registers {
-                            // Fits round 1: every such Z shares one
-                            // materialized stage (no per-Z deep copies).
+                            // Fits round 1: every such Z shares the
+                            // base's own stage (no per-Z deep copies).
                             fits_base = true;
-                            Ok(base.fit_stage(wide.ddg(), &bounds))
+                            Ok(base.fit_stage())
                         } else {
                             stage_schedule(
                                 wide.ddg(),
@@ -716,8 +717,9 @@ fn program_bytes(result: &Result<Arc<WideProgram>, PipelineError>) -> usize {
 }
 
 fn ddg_bytes(ddg: &Ddg) -> usize {
-    // Ops (kind + stride + hint), edges, and both adjacency lists.
-    ddg.num_nodes() * 56 + ddg.num_edges() * 28
+    // Ops and edges, plus the compressed adjacency rows: two offsets
+    // per node and two edge ids per edge.
+    ddg.num_nodes() * (size_of::<Op>() + 8) + ddg.num_edges() * (size_of::<Edge>() + 8)
 }
 
 impl From<Vec<Loop>> for Pipeline {

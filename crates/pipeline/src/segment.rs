@@ -66,9 +66,11 @@ const MAX_OPEN_SEGMENTS: usize = 8;
 const SCAN_BUFFER: usize = 64 * 1024;
 
 /// A key under construction for a `stage` record: the stage name,
-/// length-prefixed. The caller appends the rest of the key material.
+/// length-prefixed. The caller appends the rest of the key material,
+/// which the writer's capacity covers (a schedule-stage key, the
+/// longest, is about 45 bytes).
 pub(crate) fn stage_key(stage: &str) -> Writer {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(64);
     w.u8(stage.len() as u8);
     w.bytes(stage.as_bytes());
     w
@@ -358,11 +360,11 @@ impl SegmentLog {
     /// bounded LRU.
     fn handle(&self, segment: u32) -> Option<Arc<File>> {
         let mut handles = self.handles.lock().expect("segment handle lock");
-        if let Some(i) = handles.iter().position(|&(s, _)| s == segment) {
-            let entry = handles.remove(i);
-            let file = Arc::clone(&entry.1);
-            handles.push(entry);
-            return Some(file);
+        // Searched from the most recently used end; rotating a hit to
+        // that end moves nothing when it is already there.
+        if let Some(i) = handles.iter().rposition(|&(s, _)| s == segment) {
+            handles[i..].rotate_left(1);
+            return handles.last().map(|(_, file)| Arc::clone(file));
         }
         let path = self.index.read().expect("segment index lock").segments[segment as usize]
             .path

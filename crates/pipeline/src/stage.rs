@@ -240,63 +240,70 @@ pub(crate) fn stage_mii(wide: &Ddg, machine: &Configuration, model: CycleModel) 
 /// the register-file size. One base schedule therefore serves every
 /// `Z` of a register-file sweep; only points whose requirement exceeds
 /// their file re-enter the full spill engine.
+///
+/// A base is its own fit stage: it owns the round-1 [`ScheduledStage`]
+/// (schedule, allocation and lifetimes moved in, the wide graph cloned
+/// once, the stage-2 bounds as the final MII), and every file size the
+/// requirement fits shares that one artifact.
 #[derive(Debug)]
 pub struct BaseSchedule {
-    /// The unconstrained modulo schedule (II = achieved II at round 1).
-    pub schedule: Schedule,
-    /// End-fit allocation of the unconstrained schedule's lifetimes.
-    pub allocation: RegisterAllocation,
-    /// The lifetimes the allocation was computed from.
-    pub lifetimes: Vec<Lifetime>,
     /// Registers the allocation needs (`MaxLives`-adjacent bound).
     pub needed: u32,
-    /// Lazily materialized round-1 stage for file sizes the requirement
-    /// fits: one shared artifact for *every* such `Z`, not a deep copy
-    /// per register-file size.
-    fit: std::sync::OnceLock<Arc<ScheduledStage>>,
+    stage: Arc<ScheduledStage>,
 }
 
 impl BaseSchedule {
-    /// Reassembles a base schedule from decoded parts (the disk tier's
-    /// codec is the only caller); the `fit` stage rematerializes lazily
-    /// exactly as it does for a freshly computed base.
-    pub(crate) fn from_parts(
+    /// The base of `wide` scheduled as `schedule`, with `lifetimes` and
+    /// their `allocation`. `mii` is the stage-2 bound of `wide`: the
+    /// round-1 stage's final graph is `wide` itself, so that bound is
+    /// its final MII.
+    pub(crate) fn new(
+        wide: &Ddg,
         schedule: Schedule,
         allocation: RegisterAllocation,
         lifetimes: Vec<Lifetime>,
-        needed: u32,
+        mii: u32,
     ) -> Self {
         BaseSchedule {
-            schedule,
-            allocation,
-            lifetimes,
-            needed,
-            fit: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// The round-1 [`ScheduledStage`] this base implies when `needed`
-    /// fits the register file — materialized once and shared by every
-    /// fitting file size. The caller guarantees `wide`/`bounds` are the
-    /// graph and stage-2 bounds this base was scheduled from.
-    pub(crate) fn fit_stage(&self, wide: &Ddg, bounds: &MiiBounds) -> Arc<ScheduledStage> {
-        Arc::clone(self.fit.get_or_init(|| {
-            Arc::new(ScheduledStage {
+            needed: allocation.registers_used(),
+            stage: Arc::new(ScheduledStage {
                 result: PressureResult {
-                    schedule: self.schedule.clone(),
-                    allocation: self.allocation.clone(),
+                    schedule,
+                    allocation,
                     ddg: wide.clone(),
-                    lifetimes: self.lifetimes.clone(),
+                    lifetimes,
                     spills: Vec::new(),
                     spill_stores: 0,
                     spill_loads: 0,
                     rounds: 1,
                 },
-                // The final graph is the wide graph itself, so the
-                // stage-2 bounds double as the final MII.
-                final_mii: bounds.mii(),
-            })
-        }))
+                final_mii: mii,
+            }),
+        }
+    }
+
+    /// The unconstrained modulo schedule (II = achieved II at round 1).
+    #[must_use]
+    pub fn schedule(&self) -> &Schedule {
+        &self.stage.result.schedule
+    }
+
+    /// End-fit allocation of the unconstrained schedule's lifetimes.
+    #[must_use]
+    pub fn allocation(&self) -> &RegisterAllocation {
+        &self.stage.result.allocation
+    }
+
+    /// The lifetimes the allocation was computed from.
+    #[must_use]
+    pub fn lifetimes(&self) -> &[Lifetime] {
+        &self.stage.result.lifetimes
+    }
+
+    /// The round-1 [`ScheduledStage`] for file sizes `needed` fits,
+    /// shared by every such size.
+    pub(crate) fn fit_stage(&self) -> Arc<ScheduledStage> {
+        Arc::clone(&self.stage)
     }
 }
 
@@ -330,14 +337,13 @@ pub(crate) fn stage_base_schedule(
         let started = Instant::now();
         let allocation = allocate_in(&lts, schedule.ii(), alloc_scratch);
         allocating = started.elapsed();
-        let needed = allocation.registers_used();
-        Ok(BaseSchedule {
+        Ok(BaseSchedule::new(
+            wide,
             schedule,
             allocation,
-            lifetimes: lts,
-            needed,
-            fit: std::sync::OnceLock::new(),
-        })
+            lts,
+            bounds.mii(),
+        ))
     });
     (result, allocating)
 }
@@ -358,9 +364,9 @@ pub(crate) fn stage_schedule(
     base: Option<&BaseSchedule>,
 ) -> Result<ScheduledStage, PipelineError> {
     let first = base.map(|b| FirstRound {
-        schedule: &b.schedule,
-        lifetimes: &b.lifetimes,
-        allocation: &b.allocation,
+        schedule: b.schedule(),
+        lifetimes: b.lifetimes(),
+        allocation: b.allocation(),
     });
     let result = schedule_with_registers_seeded(
         wide,

@@ -149,3 +149,50 @@ fn warm_start_content_keys_survive_corpus_reordering() {
     assert_eq!(wc.live_runs(), 0, "{wc:?}");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn fitting_register_files_share_the_base_stage_cold_and_warm() {
+    // A base schedule is its own fit stage: every register file its
+    // requirement fits compiles to the base's own schedule and
+    // allocation, not a copy, whether the base was computed (cold) or
+    // decoded from the disk tier (warm).
+    let dir = cache_dir("fit");
+    let loops = std::sync::Arc::new(generate(&CorpusSpec::small(16, 11)));
+    let pts = points(&["2w2(64:1)", "2w2(128:1)"]);
+    let check = |pipeline: &Pipeline| {
+        let li = (0..loops.len())
+            .find(|&li| {
+                pipeline
+                    .base_schedule(li, &pts[0])
+                    .is_ok_and(|b| b.needed <= 64)
+            })
+            .expect("some base fits 64 registers");
+        let base = pipeline.base_schedule(li, &pts[0]).expect("base schedules");
+        let at64 = pipeline.compile(li, &pts[0]).expect("fits 64");
+        let at128 = pipeline.compile(li, &pts[1]).expect("fits 128");
+        let (a, b) = (
+            at64.scheduled().expect("64"),
+            at128.scheduled().expect("128"),
+        );
+        assert!(std::ptr::eq(&a.result.allocation, &b.result.allocation));
+        assert!(std::ptr::eq(&a.result.allocation, base.allocation()));
+        assert!(std::ptr::eq(&a.result.schedule, base.schedule()));
+        assert!(std::ptr::eq(&b.result.schedule, base.schedule()));
+        // The round-1 graph is the wide graph: its MII is stage 2's.
+        assert_eq!(a.final_mii, at64.bounds().mii());
+    };
+
+    let cold = Pipeline::with_config(std::sync::Arc::clone(&loops), StoreConfig::persistent(&dir));
+    let _ = cold.sweep(&pts, 2);
+    check(&cold);
+    assert!(cold.stage_counts().base_schedule_runs > 0);
+    drop(cold);
+
+    let warm = Pipeline::with_config(std::sync::Arc::clone(&loops), StoreConfig::persistent(&dir));
+    check(&warm);
+    let wc = warm.stage_counts();
+    assert_eq!(wc.live_runs(), 0, "{wc:?}");
+    assert!(wc.base_schedule_disk_hits > 0, "{wc:?}");
+    assert_eq!(warm.disk_errors(), 0);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -135,7 +135,7 @@ fn rec_mii(ddg: &Ddg, model: CycleModel) -> (u32, Vec<RecurrenceInfo>) {
         }
         let rec = scc_rec_mii(ddg, model, comp);
         infos.push(RecurrenceInfo {
-            nodes: comp.clone(),
+            nodes: comp.to_vec(),
             rec_mii: rec,
         });
     }

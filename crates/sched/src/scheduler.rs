@@ -31,7 +31,7 @@
 //! steady-state II attempt performs no heap allocation (asserted by the
 //! `zero_alloc` integration test).
 
-use widening_ir::{Ddg, NodeId};
+use widening_ir::{Ddg, NodeId, StronglyConnectedComponents};
 use widening_machine::{Configuration, CycleModel};
 
 use crate::analysis::TimeAnalysis;
@@ -125,11 +125,9 @@ pub struct SchedScratch {
     sets_flat: Vec<NodeId>,
     /// End offset (into `sets_flat`) of each priority set.
     set_ends: Vec<usize>,
-    /// SCC members, concatenated (ASAP strategy; Tarjan's output order,
-    /// i.e. reverse topological).
-    comp_flat: Vec<NodeId>,
-    /// End offset (into `comp_flat`) of each component.
-    comp_ends: Vec<usize>,
+    /// SCCs of the loop (ASAP strategy; Tarjan's output order, i.e.
+    /// reverse topological).
+    sccs: StronglyConnectedComponents,
     // ----- per-attempt (reset at each candidate II) -----
     /// ASAP/ALAP tables, re-relaxed in place per II.
     ta: TimeAnalysis,
@@ -169,8 +167,7 @@ impl SchedScratch {
             selected: Vec::new(),
             sets_flat: Vec::new(),
             set_ends: Vec::new(),
-            comp_flat: Vec::new(),
-            comp_ends: Vec::new(),
+            sccs: StronglyConnectedComponents::default(),
             ta: TimeAnalysis::empty(),
             mrt: Mrt::new(1, 1, 1),
             time: Vec::new(),
@@ -358,17 +355,7 @@ impl ModuloScheduler {
         match self.opts.strategy {
             Strategy::Hrms => hrms_prepare_sets(ddg, bounds, s),
             Strategy::Ims => {}
-            Strategy::Asap => {
-                // Tarjan emits components in reverse topological order;
-                // store that order flat, the attempt walks it backwards.
-                let sccs = widening_ir::StronglyConnectedComponents::compute(ddg);
-                s.comp_flat.clear();
-                s.comp_ends.clear();
-                for comp in sccs.components() {
-                    s.comp_flat.extend_from_slice(comp);
-                    s.comp_ends.push(s.comp_flat.len());
-                }
-            }
+            Strategy::Asap => s.sccs = ddg.sccs(),
         }
     }
 
@@ -608,20 +595,18 @@ impl ModuloScheduler {
             time,
             placements,
             order,
-            comp_flat,
-            comp_ends,
+            sccs,
             ..
         } = scratch;
         // Naive order, but over the condensation of *all* edges: a node
         // whose only predecessors are loop-carried must still come after
-        // them, or its placement window is starved at every II. The
-        // components were stored in reverse topological order, so walk
+        // them, or its placement window is starved at every II. Tarjan
+        // emits the components in reverse topological order, so walk
         // them backwards, each sorted by (asap, id).
         order.clear();
-        for i in (0..comp_ends.len()).rev() {
-            let start = if i == 0 { 0 } else { comp_ends[i - 1] };
+        for comp in sccs.components().rev() {
             let base = order.len();
-            order.extend_from_slice(&comp_flat[start..comp_ends[i]]);
+            order.extend_from_slice(comp);
             order[base..].sort_unstable_by_key(|&v| (ta.asap(v), v.0));
         }
         mrt.reset(ii, bus, fpu);

@@ -1,6 +1,6 @@
 //! Compactability analysis (§2 of the paper).
 
-use widening_ir::{Compactability, Ddg, NodeId};
+use widening_ir::{Compactability, Ddg};
 
 /// Why an operation was judged compactable or not at a given width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,10 +42,13 @@ impl CompactReason {
 #[must_use]
 pub fn compactable_nodes(ddg: &Ddg, width: u32) -> Vec<CompactReason> {
     assert!(width >= 1, "width must be at least 1");
-    let recurrence_members: Vec<NodeId> = ddg.recurrence_nodes();
+    // Only a width above 1 reads recurrence membership: skip the SCC
+    // pass at width 1.
     let mut on_rec = vec![false; ddg.num_nodes()];
-    for v in &recurrence_members {
-        on_rec[v.index()] = true;
+    if width > 1 {
+        for v in ddg.recurrence_nodes() {
+            on_rec[v.index()] = true;
+        }
     }
     ddg.node_ids()
         .map(|v| {
@@ -56,7 +59,7 @@ pub fn compactable_nodes(ddg: &Ddg, width: u32) -> Vec<CompactReason> {
             if op.kind().is_memory() && op.stride() != Some(1) {
                 return CompactReason::NonUnitStride;
             }
-            if width > 1 && on_rec[v.index()] {
+            if on_rec[v.index()] {
                 let d = ddg
                     .min_recurrence_distance(v)
                     .expect("recurrence member has a circuit");

@@ -319,21 +319,16 @@ fn build(ddg: &Ddg, width: u32, packed: &[bool]) -> Result<(Ddg, Vec<NodeMapping
             // packed member. Rebuild a tiny adjacency over suspicious
             // nodes: fall back to unpacking the first packed predecessor
             // in the original graph's recurrence region.
+            let sccs = ddg.sccs();
             let candidate = ddg
                 .node_ids()
-                .find(|v| packed[v.index()] && shares_circuit(ddg, *v, bad))
+                .find(|&v| packed[v.index()] && sccs.component_of(v) == sccs.component_of(bad))
                 .or_else(|| ddg.node_ids().find(|v| packed[v.index()]))
                 .expect("a packed node must exist if packing caused a cycle");
             Err(candidate)
         }
         Err(other) => unreachable!("widening produced invalid graph: {other}"),
     }
-}
-
-/// Whether `a` and `b` lie on a common circuit of the original graph.
-fn shares_circuit(ddg: &Ddg, a: NodeId, b: NodeId) -> bool {
-    let sccs = widening_ir::StronglyConnectedComponents::compute(ddg);
-    sccs.component_of(a) == sccs.component_of(b)
 }
 
 #[cfg(test)]

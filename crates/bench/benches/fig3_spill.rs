@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use widening::experiments::{self, Context};
 use widening::machine::{Configuration, CycleModel};
 use widening::regalloc::{schedule_with_registers, SpillOptions};
@@ -15,13 +16,13 @@ fn bench_fig3(c: &mut Criterion) {
     g.bench_function("fig3_full_grid_25_loops", |b| {
         b.iter(|| black_box(experiments::fig3(&ctx)))
     });
-    let fir = kernels::fir5();
+    let fir = Arc::new(kernels::fir5().ddg().clone());
     let cfg = Configuration::monolithic(4, 1, 32).unwrap();
     g.bench_function("pressure_pipeline_fir5_4w1_32rf", |b| {
         b.iter(|| {
             black_box(
                 schedule_with_registers(
-                    fir.ddg(),
+                    &fir,
                     &cfg,
                     CycleModel::Cycles4,
                     &Default::default(),

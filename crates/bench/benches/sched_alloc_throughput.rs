@@ -23,6 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use widening::machine::{Configuration, CycleModel};
 use widening::pipeline::{compile_ddg, PointSpec};
 use widening::regalloc::{
@@ -98,7 +99,7 @@ fn bench_sched_alloc_throughput(c: &mut Criterion) {
         let cfg = Configuration::monolithic(x, y, z).unwrap();
         let wides: Vec<_> = loops
             .iter()
-            .map(|l| widen(l.ddg(), y).ddg().clone())
+            .map(|l| Arc::clone(widen(l.ddg(), y).shared_ddg()))
             .collect();
         g.bench_function(format!("schedule_allocate_spill/{label}"), |b| {
             b.iter(|| {

@@ -30,7 +30,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
             .map(|l| {
                 let outcome = widen(l.ddg(), cfg.widening());
                 let result = schedule_with_registers(
-                    outcome.ddg(),
+                    outcome.shared_ddg(),
                     &cfg,
                     model,
                     &Default::default(),

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 packed_at_4 = wide.packed_fraction();
             }
             let out = schedule_with_registers(
-                wide.ddg(),
+                wide.shared_ddg(),
                 cfg,
                 CycleModel::Cycles4,
                 &Default::default(),

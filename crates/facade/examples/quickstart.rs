@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         //    pipeline.
         let bounds = MiiBounds::compute(wide.ddg(), &cfg, CycleModel::Cycles4);
         let out = schedule_with_registers(
-            wide.ddg(),
+            wide.shared_ddg(),
             &cfg,
             CycleModel::Cycles4,
             &Default::default(),

@@ -9,6 +9,8 @@
 //! builds, clones or walks graphs, so their allocation traffic and
 //! resident size scale with that block count.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::error::GraphError;
@@ -254,56 +256,53 @@ impl Ddg {
     /// and cannot be compacted.
     #[must_use]
     pub fn min_recurrence_distance(&self, id: NodeId) -> Option<u64> {
-        // Shortest cycle through `id` by total distance, via Dijkstra-like
-        // BFS on distance weights (all weights ≥ 0, small integers).
-        let n = self.num_nodes();
-        let mut dist = vec![u64::MAX; n];
-        let mut heap = std::collections::BinaryHeap::new();
-        // Start from successors of id.
-        for e in self.out_edges(id) {
-            let d = u64::from(e.distance);
-            if e.dst == id {
-                // Self-loop: candidate immediately.
-                if d > 0 {
-                    heap.push(std::cmp::Reverse((d, e.dst)));
-                }
-                continue;
-            }
-            if d < dist[e.dst.index()] {
-                dist[e.dst.index()] = d;
-                heap.push(std::cmp::Reverse((d, e.dst)));
-            }
-        }
-        let mut best: Option<u64> = self
-            .out_edges(id)
-            .filter(|e| e.dst == id && e.distance > 0)
-            .map(|e| u64::from(e.distance))
-            .min();
-        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-            if v != id && d > dist[v.index()] {
-                continue;
-            }
-            if v == id {
-                // Completed a circuit.
-                if d > 0 {
-                    best = Some(best.map_or(d, |b| b.min(d)));
-                }
-                continue;
-            }
+        self.min_recurrence_distance_in(id, &mut CircuitScratch::default())
+    }
+
+    /// [`Ddg::min_recurrence_distance`] reusing a caller-owned
+    /// [`CircuitScratch`]: asking about every node of a graph allocates
+    /// one distance table and one heap, not one of each per node.
+    #[must_use]
+    pub fn min_recurrence_distance_in(&self, id: NodeId, s: &mut CircuitScratch) -> Option<u64> {
+        // Dijkstra from `id` over distance weights (all ≥ 0). Entries pop
+        // in distance order, so the first return to `id` closes the
+        // tightest circuit (a valid graph has none of distance 0).
+        let CircuitScratch { dist, heap } = s;
+        dist.clear();
+        dist.resize(self.num_nodes(), u64::MAX);
+        heap.clear();
+        let (mut d, mut v) = (0, id);
+        loop {
             for e in self.out_edges(v) {
                 let nd = d + u64::from(e.distance);
-                if e.dst == id {
-                    if nd > 0 && best.is_none_or(|b| nd < b) {
-                        heap.push(std::cmp::Reverse((nd, e.dst)));
-                    }
-                } else if nd < dist[e.dst.index()] {
+                if nd < dist[e.dst.index()] {
                     dist[e.dst.index()] = nd;
-                    heap.push(std::cmp::Reverse((nd, e.dst)));
+                    heap.push(Reverse((nd, e.dst)));
+                }
+            }
+            // Settle the nearest node, skipping entries a shorter path
+            // has since replaced.
+            loop {
+                let Reverse((nd, u)) = heap.pop()?;
+                if u == id {
+                    return Some(nd);
+                }
+                if nd == dist[u.index()] {
+                    (d, v) = (nd, u);
+                    break;
                 }
             }
         }
-        best
     }
+}
+
+/// Reusable working storage for [`Ddg::min_recurrence_distance_in`]:
+/// the per-node distance table and the search heap, cleared, not
+/// reallocated, between queries.
+#[derive(Debug, Clone, Default)]
+pub struct CircuitScratch {
+    dist: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, NodeId)>>,
 }
 
 /// The CSR rows of a graph with `n` nodes and `edges`: offsets

@@ -50,7 +50,7 @@ mod scc;
 pub mod semantics;
 mod topo;
 
-pub use ddg::{Ddg, DdgBuilder, Edge, NodeId};
+pub use ddg::{CircuitScratch, Ddg, DdgBuilder, Edge, NodeId};
 pub use error::GraphError;
 pub use kernels_support::DdgStats;
 pub use loops::{Loop, LoopBuilder};

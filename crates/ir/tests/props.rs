@@ -2,7 +2,9 @@
 //! arbitrary generated loop shapes.
 
 use proptest::prelude::*;
-use widening_ir::{Ddg, DdgBuilder, Edge, EdgeKind, NodeId, OpKind, StronglyConnectedComponents};
+use widening_ir::{
+    CircuitScratch, Ddg, DdgBuilder, Edge, EdgeKind, NodeId, OpKind, StronglyConnectedComponents,
+};
 
 /// Strategy: a random but always-valid loop body. Distance-0 edges only
 /// go forward (src < dst), which guarantees the distance-0 DAG
@@ -131,15 +133,40 @@ proptest! {
     }
 
     #[test]
-    fn min_recurrence_distance_is_positive_and_tight(g in arb_ddg()) {
-        for v in g.node_ids() {
-            if let Some(d) = g.min_recurrence_distance(v) {
-                prop_assert!(d >= 1);
-                // There is a circuit: v must be in a non-trivial SCC or
-                // have a self edge.
-                let sccs = StronglyConnectedComponents::compute(&g);
-                prop_assert!(sccs.on_circuit(&g, v));
+    fn min_recurrence_distance_is_positive_and_tight(g in arb_multigraph()) {
+        // Oracle: all-pairs shortest total distance (Floyd–Warshall). The
+        // tightest circuit through `v` leaves by one of its out-edges
+        // and takes the shortest path back.
+        let n = g.num_nodes();
+        let mut path = vec![vec![u64::MAX; n]; n];
+        for (v, row) in path.iter_mut().enumerate() {
+            row[v] = 0;
+        }
+        for e in g.edges() {
+            let p = &mut path[e.src.index()][e.dst.index()];
+            *p = (*p).min(u64::from(e.distance));
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    let via = path[i][k].saturating_add(path[k][j]);
+                    path[i][j] = path[i][j].min(via);
+                }
             }
+        }
+        let sccs = StronglyConnectedComponents::compute(&g);
+        // One scratch across every node, as the widening transform asks.
+        let mut scratch = CircuitScratch::default();
+        for v in g.node_ids() {
+            let tightest = g
+                .out_edges(v)
+                .map(|e| u64::from(e.distance).saturating_add(path[e.dst.index()][v.index()]))
+                .min()
+                .filter(|&d| d < u64::MAX);
+            prop_assert_eq!(g.min_recurrence_distance(v), tightest);
+            prop_assert_eq!(g.min_recurrence_distance_in(v, &mut scratch), tightest);
+            prop_assert_eq!(tightest.is_some(), sccs.on_circuit(&g, v));
+            prop_assert!(tightest.is_none_or(|d| d >= 1));
         }
     }
 

@@ -339,7 +339,7 @@ mod tests {
         let g = b.build().unwrap();
         let outcome = widening_transform::widen(&g, 2);
         let result = widening_regalloc::schedule_with_registers(
-            outcome.ddg(),
+            outcome.shared_ddg(),
             &"2w2(64:1)"
                 .parse::<widening_machine::Configuration>()
                 .unwrap(),

@@ -25,7 +25,7 @@ fn corpus() -> &'static [Vec<u8>] {
             for l in kernels::all() {
                 let outcome = widen(l.ddg(), cfg.widening());
                 let Ok(result) = schedule_with_registers(
-                    outcome.ddg(),
+                    outcome.shared_ddg(),
                     &cfg,
                     CycleModel::Cycles4,
                     &Default::default(),

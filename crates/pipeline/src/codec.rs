@@ -11,6 +11,12 @@
 //! invariants. A corrupt cache file therefore degrades to a cache miss,
 //! never to a wrong result.
 //!
+//! Records share what they do not own. A base schedule and a stage
+//! without spill code decode onto the caller's widened graph (the same
+//! `Arc`), so only a stage with spill code carries a graph: a one-byte
+//! tag says which, and a tag that disagrees with the stage's spill list
+//! is a miss.
+//!
 //! The public surface is [`encode_ddg`], [`decode_ddg`] and
 //! [`ddg_fingerprint`]: the fleet's manifest carries loop graphs in this
 //! encoding, and workers on different hosts agree on result keys through
@@ -297,11 +303,6 @@ fn encode_allocation(w: &mut Writer, a: &RegisterAllocation) {
     w.u32(a.registers_used());
     w.u32(a.max_lives());
     w.u32(a.kernel_unroll());
-    w.len(a.assignment().len());
-    for &(lt, reg) in a.assignment() {
-        w.u32(lt);
-        w.u32(reg);
-    }
     w.len(a.locations().len());
     for &reg in a.locations() {
         w.u32(reg);
@@ -312,23 +313,12 @@ fn decode_allocation(r: &mut Reader<'_>) -> Option<RegisterAllocation> {
     let registers_used = r.u32()?;
     let max_lives = r.u32()?;
     let kernel_unroll = r.u32()?;
-    let n = r.len(8)?;
-    let mut assignment = Vec::with_capacity(n);
+    let n = r.len(4)?;
+    let mut locations = Vec::with_capacity(n);
     for _ in 0..n {
-        assignment.push((r.u32()?, r.u32()?));
-    }
-    let m = r.len(4)?;
-    let mut locations = Vec::with_capacity(m);
-    for _ in 0..m {
         locations.push(r.u32()?);
     }
-    RegisterAllocation::from_parts(
-        registers_used,
-        max_lives,
-        kernel_unroll,
-        assignment,
-        locations,
-    )
+    RegisterAllocation::from_parts(registers_used, max_lives, kernel_unroll, locations)
 }
 
 // ---------------------------------------------------------------------
@@ -605,10 +595,10 @@ pub(crate) fn encode_base(result: &Result<Arc<BaseSchedule>, PipelineError>) -> 
 
 /// Decodes a base schedule against the wide graph and machine it was
 /// scheduled for (the schedule is re-verified on both); `mii` is the
-/// wide graph's stage-2 bound on that machine.
+/// wide graph's stage-2 bound on that machine. The base shares `wide`.
 pub(crate) fn decode_base(
     bytes: &[u8],
-    wide: &Ddg,
+    wide: &Arc<Ddg>,
     cfg: &Configuration,
     model: CycleModel,
     mii: u32,
@@ -696,13 +686,28 @@ pub(crate) fn encode_sched_fit() -> Vec<u8> {
     vec![2]
 }
 
+/// Graph tag after a stage record's `Ok` tag: the final graph is the
+/// point's widened graph, which the decoder is given.
+const WIDE_GRAPH: u8 = 0;
+/// Graph tag: spill code rewrote the widened graph, and the final graph
+/// follows ([`encode_ddg`]).
+const OWN_GRAPH: u8 = 1;
+
 pub(crate) fn encode_sched(result: &Result<Arc<ScheduledStage>, PipelineError>) -> Vec<u8> {
     let mut w = Writer::new();
     match result {
         Ok(stage) => {
             w.u8(0);
             let p = &stage.result;
-            encode_ddg(&mut w, &p.ddg);
+            // Only spill code gives a stage a graph of its own; without
+            // it the final graph is the point's wide graph, which the
+            // widening record already carries.
+            if p.spills.is_empty() {
+                w.u8(WIDE_GRAPH);
+            } else {
+                w.u8(OWN_GRAPH);
+                encode_ddg(&mut w, &p.ddg);
+            }
             encode_schedule(&mut w, &p.schedule);
             encode_lifetimes(&mut w, &p.lifetimes);
             encode_allocation(&mut w, &p.allocation);
@@ -720,13 +725,16 @@ pub(crate) fn encode_sched(result: &Result<Arc<ScheduledStage>, PipelineError>) 
     w.into_bytes()
 }
 
-/// Decodes a scheduled stage; the final graph travels in the payload
-/// (it may contain spill code), and the schedule is re-verified against
-/// it on the point's machine. A fit marker decodes to
-/// [`SchedPayload::FitOfBase`] — the caller rebuilds the shared stage
+/// Decodes a scheduled stage of the point whose wide graph is `wide`.
+/// A stage with spill code carries its final graph; one without shares
+/// `wide`. Either way the schedule is re-verified against the final
+/// graph on the point's machine, and a record whose graph tag disagrees
+/// with its spill list is a miss. A fit marker decodes to
+/// [`SchedPayload::FitOfBase`]: the caller rebuilds the shared stage
 /// from the persisted base schedule.
 pub(crate) fn decode_sched(
     bytes: &[u8],
+    wide: &Arc<Ddg>,
     cfg: &Configuration,
     model: CycleModel,
 ) -> Option<SchedPayload> {
@@ -736,11 +744,18 @@ pub(crate) fn decode_sched(
             return r.exhausted().then_some(SchedPayload::FitOfBase);
         }
         0 => {
-            let ddg = decode_ddg(&mut r)?;
+            let (ddg, shared) = match r.u8()? {
+                WIDE_GRAPH => (Arc::clone(wide), true),
+                OWN_GRAPH => (Arc::new(decode_ddg(&mut r)?), false),
+                _ => return None,
+            };
             let schedule = decode_schedule(&mut r, &ddg, cfg, model)?;
             let lifetimes = decode_lifetimes(&mut r)?;
             let allocation = decode_allocation(&mut r)?;
             let spills = decode_spills(&mut r, ddg.num_nodes())?;
+            if shared != spills.is_empty() {
+                return None;
+            }
             let spill_stores = r.u32()?;
             let spill_loads = r.u32()?;
             let rounds = r.u32()?;
@@ -889,7 +904,6 @@ mod tests {
         assert_eq!(a.registers_used(), b.registers_used());
         assert_eq!(a.max_lives(), b.max_lives());
         assert_eq!(a.kernel_unroll(), b.kernel_unroll());
-        assert_eq!(a.assignment(), b.assignment());
         assert_eq!(a.locations(), b.locations());
     }
 
@@ -938,11 +952,11 @@ mod tests {
             let machine = spec.machine();
             let bounds = stage_mii(wide.ddg(), &machine, spec.model);
             let result =
-                stage_base_schedule(wide.ddg(), &machine, spec.model, &spec.opts, &bounds)
+                stage_base_schedule(wide.shared_ddg(), &machine, spec.model, &spec.opts, &bounds)
                     .0
                     .map(Arc::new);
             let bytes = encode_base(&result);
-            let back = decode_base(&bytes, wide.ddg(), &machine, spec.model, bounds.mii())
+            let back = decode_base(&bytes, wide.shared_ddg(), &machine, spec.model, bounds.mii())
                 .expect("decodes");
             match (&result, &back) {
                 (Ok(a), Ok(b)) => {
@@ -963,9 +977,9 @@ mod tests {
             let wide = stage_widen(&ddg, spec.width);
             let machine = spec.machine();
             let result =
-                stage_schedule(wide.ddg(), &machine, spec.model, &spec.opts, None).map(Arc::new);
+                stage_schedule(wide.shared_ddg(), &machine, spec.model, &spec.opts, None).map(Arc::new);
             let bytes = encode_sched(&result);
-            let back = match decode_sched(&bytes, &machine, spec.model).expect("decodes") {
+            let back = match decode_sched(&bytes, wide.shared_ddg(), &machine, spec.model).expect("decodes") {
                 SchedPayload::Full(r) => r,
                 SchedPayload::FitOfBase => panic!("full encoding decoded as a fit marker"),
             };
@@ -993,26 +1007,27 @@ mod tests {
             let wide = stage_widen(&ddg, spec.width);
             let machine = spec.machine();
             let result =
-                stage_schedule(wide.ddg(), &machine, spec.model, &spec.opts, None).map(Arc::new);
+                stage_schedule(wide.shared_ddg(), &machine, spec.model, &spec.opts, None).map(Arc::new);
             let bytes = encode_sched(&result);
             let mut mutated = bytes.clone();
             let at = (seed as usize) % mutated.len();
             mutated[at] ^= 1 + (seed >> 32) as u8 % 255;
-            let _ = decode_sched(&mutated, &machine, spec.model);
-            let _ = decode_sched(&bytes[..at], &machine, spec.model);
+            let _ = decode_sched(&mutated, wide.shared_ddg(), &machine, spec.model);
+            let _ = decode_sched(&bytes[..at], wide.shared_ddg(), &machine, spec.model);
         }
     }
 
     #[test]
     fn fit_marker_round_trips() {
-        let cfg = widening_machine::Configuration::monolithic(1, 1, 64).unwrap();
+        let (_, wide, _) = golden_point();
+        let (wide, cfg) = (wide.shared_ddg(), "4w2(64:1)".parse().unwrap());
         let bytes = encode_sched_fit();
         assert!(matches!(
-            decode_sched(&bytes, &cfg, CycleModel::Cycles4),
+            decode_sched(&bytes, wide, &cfg, CycleModel::Cycles4),
             Some(SchedPayload::FitOfBase)
         ));
         // Trailing garbage after the marker is rejected.
-        assert!(decode_sched(&[2, 0], &cfg, CycleModel::Cycles4).is_none());
+        assert!(decode_sched(&[2, 0], wide, &cfg, CycleModel::Cycles4).is_none());
     }
 
     /// The golden sample: `vector_divide` on `4w2(8:1)`, whose file
@@ -1026,7 +1041,22 @@ mod tests {
     fn golden_stage() -> Result<ScheduledStage, PipelineError> {
         let (_, wide, cfg) = golden_point();
         let opts = CompileOptions::default();
-        stage_schedule(wide.ddg(), &cfg, CycleModel::Cycles4, &opts, None)
+        stage_schedule(wide.shared_ddg(), &cfg, CycleModel::Cycles4, &opts, None)
+    }
+
+    /// The graph-less sample: the same loop on `4w2(64:1)`, which fits
+    /// without spill code, so its stage shares the wide graph.
+    fn graphless_stage(wide: &WideningOutcome) -> ScheduledStage {
+        let cfg = "4w2(64:1)".parse().unwrap();
+        let opts = CompileOptions::default();
+        stage_schedule(wide.shared_ddg(), &cfg, CycleModel::Cycles4, &opts, None)
+            .expect("the sample fits 64 registers")
+    }
+
+    /// Decodes a stage record for the wide graph `wide` on `4w2(64:1)`.
+    fn decode_graphless(bytes: &[u8], wide: &Arc<Ddg>) -> Option<SchedPayload> {
+        let cfg = "4w2(64:1)".parse().unwrap();
+        decode_sched(bytes, wide, &cfg, CycleModel::Cycles4)
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -1066,10 +1096,11 @@ mod tests {
         let (_, wide, cfg) = golden_point();
         let bounds = stage_mii(wide.ddg(), &cfg, CycleModel::Cycles4);
         let opts = CompileOptions::default();
-        let base = stage_base_schedule(wide.ddg(), &cfg, CycleModel::Cycles4, &opts, &bounds).0;
+        let base =
+            stage_base_schedule(wide.shared_ddg(), &cfg, CycleModel::Cycles4, &opts, &bounds).0;
         assert_eq!(
             fnv128(&encode_base(&base.map(Arc::new))),
-            0xfef9_3b6b_35ee_4317_8711_42ab_d366_e29a
+            0xcbae_3d92_bbba_797d_f2e9_c554_9417_56c2
         );
     }
 
@@ -1079,8 +1110,81 @@ mod tests {
         assert!(!stage.result.spills.is_empty());
         assert_eq!(
             fnv128(&encode_sched(&Ok(Arc::new(stage)))),
-            0x2d69_77fc_d4a3_b169_437c_2ede_f4b2_06ed
+            0xcaae_0d8c_d215_3e34_29f1_790a_028a_3d9e
         );
+    }
+
+    #[test]
+    fn golden_graphless_sched_record() {
+        let (_, wide, _) = golden_point();
+        let stage = graphless_stage(&wide);
+        assert!(stage.result.spills.is_empty());
+        assert!(Arc::ptr_eq(&stage.result.ddg, wide.shared_ddg()));
+        let bytes = encode_sched(&Ok(Arc::new(stage)));
+        // `Ok`, then the wide-graph tag where a graph would start.
+        assert_eq!(&bytes[..2], [0, WIDE_GRAPH]);
+        assert_eq!(bytes.len(), 198);
+        assert_eq!(fnv128(&bytes), 0x8498_f210_6868_38e1_532b_4e8f_5d1d_3540);
+        // It decodes onto the very graph it was given.
+        let Some(SchedPayload::Full(Ok(back))) = decode_graphless(&bytes, wide.shared_ddg()) else {
+            panic!("a graph-less record decodes");
+        };
+        assert!(Arc::ptr_eq(&back.result.ddg, wide.shared_ddg()));
+    }
+
+    #[test]
+    fn graphless_record_listing_spills_is_a_miss() {
+        // The golden graph-less record with one spill spliced into its
+        // (empty) spill list, which precedes the four trailing counters:
+        // only the spill list differs, and the record misses.
+        let (_, wide, _) = golden_point();
+        let control = encode_sched(&Ok(Arc::new(graphless_stage(&wide))));
+        assert!(decode_graphless(&control, wide.shared_ddg()).is_some());
+        let (head, tail) = control.split_at(control.len() - 20);
+        assert_eq!(tail[..4], [0; 4], "an empty spill list");
+        let mut w = Writer::new();
+        encode_spills(
+            &mut w,
+            &[SpillRecord {
+                victim: NodeId(0),
+                store: NodeId(1),
+                reloads: Vec::new(),
+            }],
+        );
+        let forged = [head, &w.into_bytes(), &tail[4..]].concat();
+        assert!(decode_graphless(&forged, wide.shared_ddg()).is_none());
+        // Nor may a record that carries its own graph list no spills.
+        let mut w = Writer::new();
+        w.u8(0);
+        w.u8(OWN_GRAPH);
+        encode_ddg(&mut w, wide.ddg());
+        let own = [&w.into_bytes()[..], &control[2..]].concat();
+        assert!(decode_graphless(&own, wide.shared_ddg()).is_none());
+    }
+
+    #[test]
+    fn graphless_record_of_another_graph_is_a_miss() {
+        // The schedule must verify against the point's wide graph. The
+        // golden loop with a distance-1 self-loop on its divide has the
+        // same operations, so only that recurrence, which the II is too
+        // short for, rejects the record; another loop rejects it too.
+        let (l, wide, _) = golden_point();
+        let bytes = encode_sched(&Ok(Arc::new(graphless_stage(&wide))));
+        assert!(decode_graphless(&bytes, wide.shared_ddg()).is_some());
+        let divide = NodeId(2);
+        assert_eq!(l.ddg().op(divide).kind(), OpKind::FDiv);
+        let mut edges = wide.ddg().edges().to_vec();
+        edges.push(Edge {
+            src: divide,
+            dst: divide,
+            kind: EdgeKind::Flow,
+            distance: 1,
+        });
+        let recurrent = Ddg::from_parts(wide.ddg().ops().to_vec(), edges).unwrap();
+        assert!(decode_graphless(&bytes, &Arc::new(recurrent)).is_none());
+        let other = widening_workload::kernels::all().swap_remove(9);
+        let other = stage_widen(other.ddg(), 2);
+        assert!(decode_graphless(&bytes, other.shared_ddg()).is_none());
     }
 
     #[test]

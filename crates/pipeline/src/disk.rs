@@ -41,8 +41,11 @@ use widening_wire::{xxh64, Reader, Writer};
 
 /// Bump when any codec encoding or the on-disk layout changes shape:
 /// old cache directories then read as misses (their `v<N>` subtree is
-/// simply ignored, and `cache gc` removes it).
-pub(crate) const FORMAT_VERSION: u16 = 3;
+/// simply ignored, and `cache gc` removes it). Version 3 brought the
+/// XXH64 checksum; version 4 dropped the allocations' arc-order
+/// assignment list and the graph of schedule records without spill
+/// code (a one-byte tag names the point's widened graph instead).
+pub(crate) const FORMAT_VERSION: u16 = 4;
 
 const MAGIC: [u8; 4] = *b"WART";
 
@@ -262,25 +265,30 @@ mod tests {
             .collect();
         assert_eq!(
             hex,
-            "574152540300714600bf307e5f76030000006b6579070000007061796c6f6164"
+            "574152540400714600bf307e5f76030000006b6579070000007061796c6f6164"
         );
     }
 
     #[test]
     fn version_2_containers_read_as_misses() {
-        // The same record in format version 2 (FNV-1a checksum): its
-        // header names another version, so it never parses, whatever
-        // its checksum.
-        let hex = "574152540200c0e346ecb6eeaf9c030000006b6579070000007061796c6f6164";
-        let v2: Vec<u8> = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-            .collect();
-        assert_eq!(parse_container(&v2, b"key"), None);
-        let header: [u8; HEADER_LEN] = v2[..HEADER_LEN].try_into().unwrap();
-        assert_eq!(header_key_len(&header), None);
-        let v3 = encode_container(b"key", b"payload");
-        assert_eq!(parse_container(&v3, b"key"), Some(&b"payload"[..]));
+        // The same record in format version 2 (FNV-1a checksum) and in
+        // version 3 (this checksum, older stage codecs): each header
+        // names another version, so neither parses, whatever its
+        // checksum.
+        for hex in [
+            "574152540200c0e346ecb6eeaf9c030000006b6579070000007061796c6f6164",
+            "574152540300714600bf307e5f76030000006b6579070000007061796c6f6164",
+        ] {
+            let old: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(parse_container(&old, b"key"), None);
+            let header: [u8; HEADER_LEN] = old[..HEADER_LEN].try_into().unwrap();
+            assert_eq!(header_key_len(&header), None);
+        }
+        let live = encode_container(b"key", b"payload");
+        assert_eq!(parse_container(&live, b"key"), Some(&b"payload"[..]));
     }
 
     #[test]

@@ -396,14 +396,15 @@ impl Pipeline {
                 );
                 let decode = obs::span(SpanKind::BaseDecode, a, b);
                 if let Some(result) = self.disk_load(key_bytes, |bytes| {
-                    codec::decode_base(bytes, wide.ddg(), &spec.machine(), spec.model, bounds.mii())
+                    let wide = wide.shared_ddg();
+                    codec::decode_base(bytes, wide, &spec.machine(), spec.model, bounds.mii())
                 }) {
                     return (result, Fetch::Disk);
                 }
                 decode.cancel();
                 let _run = obs::span(SpanKind::BaseSchedule, a, b);
                 let (result, allocating) = stage_base_schedule(
-                    wide.ddg(),
+                    wide.shared_ddg(),
                     &spec.machine(),
                     spec.model,
                     &spec.opts,
@@ -449,7 +450,7 @@ impl Pipeline {
                     );
                     let decode = obs::span(SpanKind::SchedDecode, a, b);
                     match self.disk_load(key_bytes, |bytes| {
-                        codec::decode_sched(bytes, &spec.machine(), spec.model)
+                        codec::decode_sched(bytes, wide.shared_ddg(), &spec.machine(), spec.model)
                     }) {
                         Some(codec::SchedPayload::Full(result)) => return (result, Fetch::Disk),
                         // Fit marker: the stage is the (single)
@@ -476,7 +477,7 @@ impl Pipeline {
                             Ok(base.fit_stage())
                         } else {
                             stage_schedule(
-                                wide.ddg(),
+                                wide.shared_ddg(),
                                 &spec.machine(),
                                 spec.model,
                                 &spec.opts,
@@ -688,15 +689,21 @@ impl Pipeline {
 /// Conservative resident-size estimate of a schedule-stage entry for
 /// the in-memory byte budget. Fit-mode stages shared across several
 /// register-file sizes are priced once per referencing entry, so the
-/// estimate over-counts sharing — the budget errs towards evicting.
+/// estimate over-counts sharing — the budget errs towards evicting. A
+/// stage's graph is priced only when spill code gave it one of its own:
+/// otherwise it is the widening stage's graph, pinned there.
 fn stage_bytes(result: &Result<Arc<ScheduledStage>, PipelineError>) -> usize {
     match result {
         Ok(stage) => {
             let p = &stage.result;
-            192 + ddg_bytes(&p.ddg)
+            let own_graph = if p.spills.is_empty() {
+                0
+            } else {
+                ddg_bytes(&p.ddg)
+            };
+            192 + own_graph
                 + p.schedule.times().len() * 4
                 + p.lifetimes.len() * 16
-                + p.allocation.assignment().len() * 8
                 + p.allocation.locations().len() * 4
                 + p.spills
                     .iter()

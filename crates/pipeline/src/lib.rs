@@ -102,7 +102,6 @@ pub use store::{Fetch, StageCounts, StageStore, StoreMetrics};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use widening_machine::CycleModel;
     use widening_workload::kernels;
 
@@ -150,8 +149,8 @@ mod tests {
             )
             .unwrap();
         let peak = p.compile(3, &PointSpec::peak(2, 2, M4)).unwrap();
-        assert!(Arc::ptr_eq(&a.wide_arc(), &b.wide_arc()));
-        assert!(Arc::ptr_eq(&a.wide_arc(), &peak.wide_arc()));
+        assert!(std::ptr::eq(a.wide(), b.wide()));
+        assert!(std::ptr::eq(a.wide(), peak.wide()));
         assert_eq!(p.stage_counts().widen_runs, 1);
     }
 

@@ -116,7 +116,9 @@ impl PointSpec {
 }
 
 /// The schedule/allocate/spill stage product: a register-feasible
-/// schedule plus the MII of the graph it actually scheduled.
+/// schedule plus the MII of the graph it actually scheduled. Its
+/// `result.ddg` is the widening stage's own graph (`Arc`-shared) unless
+/// spill code rewrote it.
 #[derive(Debug, Clone)]
 pub struct ScheduledStage {
     /// Schedule, allocation, final DDG (including spill code), lifetimes
@@ -166,13 +168,6 @@ impl CompiledLoop {
     #[must_use]
     pub fn wide(&self) -> &WideningOutcome {
         &self.wide
-    }
-
-    /// Shared handle to the widening stage (for cache-identity tests and
-    /// cheap cross-artifact reuse).
-    #[must_use]
-    pub fn wide_arc(&self) -> Arc<WideningOutcome> {
-        Arc::clone(&self.wide)
     }
 
     /// The MII stage: lower bounds on the wide (pre-spill) graph.
@@ -242,9 +237,11 @@ pub(crate) fn stage_mii(wide: &Ddg, machine: &Configuration, model: CycleModel) 
 /// their file re-enter the full spill engine.
 ///
 /// A base is its own fit stage: it owns the round-1 [`ScheduledStage`]
-/// (schedule, allocation and lifetimes moved in, the wide graph cloned
-/// once, the stage-2 bounds as the final MII), and every file size the
-/// requirement fits shares that one artifact.
+/// (schedule, allocation and lifetimes moved in, the widening stage's
+/// graph shared, the stage-2 bounds as the final MII), and every file
+/// size the requirement fits shares that one artifact. No base holds a
+/// graph of its own: one heap copy per `(loop, Y)` serves every base,
+/// fit stage and spill-free spill-engine result built on it.
 #[derive(Debug)]
 pub struct BaseSchedule {
     /// Registers the allocation needs (`MaxLives`-adjacent bound).
@@ -255,10 +252,10 @@ pub struct BaseSchedule {
 impl BaseSchedule {
     /// The base of `wide` scheduled as `schedule`, with `lifetimes` and
     /// their `allocation`. `mii` is the stage-2 bound of `wide`: the
-    /// round-1 stage's final graph is `wide` itself, so that bound is
-    /// its final MII.
+    /// round-1 stage's final graph is `wide` itself (shared, not
+    /// copied), so that bound is its final MII.
     pub(crate) fn new(
-        wide: &Ddg,
+        wide: &Arc<Ddg>,
         schedule: Schedule,
         allocation: RegisterAllocation,
         lifetimes: Vec<Lifetime>,
@@ -270,7 +267,7 @@ impl BaseSchedule {
                 result: PressureResult {
                     schedule,
                     allocation,
-                    ddg: wide.clone(),
+                    ddg: Arc::clone(wide),
                     lifetimes,
                     spills: Vec::new(),
                     spill_stores: 0,
@@ -320,7 +317,7 @@ thread_local! {
 /// Also returns the time spent in [`allocate_in`] (zero when scheduling
 /// fails first), which the driver records per live run.
 pub(crate) fn stage_base_schedule(
-    wide: &Ddg,
+    wide: &Arc<Ddg>,
     machine: &Configuration,
     model: CycleModel,
     opts: &CompileOptions,
@@ -357,7 +354,7 @@ pub(crate) fn stage_base_schedule(
 /// artifact across every fitting `Z`). Callers without a base — the
 /// one-shot [`compile_ddg`] — run the full engine.
 pub(crate) fn stage_schedule(
-    wide: &Ddg,
+    wide: &Arc<Ddg>,
     machine: &Configuration,
     model: CycleModel,
     opts: &CompileOptions,
@@ -395,7 +392,7 @@ pub fn compile_ddg(ddg: &Ddg, spec: &PointSpec) -> Result<CompiledLoop, Pipeline
     let scheduled = match spec.registers {
         None => None,
         Some(_) => Some(Arc::new(stage_schedule(
-            wide.ddg(),
+            wide.shared_ddg(),
             &machine,
             spec.model,
             &spec.opts,

@@ -55,7 +55,7 @@ fn sweep_widens_each_loop_once_per_width() {
     for (a, b) in results.iter().flatten().zip(again.iter().flatten()) {
         match (a, b) {
             (Ok(a), Ok(b)) => {
-                assert!(std::sync::Arc::ptr_eq(&a.wide_arc(), &b.wide_arc()));
+                assert!(std::ptr::eq(a.wide(), b.wide()));
                 assert_eq!(a.ii(), b.ii());
             }
             (Err(a), Err(b)) => assert_eq!(a, b),

@@ -96,7 +96,7 @@ fn memory_budget_is_enforced_once_points_are_sealed() {
     // Bounded in-memory tier, no disk: after each design point's
     // aggregates are folded (sealed), the resident bytes of the
     // schedule tier must never exceed the configured budget.
-    let budget = 96 * 1024;
+    let budget = 64 * 1024;
     let loops = generate(&CorpusSpec::small(20, 7));
     let pipeline = Pipeline::with_config(
         std::sync::Arc::new(loops),

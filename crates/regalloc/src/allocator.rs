@@ -64,6 +64,11 @@
 //! reallocated, between calls; results are bitwise-identical to the
 //! original packers (kept below as the oversized-cylinder fallback and
 //! as the reference implementations for the equivalence tests).
+//!
+//! A [`RegisterAllocation`] keeps only what lowering and the simulator
+//! read: the register count, `MaxLives`, `K` and the dense location
+//! table `locations[lifetime · K + instance]`. The winning packing's
+//! arc-order triples stay in the scratch.
 
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -76,7 +81,6 @@ pub struct RegisterAllocation {
     registers_used: u32,
     max_lives: u32,
     kernel_unroll: u32,
-    assignment: Vec<(u32, u32)>,
     /// Dense location table: `locations[lifetime · K + instance]` is the
     /// register holding instance `instance` of `lifetime`.
     locations: Vec<u32>,
@@ -85,8 +89,8 @@ pub struct RegisterAllocation {
 impl RegisterAllocation {
     /// Reassembles an allocation from its parts — the decode half of an
     /// artifact codec (the encode half reads [`Self::registers_used`],
-    /// [`Self::max_lives`], [`Self::kernel_unroll`],
-    /// [`Self::assignment`] and [`Self::locations`]).
+    /// [`Self::max_lives`], [`Self::kernel_unroll`] and
+    /// [`Self::locations`]).
     ///
     /// Performs the consistency checks a cache decoder cannot do itself:
     /// the expansion degree must be a positive power of two, the
@@ -99,7 +103,6 @@ impl RegisterAllocation {
         registers_used: u32,
         max_lives: u32,
         kernel_unroll: u32,
-        assignment: Vec<(u32, u32)>,
         locations: Vec<u32>,
     ) -> Option<Self> {
         if kernel_unroll == 0 || !kernel_unroll.is_power_of_two() {
@@ -111,16 +114,13 @@ impl RegisterAllocation {
         if max_lives > registers_used {
             return None;
         }
-        if locations.iter().any(|&r| r >= registers_used)
-            || assignment.iter().any(|&(_, r)| r >= registers_used)
-        {
+        if locations.iter().any(|&r| r >= registers_used) {
             return None;
         }
         Some(RegisterAllocation {
             registers_used,
             max_lives,
             kernel_unroll,
-            assignment,
             locations,
         })
     }
@@ -146,13 +146,6 @@ impl RegisterAllocation {
     #[must_use]
     pub fn kernel_unroll(&self) -> u32 {
         self.kernel_unroll
-    }
-
-    /// `(lifetime index, instance j) → register`, flattened in the order
-    /// the arcs were allocated. Exposed for inspection and testing.
-    #[must_use]
-    pub fn assignment(&self) -> &[(u32, u32)] {
-        &self.assignment
     }
 
     /// The dense location table backing [`Self::register_of`], flattened
@@ -310,9 +303,8 @@ pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> Reg
         pack_best_legacy(lifetimes, ii, k, c, s)
     };
 
-    // Derive the legacy arc-order assignment and the dense location
-    // table from the winning packing.
-    let assignment: Vec<(u32, u32)> = triples.iter().map(|&(lt, _, r)| (lt, r)).collect();
+    // The dense location table is the only product of the winning
+    // packing that outlives the race.
     let mut locations = vec![u32::MAX; lifetimes.len() * k as usize];
     for &(lt, instance, r) in triples {
         locations[lt as usize * k as usize + instance as usize] = r;
@@ -323,7 +315,6 @@ pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> Reg
         registers_used,
         max_lives: ml,
         kernel_unroll: k,
-        assignment,
         locations,
     }
 }
@@ -1039,9 +1030,13 @@ mod tests {
         let a = allocate(&lts, 3);
         // K = ceil(6/3)=2, ceil(3/3)=1, ceil(6/3)=2 → K = 2; arcs = 3·2.
         assert_eq!(a.kernel_unroll(), 2);
-        assert_eq!(a.assignment().len(), 6);
-        // No register id out of range.
-        assert!(a.assignment().iter().all(|&(_, r)| r < a.registers_used()));
+        assert_eq!(a.locations().len(), 6);
+        // Every arc has a register, and no register id is out of range.
+        for l in 0..3 {
+            for j in 0..2 {
+                assert!(a.register_of(l, j).is_some_and(|r| r < a.registers_used()));
+            }
+        }
     }
 
     #[test]
@@ -1302,8 +1297,8 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bitwise_identical() {
         // One warm scratch across many calls must reproduce the
-        // throwaway-scratch allocation exactly (registers, assignment
-        // order, location table).
+        // throwaway-scratch allocation exactly (registers, MaxLives,
+        // expansion degree, location table).
         let mut scratch = AllocScratch::new();
         for ii in [1, 2, 3, 7, 12] {
             for n in [0u32, 1, 5, 24] {

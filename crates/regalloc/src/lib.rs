@@ -21,6 +21,8 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use widening_ir::{DdgBuilder, OpKind};
 //! use widening_machine::{Configuration, CycleModel};
 //! use widening_regalloc::{schedule_with_registers, SpillOptions};
@@ -32,7 +34,7 @@
 //! let s = b.store(1);
 //! b.flow(x, m);
 //! b.flow(m, s);
-//! let ddg = b.build()?;
+//! let ddg = Arc::new(b.build()?);
 //!
 //! let cfg = Configuration::monolithic(1, 1, 32)?;
 //! let out = schedule_with_registers(
@@ -41,6 +43,7 @@
 //! )?;
 //! assert!(out.allocation.registers_used() <= 32);
 //! assert_eq!(out.spill_stores + out.spill_loads, 0); // tiny loop: no spill
+//! assert!(Arc::ptr_eq(&out.ddg, &ddg)); // so the result shares the graph
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

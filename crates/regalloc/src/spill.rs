@@ -55,6 +55,7 @@
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use widening_ir::{Ddg, Edge, EdgeKind, GraphError, NodeId, Op, OpKind};
 use widening_machine::{Configuration, CycleModel};
@@ -131,8 +132,10 @@ pub struct PressureResult {
     pub schedule: Schedule,
     /// The final register allocation (`registers_used ≤ Z`).
     pub allocation: RegisterAllocation,
-    /// The final dependence graph, including inserted spill code.
-    pub ddg: Ddg,
+    /// The final dependence graph, including inserted spill code. A
+    /// result without spill records shares the input graph (the same
+    /// `Arc`, no copy); spill code makes a graph of its own.
+    pub ddg: Arc<Ddg>,
     /// The value lifetimes the allocation was computed from, in
     /// allocation order (lifetime index `i` here is lifetime `i` in
     /// [`RegisterAllocation::register_of`]).
@@ -224,7 +227,7 @@ pub struct FirstRound<'a> {
 /// * [`RegallocError::Pressure`] if pressure cannot be resolved within
 ///   the round budget (the paper's `8w1(32-RF)` case).
 pub fn schedule_with_registers(
-    ddg: &Ddg,
+    ddg: &Arc<Ddg>,
     cfg: &Configuration,
     model: CycleModel,
     sched_opts: &SchedulerOptions,
@@ -243,7 +246,7 @@ pub fn schedule_with_registers(
 ///
 /// See [`schedule_with_registers`].
 pub fn schedule_with_registers_seeded(
-    ddg: &Ddg,
+    ddg: &Arc<Ddg>,
     cfg: &Configuration,
     model: CycleModel,
     sched_opts: &SchedulerOptions,
@@ -319,7 +322,7 @@ enum Goal {
 /// The round loop of one pure policy (`SpillFirst` or `IncreaseIiOnly`),
 /// doing only the work `goal` needs (see [`Goal`] and the module docs).
 fn run_policy(
-    ddg: &Ddg,
+    ddg: &Arc<Ddg>,
     cfg: &Configuration,
     model: CycleModel,
     sched_opts: &SchedulerOptions,
@@ -333,8 +336,8 @@ fn run_policy(
     );
     let scheduler = ModuloScheduler::with_options(*cfg, model, *sched_opts);
     let available = cfg.registers();
-    // The graph is only cloned when spill code actually rewrites it; the
-    // common pressure-free round 1 returns with a single deferred clone.
+    // The graph is only rebuilt when spill code rewrites it; a result
+    // without spill code shares the caller's `Arc`.
     let mut graph: Cow<'_, Ddg> = Cow::Borrowed(ddg);
     let mut spill_loads = 0u32;
     let mut spill_stores = 0u32;
@@ -408,7 +411,10 @@ fn run_policy(
             return Ok(PressureResult {
                 schedule,
                 allocation: alloc,
-                ddg: graph.into_owned(),
+                ddg: match graph {
+                    Cow::Borrowed(_) => Arc::clone(ddg),
+                    Cow::Owned(g) => Arc::new(g),
+                },
                 lifetimes: std::mem::take(&mut lts_buf),
                 spills: spill_records,
                 spill_stores,
@@ -487,18 +493,13 @@ fn pick_spill_candidates(
     excess: u32,
     max_spills: u32,
 ) -> Vec<NodeId> {
-    let on_recurrence: Vec<bool> = {
-        let mut v = vec![false; ddg.num_nodes()];
-        for n in ddg.recurrence_nodes() {
-            v[n.index()] = true;
-        }
-        v
-    };
+    // `recurrence_nodes` are exactly the nodes on a circuit.
+    let sccs = ddg.sccs();
     let load_lat = model.latency(OpKind::Load);
     let mut scored: Vec<(f64, u32, i64, NodeId)> = Vec::new();
     for lt in lts {
         let v = lt.def;
-        if spill_made[v.index()] || on_recurrence[v.index()] {
+        if spill_made[v.index()] || sccs.on_circuit(ddg, v) {
             continue;
         }
         // Distinct carried distances = number of reloads we would insert.
@@ -663,7 +664,7 @@ mod tests {
 
     /// A loop with many long-lived loads feeding one late consumer chain:
     /// high register pressure at small II.
-    fn pressure_loop(n_loads: usize) -> Ddg {
+    fn pressure_loop(n_loads: usize) -> Arc<Ddg> {
         let mut b = DdgBuilder::new();
         let loads: Vec<_> = (0..n_loads).map(|_| b.load(1)).collect();
         // A reduction tree of adds consuming all loads pairwise in
@@ -677,7 +678,7 @@ mod tests {
         }
         let st = b.store(1);
         b.flow(acc, st);
-        b.build().unwrap()
+        Arc::new(b.build().unwrap())
     }
 
     fn cfg(x: u32, z: u32) -> Configuration {
@@ -698,6 +699,8 @@ mod tests {
         assert_eq!(r.rounds, 1);
         assert_eq!(r.spill_stores + r.spill_loads, 0);
         assert!(r.allocation.registers_used() <= 256);
+        // No spill code: the result shares the input graph.
+        assert!(Arc::ptr_eq(&r.ddg, &g));
     }
 
     #[test]
@@ -736,6 +739,7 @@ mod tests {
         .unwrap();
         assert_eq!(r.spill_stores + r.spill_loads, 0);
         assert!(r.allocation.registers_used() <= 8);
+        assert!(r.rounds > 1 && Arc::ptr_eq(&r.ddg, &g));
         // It paid with a larger II than the unconstrained schedule.
         let free = ModuloScheduler::new(cfg(4, 8), M4).schedule(&g).unwrap();
         assert!(r.schedule.ii() > free.ii());

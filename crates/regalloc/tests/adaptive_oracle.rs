@@ -14,6 +14,8 @@
 //! allocator reached over its rounds; a second test replays those
 //! rounds through the public API.
 
+use std::sync::Arc;
+
 use widening_ir::Ddg;
 use widening_machine::{Configuration, CycleModel};
 use widening_regalloc::{
@@ -126,7 +128,7 @@ fn describe(o: &Outcome) -> String {
 
 /// Checks Adaptive against the oracle on `ddg` at `cfg`, unseeded and
 /// (when round 1 schedules) seeded with a pressure-free first round.
-fn check(ddg: &Ddg, cfg: &Configuration, what: &str, tally: &mut Tally) {
+fn check(ddg: &Arc<Ddg>, cfg: &Configuration, what: &str, tally: &mut Tally) {
     let sched = SchedulerOptions::default();
     let run = |p, first| schedule_with_registers_seeded(ddg, cfg, MODEL, &sched, &policy(p), first);
 
@@ -165,14 +167,24 @@ fn adaptive_matches_both_policies_run_in_full() {
         let cfg = Configuration::monolithic(x, y, 64).expect("valid");
         for (i, l) in loops.iter().enumerate() {
             let wide = widen(l.ddg(), y);
-            check(wide.ddg(), &cfg, &format!("loop {i} on {cfg}"), &mut tally);
+            check(
+                wide.shared_ddg(),
+                &cfg,
+                &format!("loop {i} on {cfg}"),
+                &mut tally,
+            );
         }
     }
     // A tiny file that neither policy can satisfy.
     let cfg = Configuration::monolithic(4, 2, 4).expect("valid");
     for (i, l) in loops.iter().take(4).enumerate() {
         let wide = widen(l.ddg(), 2);
-        check(wide.ddg(), &cfg, &format!("loop {i} on {cfg}"), &mut tally);
+        check(
+            wide.shared_ddg(),
+            &cfg,
+            &format!("loop {i} on {cfg}"),
+            &mut tally,
+        );
     }
     assert!(tally.round_one > 0, "no loop fits at round 1: {tally:?}");
     assert!(tally.stretch_wins > 0, "II-increase never wins: {tally:?}");
@@ -225,8 +237,13 @@ fn pure_increase_ii_failure_reports_the_smallest_race_count() {
     for (i, l) in loops.iter().take(4).enumerate() {
         let wide = widen(l.ddg(), 2);
         let (want, max_lives) = replay_increase_ii(wide.ddg(), &cfg);
-        let got =
-            schedule_with_registers(wide.ddg(), &cfg, MODEL, &SchedulerOptions::default(), &opts);
+        let got = schedule_with_registers(
+            wide.shared_ddg(),
+            &cfg,
+            MODEL,
+            &SchedulerOptions::default(),
+            &opts,
+        );
         assert_eq!(
             got.map(|r| r.schedule.ii()),
             want,

@@ -1,5 +1,7 @@
 //! Property tests for lifetimes, allocation bounds and the spill engine.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use widening_ir::NodeId;
 use widening_machine::{Configuration, CycleModel};
@@ -48,18 +50,37 @@ proptest! {
         prop_assert!(a.registers_used() <= lam);
     }
 
-    /// The assignment covers one entry per (lifetime, kernel copy) and
-    /// never names a register outside the allocation.
+    /// The location table holds one register per (lifetime, kernel
+    /// copy), each below `registers_used`, and no two overlapping arc
+    /// instances share a register. Instance `j` of a lifetime occupies
+    /// the cylinder slots `(start + j·II + t) mod K·II` for `t` below
+    /// its length (the whole cylinder once it is that long); each slot
+    /// of each register may hold one instance.
     #[test]
-    fn assignment_is_complete((lts, ii) in arb_lifetimes()) {
+    fn locations_are_complete_and_conflict_free((lts, ii) in arb_lifetimes()) {
         let a = allocate(&lts, ii);
-        prop_assert_eq!(
-            a.assignment().len(),
-            lts.len() * a.kernel_unroll() as usize
-        );
-        for &(lifetime, register) in a.assignment() {
-            prop_assert!((lifetime as usize) < lts.len());
-            prop_assert!(register < a.registers_used());
+        let k = a.kernel_unroll();
+        prop_assert_eq!(a.locations().len(), lts.len() * k as usize);
+        let c = (k * ii) as usize;
+        let mut owner: Vec<Option<(usize, u32)>> = vec![None; a.registers_used() as usize * c];
+        for (i, lt) in lts.iter().enumerate() {
+            for j in 0..k {
+                let register = a.register_of(i as u32, j).expect("one entry per instance");
+                prop_assert!(register < a.registers_used());
+                let start = (lt.start + j * ii) as usize;
+                for t in 0..(lt.len() as usize).min(c) {
+                    let slot = &mut owner[register as usize * c + (start + t) % c];
+                    prop_assert!(
+                        slot.is_none(),
+                        "register {} at slot {}: instance {:?} overlaps {:?}",
+                        register,
+                        (start + t) % c,
+                        (i, j),
+                        slot
+                    );
+                    *slot = Some((i, j));
+                }
+            }
         }
     }
 
@@ -140,8 +161,9 @@ proptest! {
         let regs = [32u32, 64][z];
         let cfg = Configuration::monolithic(4, 1, regs).expect("valid");
         for l in generate(&CorpusSpec::small(3, seed)) {
+            let ddg = Arc::new(l.ddg().clone());
             let run = || schedule_with_registers(
-                l.ddg(),
+                &ddg,
                 &cfg,
                 CycleModel::Cycles4,
                 &SchedulerOptions::default(),
@@ -178,7 +200,7 @@ proptest! {
         let cfg = Configuration::monolithic(1 << x, 1, regs).expect("valid");
         for l in &loops {
             match schedule_with_registers(
-                l.ddg(),
+                &Arc::new(l.ddg().clone()),
                 &cfg,
                 CycleModel::Cycles4,
                 &SchedulerOptions::default(),

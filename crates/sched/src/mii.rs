@@ -125,21 +125,32 @@ fn res_mii(ddg: &Ddg, cfg: &Configuration, model: CycleModel) -> u32 {
 }
 
 /// `RecMII` over all strongly connected components.
+///
+/// A component's members are the nodes the decomposition files under
+/// its index, so membership needs no mark of its own. One distance
+/// table, sized for the whole graph on the first recurrence, serves
+/// every feasibility probe of every recurrence: a probe resets only its
+/// members' distances. Besides the decomposition, that table and the
+/// growing recurrence list, the only allocation per recurrence is its
+/// [`RecurrenceInfo::nodes`] copy.
 fn rec_mii(ddg: &Ddg, model: CycleModel) -> (u32, Vec<RecurrenceInfo>) {
     let sccs = StronglyConnectedComponents::compute(ddg);
     let mut infos = Vec::new();
+    let mut dist = Vec::new();
     for comp in sccs.components() {
         let is_recurrence = comp.len() > 1 || ddg.out_edges(comp[0]).any(|e| e.dst == comp[0]);
         if !is_recurrence {
             continue;
         }
-        let rec = scc_rec_mii(ddg, model, comp);
+        dist.resize(ddg.num_nodes(), 0);
         infos.push(RecurrenceInfo {
             nodes: comp.to_vec(),
-            rec_mii: rec,
+            rec_mii: scc_rec_mii(ddg, model, &sccs, comp, &mut dist),
         });
     }
-    infos.sort_by(|a, b| {
+    // Components are disjoint, so the first node breaks every tie: the
+    // order is total and an unstable (allocation-free) sort is exact.
+    infos.sort_unstable_by(|a, b| {
         b.rec_mii
             .cmp(&a.rec_mii)
             .then(b.nodes.len().cmp(&a.nodes.len()))
@@ -149,69 +160,67 @@ fn rec_mii(ddg: &Ddg, model: CycleModel) -> (u32, Vec<RecurrenceInfo>) {
     (max, infos)
 }
 
-/// Minimum `II` such that the component has no positive-weight cycle
-/// under edge weights `delay(e) - II·distance(e)`. Found by binary search
-/// on integer `II`; feasibility is a Bellman-Ford-style longest-path
-/// relaxation restricted to component nodes.
-fn scc_rec_mii(ddg: &Ddg, model: CycleModel, comp: &[NodeId]) -> u32 {
+/// Minimum `II` such that the component `comp` of `sccs` has no
+/// positive-weight cycle under edge weights `delay(e) - II·distance(e)`.
+/// Found by binary search on integer `II`; feasibility is a
+/// Bellman-Ford-style longest-path relaxation restricted to component
+/// nodes, which reads and writes `dist` at them only.
+fn scc_rec_mii(
+    ddg: &Ddg,
+    model: CycleModel,
+    sccs: &StronglyConnectedComponents,
+    comp: &[NodeId],
+    dist: &mut [i64],
+) -> u32 {
+    let index = sccs.component_of(comp[0]);
     // Upper bound: sum of all delays inside the component (a circuit
     // cannot be longer, and every circuit has total distance ≥ 1).
-    let in_comp = {
-        let mut mark = vec![false; ddg.num_nodes()];
-        for &v in comp {
-            mark[v.index()] = true;
-        }
-        mark
-    };
     let mut hi: i64 = 0;
     for &v in comp {
         for e in ddg.out_edges(v) {
-            if in_comp[e.dst.index()] {
+            if sccs.component_of(e.dst) == index {
                 hi += edge_delay(model, ddg.op(v).kind(), e);
             }
         }
     }
+    // Whether `ii` admits no positive cycle: dist starts at 0 for every
+    // member, and a positive cycle keeps relaxing past |comp| rounds.
+    let mut feasible = |ii: i64| {
+        for &v in comp {
+            dist[v.index()] = 0;
+        }
+        for _ in 0..=comp.len() {
+            let mut changed = false;
+            for &u in comp {
+                for e in ddg.out_edges(u) {
+                    if sccs.component_of(e.dst) != index {
+                        continue;
+                    }
+                    let w = edge_delay(model, ddg.op(u).kind(), e) - ii * i64::from(e.distance);
+                    let cand = dist[u.index()] + w;
+                    if cand > dist[e.dst.index()] {
+                        dist[e.dst.index()] = cand;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                return true;
+            }
+        }
+        false
+    };
     let mut lo: i64 = 1;
     let mut hi = hi.max(1);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if feasible(ddg, model, comp, &in_comp, mid) {
+        if feasible(mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
     u32::try_from(lo).expect("RecMII fits in u32")
-}
-
-/// Whether `II` admits no positive cycle inside the component.
-fn feasible(ddg: &Ddg, model: CycleModel, comp: &[NodeId], in_comp: &[bool], ii: i64) -> bool {
-    // Longest-path relaxation: dist starts at 0 for every node; a
-    // positive cycle keeps relaxing past |comp| rounds.
-    let mut dist = vec![0i64; ddg.num_nodes()];
-    for round in 0..=comp.len() {
-        let mut changed = false;
-        for &u in comp {
-            for e in ddg.out_edges(u) {
-                if !in_comp[e.dst.index()] {
-                    continue;
-                }
-                let w = edge_delay(model, ddg.op(u).kind(), e) - ii * i64::from(e.distance);
-                let cand = dist[u.index()] + w;
-                if cand > dist[e.dst.index()] {
-                    dist[e.dst.index()] = cand;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return true;
-        }
-        if round == comp.len() {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

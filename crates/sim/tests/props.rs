@@ -88,7 +88,7 @@ proptest! {
 
         let outcome = widen(&g, y);
         let result = match schedule_with_registers(
-            outcome.ddg(),
+            outcome.shared_ddg(),
             &cfg,
             model,
             &SchedulerOptions::default(),
@@ -143,7 +143,7 @@ proptest! {
         let model = CycleModel::Cycles4;
         let outcome = widen(&g, 1);
         let result = match schedule_with_registers(
-            outcome.ddg(),
+            outcome.shared_ddg(),
             &cfg,
             model,
             &SchedulerOptions::default(),
@@ -174,7 +174,7 @@ proptest! {
         let model = CycleModel::Cycles4;
         let outcome = widen(&g, y);
         let result = match schedule_with_registers(
-            outcome.ddg(),
+            outcome.shared_ddg(),
             &cfg,
             model,
             &SchedulerOptions::default(),

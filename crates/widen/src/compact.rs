@@ -1,6 +1,6 @@
 //! Compactability analysis (§2 of the paper).
 
-use widening_ir::{Compactability, Ddg};
+use widening_ir::{CircuitScratch, Compactability, Ddg};
 
 /// Why an operation was judged compactable or not at a given width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,13 +43,10 @@ impl CompactReason {
 pub fn compactable_nodes(ddg: &Ddg, width: u32) -> Vec<CompactReason> {
     assert!(width >= 1, "width must be at least 1");
     // Only a width above 1 reads recurrence membership: skip the SCC
-    // pass at width 1.
-    let mut on_rec = vec![false; ddg.num_nodes()];
-    if width > 1 {
-        for v in ddg.recurrence_nodes() {
-            on_rec[v.index()] = true;
-        }
-    }
+    // pass at width 1. Every recurrence node's circuit search shares one
+    // distance table and one heap.
+    let sccs = (width > 1).then(|| ddg.sccs());
+    let mut scratch = CircuitScratch::default();
     ddg.node_ids()
         .map(|v| {
             let op = ddg.op(v);
@@ -59,9 +56,9 @@ pub fn compactable_nodes(ddg: &Ddg, width: u32) -> Vec<CompactReason> {
             if op.kind().is_memory() && op.stride() != Some(1) {
                 return CompactReason::NonUnitStride;
             }
-            if on_rec[v.index()] {
+            if sccs.as_ref().is_some_and(|c| c.on_circuit(ddg, v)) {
                 let d = ddg
-                    .min_recurrence_distance(v)
+                    .min_recurrence_distance_in(v, &mut scratch)
                     .expect("recurrence member has a circuit");
                 if d < u64::from(width) {
                     return CompactReason::TightRecurrence;

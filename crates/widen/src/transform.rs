@@ -1,5 +1,7 @@
 //! The unroll-and-pack graph construction.
 
+use std::sync::Arc;
+
 use widening_ir::{Ddg, Edge, NodeId, Op};
 
 use crate::compact::{compactable_nodes, CompactReason};
@@ -30,9 +32,14 @@ impl NodeMapping {
 }
 
 /// Result of [`widen`].
+///
+/// The widened graph sits behind an [`Arc`]: every later stage of the
+/// compile chain (base schedule, spill engine, lowering, simulation)
+/// shares this one heap copy through [`Self::shared_ddg`] unless spill
+/// code rewrites it.
 #[derive(Debug, Clone)]
 pub struct WideningOutcome {
-    ddg: Ddg,
+    ddg: Arc<Ddg>,
     width: u32,
     mapping: Vec<NodeMapping>,
     reasons: Vec<CompactReason>,
@@ -69,7 +76,7 @@ impl WideningOutcome {
             }
         }
         Some(WideningOutcome {
-            ddg,
+            ddg: Arc::new(ddg),
             width,
             mapping,
             reasons,
@@ -80,6 +87,13 @@ impl WideningOutcome {
     /// iterations).
     #[must_use]
     pub fn ddg(&self) -> &Ddg {
+        &self.ddg
+    }
+
+    /// Shared handle to [`Self::ddg`], for stages whose results keep
+    /// the widened graph.
+    #[must_use]
+    pub fn shared_ddg(&self) -> &Arc<Ddg> {
         &self.ddg
     }
 
@@ -189,7 +203,7 @@ pub fn widen(ddg: &Ddg, width: u32) -> WideningOutcome {
     let reasons = compactable_nodes(ddg, width);
     if width == 1 {
         return WideningOutcome {
-            ddg: ddg.clone(),
+            ddg: Arc::new(ddg.clone()),
             width,
             mapping: ddg.node_ids().map(NodeMapping::Wide).collect(),
             reasons,
@@ -200,7 +214,7 @@ pub fn widen(ddg: &Ddg, width: u32) -> WideningOutcome {
         match build(ddg, width, &packed) {
             Ok((graph, mapping)) => {
                 return WideningOutcome {
-                    ddg: graph,
+                    ddg: Arc::new(graph),
                     width,
                     mapping,
                     reasons,

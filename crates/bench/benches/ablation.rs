@@ -29,10 +29,7 @@ fn bench_ablation(c: &mut Criterion) {
             let s = ModuloScheduler::with_options(
                 cfg,
                 CycleModel::Cycles4,
-                SchedulerOptions {
-                    strategy: strat,
-                    ..Default::default()
-                },
+                SchedulerOptions { strategy: strat },
             );
             b.iter(|| black_box(s.schedule(mac.ddg()).unwrap()))
         });

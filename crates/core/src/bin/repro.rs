@@ -16,6 +16,9 @@
 //! repro cache gc --keep-generations N --cache-dir DIR
 //! ```
 //!
+//! Every flag that takes a value also accepts it as `--flag=V`; only
+//! `--quick` takes its value in that form alone.
+//!
 //! * `--quick[=N]` — run on an `N`-loop corpus (default 120) instead of
 //!   the paper-scale 1180 loops; useful for smoke tests.
 //! * `--csv` — emit CSV instead of aligned tables.
@@ -87,6 +90,7 @@
 
 use std::process::ExitCode;
 
+use widening::cli::split_flag_values;
 use widening::experiments::{self, Context};
 use widening::Evaluator;
 use widening_obs as obs;
@@ -94,7 +98,7 @@ use widening_pipeline::{maint, StoreConfig};
 use widening_workload::corpus::{generate, CorpusSpec};
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv = split_flag_values(std::env::args().skip(1));
     match argv.first().map(String::as_str) {
         Some("worker") => return worker_main(&argv[1..]),
         Some("cache") => return cache_main(&argv[1..]),
@@ -115,7 +119,7 @@ fn main() -> ExitCode {
     let mut exec: Option<widening::sim::Backend> = None;
     let mut names: Vec<String> = Vec::new();
 
-    let mut args = argv.into_iter().peekable();
+    let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--csv" => csv = true,
@@ -133,7 +137,7 @@ fn main() -> ExitCode {
                 _ => return usage("--threads needs a positive integer"),
             },
             "--cache-dir" => match args.next() {
-                Some(dir) if !dir.starts_with('-') => cache_dir = Some(dir),
+                Some(dir) if !dir.is_empty() && !dir.starts_with('-') => cache_dir = Some(dir),
                 _ => return usage("--cache-dir needs a path"),
             },
             "--cache-budget" => match args.next().as_deref().and_then(parse_bytes) {
@@ -149,7 +153,7 @@ fn main() -> ExitCode {
                 _ => return usage("--chaos-exit-units needs a positive unit count"),
             },
             "--trace" => match args.next() {
-                Some(f) if !f.starts_with('-') => trace = Some(f),
+                Some(f) if !f.is_empty() && !f.starts_with('-') => trace = Some(f),
                 _ => return usage("--trace needs an output file"),
             },
             "--exec" => match args.next().map(|s| s.parse()) {
@@ -160,30 +164,6 @@ fn main() -> ExitCode {
             a if a.starts_with("--quick=") => match a["--quick=".len()..].parse() {
                 Ok(n) => quick = Some(n),
                 Err(_) => return usage("--quick=N needs an integer"),
-            },
-            a if a.starts_with("--cache-dir=") => {
-                cache_dir = Some(a["--cache-dir=".len()..].to_string());
-            }
-            a if a.starts_with("--cache-budget=") => {
-                match parse_bytes(&a["--cache-budget=".len()..]) {
-                    Some(b) => cache_budget = Some(b),
-                    None => return usage("--cache-budget=BYTES needs a byte count (K/M/G ok)"),
-                }
-            }
-            a if a.starts_with("--shards=") => match a["--shards=".len()..].parse() {
-                Ok(n) if n >= 1 => shards = Some(n),
-                _ => return usage("--shards=N needs a positive worker count"),
-            },
-            a if a.starts_with("--chaos-exit-units=") => {
-                match a["--chaos-exit-units=".len()..].parse() {
-                    Ok(n) if n >= 1 => chaos_exit_units = Some(n),
-                    _ => return usage("--chaos-exit-units=N needs a positive unit count"),
-                }
-            }
-            a if a.starts_with("--trace=") => trace = Some(a["--trace=".len()..].to_string()),
-            a if a.starts_with("--exec=") => match a["--exec=".len()..].parse() {
-                Ok(b) => exec = Some(b),
-                Err(why) => return usage(&why),
             },
             "list" => {
                 for n in experiments::ALL {

@@ -101,7 +101,7 @@ pub fn sweep(ctx: &Context) -> Report {
     );
     r.push_note(format!(
         "stage executions this sweep: widen {widen_delta} (≤ {} = loops × distinct Y), \
-         schedule {sched_delta} of {} requested units",
+         spill engine {sched_delta} of {} units (the rest fit their base schedule)",
         2 * n,
         6 * n
     ));

@@ -65,6 +65,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod distributed;
 mod evaluate;
 pub mod experiments;

@@ -35,6 +35,7 @@ use widening_obs::report::{compare, CompareConfig, PerfReport, Verdict};
 use widening_pipeline::StoreConfig;
 use widening_workload::corpus::{generate, CorpusSpec};
 
+use crate::cli::split_flag_values;
 use crate::distributed::{sweep_distributed, DistributedOptions};
 use crate::evaluate::Evaluator;
 use crate::experiments::sweep_grid_specs;
@@ -48,9 +49,12 @@ const DEFAULT_QUICK: usize = 48;
 /// yesterday measure the same work as candidates recorded today.
 const PERF_SEED: u64 = 1998;
 
-/// Entry point for `repro perf …`; returns the process exit code.
+/// Entry point for `repro perf …`; returns the process exit code. Flag
+/// values may be spelled `--flag V` or `--flag=V`
+/// ([`split_flag_values`]).
 #[must_use]
 pub fn perf_main(args: &[String]) -> ExitCode {
+    let args = split_flag_values(args.iter().cloned());
     match args.first().map(String::as_str) {
         Some("record") => record_main(&args[1..]),
         Some("compare") => compare_main(&args[1..]),
@@ -204,10 +208,6 @@ fn record_main(args: &[String]) -> ExitCode {
             a if a.starts_with("--quick=") => match a["--quick=".len()..].parse() {
                 Ok(n) if n >= 1 => loops = n,
                 _ => return usage("perf record --quick=N needs a positive integer"),
-            },
-            a if a.starts_with("--reps=") => match a["--reps=".len()..].parse() {
-                Ok(n) if n >= 1 => reps = n,
-                _ => return usage("perf record --reps=N needs a positive integer"),
             },
             a => return usage(&format!("unknown perf record flag {a}")),
         }

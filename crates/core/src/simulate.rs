@@ -558,11 +558,20 @@ mod tests {
         assert!(short.dynamic_cycles < long.dynamic_cycles);
         // Short trips amplify the transient share.
         assert!(short.transient_ratio() >= long.transient_ratio());
-        // Both trip counts replayed one memoized schedule per loop —
-        // and, on the lowered backend, one memoized program per loop:
-        // trip overrides share the trip-independent bytecode.
+        // Both trip counts replayed one memoized schedule per loop (the
+        // spill engine ran only where the base does not fit) — and, on
+        // the lowered backend, one memoized program per loop: trip
+        // overrides share the trip-independent bytecode.
         let c = ev.pipeline().stage_counts();
-        assert_eq!(c.schedule_runs, kernels::all().len() as u64);
+        let spec = PointSpec::scheduled(&cfg, CycleModel::Cycles4, EvalOptions::default());
+        let spilled = (0..kernels::all().len())
+            .filter(|&li| {
+                let base = ev.pipeline().base_schedule(li, &spec);
+                base.is_ok_and(|b| b.needed > cfg.registers())
+            })
+            .count();
+        assert_eq!(c.schedule_runs, spilled as u64);
+        assert_eq!(c.base_schedule_runs, kernels::all().len() as u64);
         assert_eq!(c.lower_runs, kernels::all().len() as u64);
         assert_eq!(c.lower_requests, 2 * kernels::all().len() as u64);
     }

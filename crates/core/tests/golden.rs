@@ -181,8 +181,8 @@ fn disk_tier_reproduces_seed_aggregates_bitwise() {
 fn budgeted_store_reproduces_seed_aggregates_bitwise() {
     // A byte-budgeted in-memory tier evicting sealed schedule entries
     // behind the fold must land on the very same golden bits. The point's
-    // 40 stages price at about 66 KiB (a spill-free stage shares its
-    // graph, so its graph is not priced): half that budget evicts.
+    // 19 spill-engine stages price at about 45 KiB (the 21 stages its base
+    // schedules fit are the bases' own and take no entry): 32 KiB evicts.
     let ev = Evaluator::new(corpus::generate(&corpus::CorpusSpec::small(40, 9))).with_store(
         StoreConfig {
             cache_dir: None,

@@ -52,7 +52,6 @@ fn scc_emission_order_and_asap_schedules_are_pinned() {
             let cfg = Configuration::monolithic(1, width, 256).expect("valid configuration");
             let opts = SchedulerOptions {
                 strategy: Strategy::Asap,
-                ..SchedulerOptions::default()
             };
             match ModuloScheduler::with_options(cfg, CycleModel::Cycles4, opts).schedule(wide.ddg())
             {

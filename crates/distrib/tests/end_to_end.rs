@@ -10,7 +10,7 @@ use widening_distrib::{
 use widening_machine::CycleModel;
 use widening_pipeline::codec::ddg_fingerprint;
 use widening_pipeline::exchange::{decode_unit_batch, BATCH_KIND};
-use widening_pipeline::{CompileOptions, Exchange, PointSpec, UnitOutcome};
+use widening_pipeline::{CompileOptions, Exchange, Pipeline, PointSpec, UnitOutcome};
 use widening_workload::corpus::{generate, CorpusSpec};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -36,6 +36,20 @@ fn specs() -> Vec<PointSpec> {
             )
         })
         .collect()
+}
+
+/// Units of `manifest` whose base schedule needs more registers than
+/// the point's file: the only units that enter the spill engine.
+fn spill_units(manifest: &SweepManifest) -> u64 {
+    let pipeline = Pipeline::new(manifest.loops.clone());
+    let mut spilled = 0;
+    for spec in &manifest.specs {
+        for li in 0..manifest.loops.len() {
+            let base = pipeline.base_schedule(li, spec);
+            spilled += u64::from(base.is_ok_and(|b| spec.registers.is_some_and(|z| b.needed > z)));
+        }
+    }
+    spilled
 }
 
 /// Every unit's result must be recoverable from the shards' batch
@@ -85,8 +99,10 @@ fn fleet_completes_and_publishes_every_unit() {
     assert!(!run.queue_dir.exists());
     let outcomes = assert_all_results_published(&cache, &manifest);
     assert!(outcomes.iter().all(|o| matches!(o, UnitOutcome::Ok { .. })));
-    // Workers actually compiled (this was a cold store).
-    assert!(run.worker_counts.schedule_runs > 0);
+    // Workers actually compiled (this was a cold store), entering the
+    // spill engine exactly where a base schedule does not fit.
+    assert!(run.worker_counts.base_schedule_runs > 0);
+    assert_eq!(run.worker_counts.schedule_runs, spill_units(&manifest));
     let _ = std::fs::remove_dir_all(cache);
 }
 

@@ -284,14 +284,16 @@ fn encode_lifetimes(w: &mut Writer, lts: &[Lifetime]) {
     }
 }
 
-fn decode_lifetimes(r: &mut Reader<'_>) -> Option<Vec<Lifetime>> {
+/// Decodes the lifetimes of a graph of `nodes` operations: each must
+/// be defined by one of them and span at least one cycle.
+fn decode_lifetimes(r: &mut Reader<'_>, nodes: usize) -> Option<Vec<Lifetime>> {
     let n = r.len(12)?;
     let mut lts = Vec::with_capacity(n);
     for _ in 0..n {
         let def = NodeId(r.u32()?);
         let start = r.u32()?;
         let end = r.u32()?;
-        if end <= start {
+        if end <= start || def.index() >= nodes {
             return None;
         }
         lts.push(Lifetime { def, start, end });
@@ -309,11 +311,17 @@ fn encode_allocation(w: &mut Writer, a: &RegisterAllocation) {
     }
 }
 
-fn decode_allocation(r: &mut Reader<'_>) -> Option<RegisterAllocation> {
+/// Decodes the allocation of `lifetimes`: its location table must hold
+/// exactly `K` registers per lifetime, since lowering reads one for
+/// every instance.
+fn decode_allocation(r: &mut Reader<'_>, lifetimes: usize) -> Option<RegisterAllocation> {
     let registers_used = r.u32()?;
     let max_lives = r.u32()?;
     let kernel_unroll = r.u32()?;
     let n = r.len(4)?;
+    if n != lifetimes.checked_mul(kernel_unroll as usize)? {
+        return None;
+    }
     let mut locations = Vec::with_capacity(n);
     for _ in 0..n {
         locations.push(r.u32()?);
@@ -607,8 +615,8 @@ pub(crate) fn decode_base(
     let result = match r.u8()? {
         0 => {
             let schedule = decode_schedule(&mut r, wide, cfg, model)?;
-            let lifetimes = decode_lifetimes(&mut r)?;
-            let allocation = decode_allocation(&mut r)?;
+            let lifetimes = decode_lifetimes(&mut r, wide.num_nodes())?;
+            let allocation = decode_allocation(&mut r, lifetimes.len())?;
             let needed = r.u32()?;
             if needed != allocation.registers_used() {
                 return None;
@@ -667,25 +675,6 @@ fn decode_spills(r: &mut Reader<'_>, nodes: usize) -> Option<Vec<SpillRecord>> {
     Some(spills)
 }
 
-/// A decoded schedule-stage artifact: either a self-contained stage (or
-/// memoized failure), or a marker saying "round 1 of the base schedule
-/// fits this register file". Fit stages are shared by every fitting `Z`
-/// in memory, so persisting the marker instead of a full copy per `Z`
-/// keeps the disk store deduplicated and lets a warm start rebuild the
-/// *shared* artifact from the (single) persisted base schedule.
-#[derive(Debug)]
-pub(crate) enum SchedPayload {
-    /// A fully materialized stage or memoized failure.
-    Full(Result<Arc<ScheduledStage>, PipelineError>),
-    /// The stage is `BaseSchedule::fit_stage` of the point's base.
-    FitOfBase,
-}
-
-/// The marker payload for a fit-mode stage (see [`SchedPayload`]).
-pub(crate) fn encode_sched_fit() -> Vec<u8> {
-    vec![2]
-}
-
 /// Graph tag after a stage record's `Ok` tag: the final graph is the
 /// point's widened graph, which the decoder is given.
 const WIDE_GRAPH: u8 = 0;
@@ -729,20 +718,17 @@ pub(crate) fn encode_sched(result: &Result<Arc<ScheduledStage>, PipelineError>) 
 /// A stage with spill code carries its final graph; one without shares
 /// `wide`. Either way the schedule is re-verified against the final
 /// graph on the point's machine, and a record whose graph tag disagrees
-/// with its spill list is a miss. A fit marker decodes to
-/// [`SchedPayload::FitOfBase`]: the caller rebuilds the shared stage
-/// from the persisted base schedule.
+/// with its spill list is a miss. So is any other tag, the one-byte fit
+/// markers of earlier stores included: a stage the base schedule fits
+/// is the base's own and never read from a `sched` record.
 pub(crate) fn decode_sched(
     bytes: &[u8],
     wide: &Arc<Ddg>,
     cfg: &Configuration,
     model: CycleModel,
-) -> Option<SchedPayload> {
+) -> Option<Result<Arc<ScheduledStage>, PipelineError>> {
     let mut r = Reader::new(bytes);
     let result = match r.u8()? {
-        2 => {
-            return r.exhausted().then_some(SchedPayload::FitOfBase);
-        }
         0 => {
             let (ddg, shared) = match r.u8()? {
                 WIDE_GRAPH => (Arc::clone(wide), true),
@@ -750,8 +736,8 @@ pub(crate) fn decode_sched(
                 _ => return None,
             };
             let schedule = decode_schedule(&mut r, &ddg, cfg, model)?;
-            let lifetimes = decode_lifetimes(&mut r)?;
-            let allocation = decode_allocation(&mut r)?;
+            let lifetimes = decode_lifetimes(&mut r, ddg.num_nodes())?;
+            let allocation = decode_allocation(&mut r, lifetimes.len())?;
             let spills = decode_spills(&mut r, ddg.num_nodes())?;
             if shared != spills.is_empty() {
                 return None;
@@ -777,7 +763,7 @@ pub(crate) fn decode_sched(
         1 => Err(decode_pipeline_error(&mut r)?),
         _ => return None,
     };
-    r.exhausted().then_some(SchedPayload::Full(result))
+    r.exhausted().then_some(result)
 }
 
 // ---- lowered stage (stage 5) -------------------------------------------
@@ -979,10 +965,7 @@ mod tests {
             let result =
                 stage_schedule(wide.shared_ddg(), &machine, spec.model, &spec.opts, None).map(Arc::new);
             let bytes = encode_sched(&result);
-            let back = match decode_sched(&bytes, wide.shared_ddg(), &machine, spec.model).expect("decodes") {
-                SchedPayload::Full(r) => r,
-                SchedPayload::FitOfBase => panic!("full encoding decoded as a fit marker"),
-            };
+            let back = decode_sched(&bytes, wide.shared_ddg(), &machine, spec.model).expect("decodes");
             match (&result, &back) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(&a.result.schedule, &b.result.schedule);
@@ -1018,15 +1001,13 @@ mod tests {
     }
 
     #[test]
-    fn fit_marker_round_trips() {
+    fn fit_markers_decode_as_misses() {
+        // Earlier stores wrote a fit stage as the one-byte record `[2]`.
+        // Its key is never asked for again; a marker read anyway is a
+        // miss, with or without trailing bytes.
         let (_, wide, _) = golden_point();
         let (wide, cfg) = (wide.shared_ddg(), "4w2(64:1)".parse().unwrap());
-        let bytes = encode_sched_fit();
-        assert!(matches!(
-            decode_sched(&bytes, wide, &cfg, CycleModel::Cycles4),
-            Some(SchedPayload::FitOfBase)
-        ));
-        // Trailing garbage after the marker is rejected.
+        assert!(decode_sched(&[2], wide, &cfg, CycleModel::Cycles4).is_none());
         assert!(decode_sched(&[2, 0], wide, &cfg, CycleModel::Cycles4).is_none());
     }
 
@@ -1054,7 +1035,10 @@ mod tests {
     }
 
     /// Decodes a stage record for the wide graph `wide` on `4w2(64:1)`.
-    fn decode_graphless(bytes: &[u8], wide: &Arc<Ddg>) -> Option<SchedPayload> {
+    fn decode_graphless(
+        bytes: &[u8],
+        wide: &Arc<Ddg>,
+    ) -> Option<Result<Arc<ScheduledStage>, PipelineError>> {
         let cfg = "4w2(64:1)".parse().unwrap();
         decode_sched(bytes, wide, &cfg, CycleModel::Cycles4)
     }
@@ -1126,7 +1110,7 @@ mod tests {
         assert_eq!(bytes.len(), 198);
         assert_eq!(fnv128(&bytes), 0x8498_f210_6868_38e1_532b_4e8f_5d1d_3540);
         // It decodes onto the very graph it was given.
-        let Some(SchedPayload::Full(Ok(back))) = decode_graphless(&bytes, wide.shared_ddg()) else {
+        let Some(Ok(back)) = decode_graphless(&bytes, wide.shared_ddg()) else {
             panic!("a graph-less record decodes");
         };
         assert!(Arc::ptr_eq(&back.result.ddg, wide.shared_ddg()));
@@ -1187,9 +1171,75 @@ mod tests {
         assert!(decode_graphless(&bytes, other.shared_ddg()).is_none());
     }
 
+    /// `stage` (on `4w2(64:1)`, sharing `wide`'s graph) encoded as a
+    /// `sched` record, and its schedule, lifetimes and allocation as a
+    /// base record.
+    fn sched_and_base_records(wide: &WideningOutcome, stage: ScheduledStage) -> [Vec<u8>; 2] {
+        let p = stage.result.clone();
+        let base = BaseSchedule::new(
+            wide.shared_ddg(),
+            p.schedule,
+            p.allocation,
+            p.lifetimes,
+            stage.final_mii,
+        );
+        [
+            encode_sched(&Ok(Arc::new(stage))),
+            encode_base(&Ok(Arc::new(base))),
+        ]
+    }
+
+    /// Whether each of the two records decodes.
+    fn decodes(wide: &WideningOutcome, [sched, base]: &[Vec<u8>; 2]) -> [bool; 2] {
+        let cfg = "4w2(64:1)".parse().unwrap();
+        let wide = wide.shared_ddg();
+        [
+            decode_graphless(sched, wide).is_some(),
+            decode_base(base, wide, &cfg, CycleModel::Cycles4, 0).is_some(),
+        ]
+    }
+
     #[test]
-    fn golden_fit_marker_and_pressure_failure() {
-        assert_eq!(encode_sched_fit(), [2]);
+    fn stage_records_defining_a_lifetime_past_the_graph_are_misses() {
+        // Lowering indexes its node tables by each lifetime's definition.
+        let (_, wide, _) = golden_point();
+        let mut stage = graphless_stage(&wide);
+        assert_eq!(
+            decodes(&wide, &sched_and_base_records(&wide, stage.clone())),
+            [true; 2]
+        );
+        stage.result.lifetimes[0].def = NodeId(wide.ddg().num_nodes() as u32);
+        assert_eq!(
+            decodes(&wide, &sched_and_base_records(&wide, stage)),
+            [false; 2]
+        );
+    }
+
+    #[test]
+    fn stage_records_with_a_short_location_table_are_misses() {
+        // Lowering reads a register for every instance of every lifetime:
+        // a table one lifetime short is still a multiple of `K`, which is
+        // all `RegisterAllocation::from_parts` can check.
+        let (_, wide, _) = golden_point();
+        let mut stage = graphless_stage(&wide);
+        let a = &stage.result.allocation;
+        let k = a.kernel_unroll() as usize;
+        let short = a.locations()[..a.locations().len() - k].to_vec();
+        stage.result.allocation = RegisterAllocation::from_parts(
+            a.registers_used(),
+            a.max_lives(),
+            a.kernel_unroll(),
+            short,
+        )
+        .expect("a whole number of lifetimes");
+        assert_eq!(
+            decodes(&wide, &sched_and_base_records(&wide, stage)),
+            [false; 2]
+        );
+    }
+
+    #[test]
+    fn golden_pressure_failure_records() {
         let pressure = PipelineError::Pressure {
             needed: 40,
             available: 32,
@@ -1229,10 +1279,10 @@ mod tests {
             w.u32(lifetime.end);
             w.into_bytes()
         };
-        assert!(decode_lifetimes(&mut Reader::new(&counted(2))).is_none());
-        assert!(decode_lifetimes(&mut Reader::new(&counted(1 << 24))).is_none());
+        assert!(decode_lifetimes(&mut Reader::new(&counted(2)), 1).is_none());
+        assert!(decode_lifetimes(&mut Reader::new(&counted(1 << 24)), 1).is_none());
         assert_eq!(
-            decode_lifetimes(&mut Reader::new(&counted(1))),
+            decode_lifetimes(&mut Reader::new(&counted(1)), 1),
             Some(vec![lifetime])
         );
     }

@@ -113,8 +113,10 @@ impl StoreConfig {
 ///   spill engine) on `(wide DDG, resources, cycle model, strategy)` —
 ///   a `32/64/128/256`-RF sweep schedules each loop once and re-enters
 ///   the spill engine only where the requirement exceeds the file;
-/// * **schedule/allocate/spill** additionally on registers, strategy and
-///   spill options.
+/// * **spill engine** additionally on registers and spill options, for
+///   the points whose base schedule needs more registers than the file
+///   holds (a point it fits takes the base's own stage, with no entry
+///   of its own).
 ///
 /// With a [`StoreConfig::cache_dir`], every artifact (including memoized
 /// failures) is additionally appended to the pipeline's own on-disk
@@ -420,88 +422,63 @@ impl Pipeline {
     }
 
     /// Runs (or replays) the staged chain for loop `li` at design point
-    /// `spec`, stopping after MII when `spec.registers` is `None`.
+    /// `spec`, stopping after MII when `spec.registers` is `None`. A
+    /// register file the base schedule fits gets the base's own round-1
+    /// stage; only a larger requirement enters the spill engine, whose
+    /// stage is memoized (and persisted) per register file.
     ///
     /// # Errors
     ///
-    /// [`PipelineError`] when the schedule/allocate/spill stage fails —
-    /// the error is memoized (and persisted) too, so a failing design
-    /// point is diagnosed once, not once per caller or per process.
+    /// [`PipelineError`] when the base schedule or the spill engine
+    /// fails — the error is memoized (and persisted) too, so a failing
+    /// design point is diagnosed once, not once per caller or per
+    /// process.
     pub fn compile(&self, li: usize, spec: &PointSpec) -> Result<CompiledLoop, PipelineError> {
         let wide = self.widened(li, spec.width);
         let bounds = self.mii_bounds(li, spec.replication, spec.width, spec.model);
-        let scheduled = match spec.registers {
-            None => None,
-            Some(registers) => {
-                let key = SchedKey {
-                    li: li as u32,
-                    width: spec.width,
-                    replication: spec.replication,
-                    registers,
-                    model: spec.model,
-                    strategy: spec.opts.strategy,
-                    spill: spec.opts.spill,
-                };
-                let stage = self.scheduled.get_or_fetch(key, stage_bytes, || {
-                    let key_bytes = || self.sched_key_bytes(STAGE_SCHED, li, spec, registers);
-                    let (a, b) = (
-                        li as u64,
-                        obs::pack_point(spec.replication, spec.width, Some(registers)),
-                    );
-                    let decode = obs::span(SpanKind::SchedDecode, a, b);
-                    match self.disk_load(key_bytes, |bytes| {
-                        codec::decode_sched(bytes, wide.shared_ddg(), &spec.machine(), spec.model)
-                    }) {
-                        Some(codec::SchedPayload::Full(result)) => return (result, Fetch::Disk),
-                        // Fit marker: the stage is the (single)
-                        // persisted base's own, shared by every fitting
-                        // Z. A stale marker — base missing or no longer
-                        // fitting — falls through to live compute.
-                        Some(codec::SchedPayload::FitOfBase) => {
-                            if let Ok(base) = self.base_schedule(li, spec) {
-                                if base.needed <= registers {
-                                    return (Ok(base.fit_stage()), Fetch::Disk);
-                                }
-                            }
-                        }
-                        None => {}
-                    }
-                    decode.cancel();
-                    let _run = obs::span(SpanKind::Schedule, a, b);
-                    let mut fits_base = false;
-                    let result = self.base_schedule(li, spec).and_then(|base| {
-                        if base.needed <= registers {
-                            // Fits round 1: every such Z shares the
-                            // base's own stage (no per-Z deep copies).
-                            fits_base = true;
-                            Ok(base.fit_stage())
-                        } else {
-                            stage_schedule(
-                                wide.shared_ddg(),
-                                &spec.machine(),
-                                spec.model,
-                                &spec.opts,
-                                Some(&base),
-                            )
-                            .map(Arc::new)
-                        }
-                    });
-                    self.disk_store(key_bytes, || {
-                        // Persist fit stages as a marker, not a copy per
-                        // register-file size: the base stage carries the
-                        // bytes exactly once.
-                        if fits_base {
-                            codec::encode_sched_fit()
-                        } else {
-                            codec::encode_sched(&result)
-                        }
-                    });
-                    (result, Fetch::Computed)
-                })?;
-                Some(stage)
-            }
+        let Some(registers) = spec.registers else {
+            return Ok(CompiledLoop::new(spec.width, wide, bounds, None));
         };
-        Ok(CompiledLoop::new(spec.width, wide, bounds, scheduled))
+        let base = self.base_schedule(li, spec)?;
+        if base.needed <= registers {
+            let stage = base.fit_stage();
+            return Ok(CompiledLoop::new(spec.width, wide, bounds, Some(stage)));
+        }
+        let key = SchedKey {
+            li: li as u32,
+            width: spec.width,
+            replication: spec.replication,
+            registers,
+            model: spec.model,
+            strategy: spec.opts.strategy,
+            spill: spec.opts.spill,
+        };
+        let stage = self.scheduled.get_or_fetch(key, stage_bytes, || {
+            let key_bytes = || self.sched_key_bytes(STAGE_SCHED, li, spec, registers);
+            let (a, b) = (
+                li as u64,
+                obs::pack_point(spec.replication, spec.width, Some(registers)),
+            );
+            let decode = obs::span(SpanKind::SchedDecode, a, b);
+            if let Some(result) = self.disk_load(key_bytes, |bytes| {
+                codec::decode_sched(bytes, wide.shared_ddg(), &spec.machine(), spec.model)
+            }) {
+                return (result, Fetch::Disk);
+            }
+            decode.cancel();
+            let _run = obs::span(SpanKind::Schedule, a, b);
+            let result = stage_schedule(
+                wide.shared_ddg(),
+                &spec.machine(),
+                spec.model,
+                &spec.opts,
+                Some(&base),
+            )
+            .map(Arc::new);
+            self.disk_store(key_bytes, || codec::encode_sched(&result));
+            (result, Fetch::Computed)
+        })?;
+        Ok(CompiledLoop::new(spec.width, wide, bounds, Some(stage)))
     }
 
     /// Stage 5, memoized: loop `li`'s scheduled wide loop lowered to
@@ -686,12 +663,10 @@ impl Pipeline {
     }
 }
 
-/// Conservative resident-size estimate of a schedule-stage entry for
-/// the in-memory byte budget. Fit-mode stages shared across several
-/// register-file sizes are priced once per referencing entry, so the
-/// estimate over-counts sharing — the budget errs towards evicting. A
-/// stage's graph is priced only when spill code gave it one of its own:
-/// otherwise it is the widening stage's graph, pinned there.
+/// Conservative resident-size estimate of a spill-engine stage for the
+/// in-memory byte budget. A stage's graph is priced only when spill code
+/// gave it one of its own: otherwise it is the widening stage's graph,
+/// pinned there.
 fn stage_bytes(result: &Result<Arc<ScheduledStage>, PipelineError>) -> usize {
     match result {
         Ok(stage) => {

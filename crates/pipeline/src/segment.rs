@@ -24,10 +24,11 @@
 //!
 //! A record never repeats a graph another record carries. A `sched`
 //! record of a stage without spill code holds a one-byte tag where its
-//! graph would be (format version 4), and a fit marker names the base's
-//! own stage; the decoder receives the point's widened graph and shares
-//! it. A warm pipeline therefore holds one graph per `(loop, Y)`, as a
-//! cold one does.
+//! graph would be (format version 4); the decoder receives the point's
+//! widened graph and shares it. A warm pipeline therefore holds one
+//! graph per `(loop, Y)`, as a cold one does. Only spill-engine stages
+//! have `sched` records: a stage the base schedule fits is the base's
+//! own.
 //!
 //! A scan stops at the first record it cannot frame: a torn tail (what
 //! a live writer's segment looks like mid-append, and what a killed

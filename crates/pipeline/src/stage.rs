@@ -55,7 +55,6 @@ impl CompileOptions {
     pub fn scheduler_options(&self) -> SchedulerOptions {
         SchedulerOptions {
             strategy: self.strategy,
-            ..SchedulerOptions::default()
         }
     }
 }

@@ -21,8 +21,8 @@
 //!   least-recently-used first whenever resident bytes exceed the
 //!   budget. Unsealed entries are never evicted — an in-flight sweep
 //!   cannot have its own working set pulled out from under it. The
-//!   schedule/allocate/spill tier is bounded: its entries dominate
-//!   memory (final graph + schedule + location tables per `(loop, Z)`).
+//!   spill-engine tier is bounded: its entries dominate memory (final
+//!   graph + schedule + location tables per `(loop, Z)`).
 //!
 //! Eviction only drops the store's reference: values are `Arc`-shared,
 //! so artifacts still held by callers stay alive, and an evicted key
@@ -312,6 +312,10 @@ impl<K: Eq + Hash + Clone, V: Clone> StageStore<K, V> {
 /// executing the stage. A multi-configuration sweep that shares stages
 /// shows `runs ≪ requests`; a warm-start run over a persisted cache
 /// shows `runs == 0` with every miss served from disk.
+///
+/// The `schedule_*` counters cover spill-engine units only: a unit whose
+/// base schedule fits its register file takes the base's own stage and
+/// never looks the schedule stage up.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounts {
     /// Widening transforms executed (one per distinct `(loop, Y)`).
@@ -333,11 +337,11 @@ pub struct StageCounts {
     pub base_schedule_requests: u64,
     /// Base-schedule artifacts decoded from the disk tier.
     pub base_schedule_disk_hits: u64,
-    /// Schedule/allocate/spill stage executions.
+    /// Spill-engine stage executions.
     pub schedule_runs: u64,
-    /// Schedule stage lookups.
+    /// Spill-engine stage lookups.
     pub schedule_requests: u64,
-    /// Schedule-stage artifacts decoded from the disk tier.
+    /// Spill-engine stages decoded from the disk tier.
     pub schedule_disk_hits: u64,
     /// Schedule-stage entries evicted from the in-memory tier.
     pub schedule_evictions: u64,

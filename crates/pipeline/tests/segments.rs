@@ -145,7 +145,9 @@ fn evicted_entries_are_re_fetched_from_the_pipelines_own_segment() {
         Arc::new(loops),
         StoreConfig::persistent(&dir).with_memory_budget(16 * 1024),
     );
-    let grid = points(&["2w1(64:1)", "2w1(128:1)", "4w2(64:1)", "4w2(128:1)"]);
+    // Spilling register files: only spill-engine stages are schedule
+    // entries, so these give the budget something to evict.
+    let grid = points(&["2w1(32:1)", "2w1(64:1)", "4w2(32:1)", "4w2(64:1)"]);
     for spec in &grid {
         let _ = pipeline.sweep(std::slice::from_ref(spec), 2);
         pipeline.seal_point(spec);

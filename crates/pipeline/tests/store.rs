@@ -96,7 +96,7 @@ fn memory_budget_is_enforced_once_points_are_sealed() {
     // Bounded in-memory tier, no disk: after each design point's
     // aggregates are folded (sealed), the resident bytes of the
     // schedule tier must never exceed the configured budget.
-    let budget = 64 * 1024;
+    let budget = 16 * 1024;
     let loops = generate(&CorpusSpec::small(20, 7));
     let pipeline = Pipeline::with_config(
         std::sync::Arc::new(loops),
@@ -105,7 +105,9 @@ fn memory_budget_is_enforced_once_points_are_sealed() {
             memory_budget: Some(budget),
         },
     );
-    let pts = points(&["2w1(64:1)", "2w1(128:1)", "4w2(64:1)", "4w2(128:1)"]);
+    // Spilling register files: only spill-engine stages are schedule
+    // entries, so these give the budget something to evict.
+    let pts = points(&["2w1(32:1)", "2w1(64:1)", "4w2(32:1)", "4w2(64:1)"]);
     for spec in &pts {
         let per_loop = pipeline.sweep(std::slice::from_ref(spec), 4);
         assert!(per_loop[0].iter().all(Result::is_ok));

@@ -26,7 +26,7 @@
 //! registers. An arc covers the wrapped run `[start, start + min(len,
 //! c))`, the full circle for `len ≥ c` and nothing for a degenerate
 //! `len = 0` arc, and two arcs overlap iff their slots meet — exactly
-//! the `overlaps` contract. So:
+//! the reference packers' `overlaps` contract. So:
 //!
 //! * an arc's **free set** is the complement of the OR of the rows it
 //!   covers, masked to the open registers: one OR per covered slot and
@@ -60,17 +60,18 @@
 //! so once a packer reaches the bound the rest cannot change the
 //! answer.
 //!
-//! All working storage lives in an [`AllocScratch`] that is cleared, not
-//! reallocated, between calls; results are bitwise-identical to the
-//! original packers (kept below as the oversized-cylinder fallback and
-//! as the reference implementations for the equivalence tests).
+//! The race takes a cylinder of any size: its tables are `c·⌈R/64⌉`
+//! words and `c + 1` counting buckets, so there is no oversized-cylinder
+//! fallback. All working storage lives in an [`AllocScratch`] that is
+//! cleared, not reallocated, between calls. Results are
+//! bitwise-identical to the original `Vec<Vec<Arc>>` packers, which the
+//! tests keep as the oracles of the race.
 //!
 //! A [`RegisterAllocation`] keeps only what lowering and the simulator
 //! read: the register count, `MaxLives`, `K` and the dense location
 //! table `locations[lifetime · K + instance]`. The winning packing's
 //! arc-order triples stay in the scratch.
 
-use std::cmp::Reverse;
 use std::ops::Range;
 
 use crate::lifetime::{max_lives_with, Lifetime};
@@ -188,31 +189,6 @@ struct Arc {
 }
 
 impl Arc {
-    /// Half-open coverage test on the cylinder of circumference `c`.
-    fn covers(&self, point: u64, c: u64) -> bool {
-        debug_assert!(point < c);
-        if self.len >= c {
-            return true;
-        }
-        let s = self.start;
-        let e = (self.start + self.len) % c;
-        if s < e {
-            (s..e).contains(&point)
-        } else {
-            point >= s || point < e
-        }
-    }
-
-    fn overlaps(&self, other: &Arc, c: u64) -> bool {
-        if self.len == 0 || other.len == 0 {
-            return false;
-        }
-        if self.len >= c || other.len >= c {
-            return true;
-        }
-        self.covers(other.start, c) || other.covers(self.start, c)
-    }
-
     /// The arc's slots on a cylinder of `c` slots: `[start, start + len)`
     /// split at the wrap into its head and its wrapped tail.
     fn slots(&self, c: usize) -> (Range<usize>, Range<usize>) {
@@ -224,14 +200,6 @@ impl Arc {
 /// A packed register assignment: `(lifetime, instance, register)` in
 /// arc-processing order, plus the register count.
 type Packing = Vec<(u32, u32, u32)>;
-
-/// Cylinders larger than this (in slots) fall back to the legacy
-/// `Vec<Vec<Arc>>` packers rather than materialising slot-major
-/// register sets. Real schedules stay far below it: over the sweep
-/// grid, spill rounds included, the seed-1998 1180-loop corpus peaks at
-/// c = 304 (II 38 × K 8), and seeds 202, 7 and 31 at 320, 176 and 224.
-/// Only adversarial lifetimes with enormous spans reach the fallback.
-const DENSE_SLOT_LIMIT: u64 = 1 << 14;
 
 /// Reusable working storage for [`allocate_in`]: the arc orders, the
 /// slot-major register sets and the candidate packings, all cleared —
@@ -295,13 +263,8 @@ pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> Reg
     // Expand each lifetime into K arcs (one per kernel copy) in
     // adjacency order: by start position, then length descending for
     // deterministic, well-packed placement.
-    let (registers_used, triples) = if c <= DENSE_SLOT_LIMIT {
-        adjacency_order(lifetimes, ii, k, c as usize, s);
-        pack_best(lifetimes, ii, k, c as usize, ml, s)
-    } else {
-        expand_sorted(lifetimes, ii, k, c, &mut s.arcs);
-        pack_best_legacy(lifetimes, ii, k, c, s)
-    };
+    adjacency_order(lifetimes, ii, k, c as usize, s);
+    let (registers_used, triples) = pack_best(lifetimes, ii, k, c as usize, ml, s);
 
     // The dense location table is the only product of the winning
     // packing that outlives the race.
@@ -409,22 +372,9 @@ fn counting_sort<T: Copy + Default>(
     }
 }
 
-/// Every arc, comparison-sorted into adjacency order: the expansion of
-/// the oversized-cylinder fallback, where a counting sort would need a
-/// bucket per slot.
-fn expand_sorted(lifetimes: &[Lifetime], ii: u32, k: u32, c: u64, arcs: &mut Vec<Arc>) {
-    arcs.clear();
-    for (i, lt) in lifetimes.iter().enumerate() {
-        arcs.extend(arcs_of(lt, i as u32, ii, k, c));
-    }
-    // (start, len, lifetime, instance) is a total order, so the unstable
-    // sort is deterministic.
-    arcs.sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
-}
-
 /// Runs the six packers on slot-major register sets and returns the
-/// tightest packing. Mirrors [`pack_best_legacy`] result for result,
-/// candidate order and strict-improvement tie-breaking.
+/// tightest packing. Mirrors the reference race of the tests result for
+/// result, candidate order and strict-improvement tie-breaking.
 ///
 /// The race stops once the best packing uses `max_lives` registers:
 /// every packing needs at least that many, and only a strictly smaller
@@ -477,35 +427,6 @@ fn pack_best<'a>(
         }
     }
     (best_regs, best)
-}
-
-/// The original `Vec<Vec<Arc>>` packers, used verbatim when the
-/// cylinder is too large for slot-major sets (`c > DENSE_SLOT_LIMIT`).
-fn pack_best_legacy<'a>(
-    lifetimes: &[Lifetime],
-    ii: u32,
-    k: u32,
-    c: u64,
-    s: &'a mut AllocScratch,
-) -> (u32, &'a Packing) {
-    let mut best = pack_end_fit_ref(&s.arcs, c);
-    let mut by_len = s.arcs.clone();
-    by_len.sort_unstable_by_key(|a| (Reverse(a.len), a.start, a.lifetime, a.instance));
-    let mut private = Vec::new();
-    let private_regs = pack_private_cyclic(lifetimes, ii, k, &mut private);
-    for alt in [
-        pack_first_fit_ref(&s.arcs, c),
-        pack_end_fit_ref(&by_len, c),
-        pack_first_fit_ref(&by_len, c),
-        pack_cut_interval_ref(&s.arcs, c),
-        (private_regs, private),
-    ] {
-        if alt.0 < best.0 {
-            best = alt;
-        }
-    }
-    s.best = best.1;
-    (best.0, &s.best)
 }
 
 /// Lam's modulo-variable-expansion allocation: value `v` rotates through
@@ -780,7 +701,7 @@ fn pack_cut_interval(
 
 /// The original cut-interval segment packer body, shared by the
 /// zero-length-arc path of [`pack_cut_interval`] (exact degenerate-point
-/// semantics) and by [`pack_cut_interval_ref`].
+/// semantics) and by the reference cut-interval packer in the tests.
 fn pack_cut_segments<'a>(
     order: impl Iterator<Item = &'a Arc>,
     c: u64,
@@ -815,94 +736,163 @@ fn pack_cut_segments<'a>(
     registers.len() as u32
 }
 
-// ----- reference packers (oversized-cylinder fallback + equivalence) -----
-
-/// First-fit: each arc goes to the lowest-indexed register with no
-/// overlap. Reference implementation (pairwise `overlaps` scans).
-fn pack_first_fit_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
-    let mut registers: Vec<Vec<Arc>> = Vec::new();
-    let mut assignment = Vec::with_capacity(arcs.len());
-    for arc in arcs {
-        let r = match registers
-            .iter()
-            .position(|occ| occ.iter().all(|o| !o.overlaps(arc, c)))
-        {
-            Some(r) => r,
-            None => {
-                registers.push(Vec::new());
-                registers.len() - 1
-            }
-        };
-        registers[r].push(*arc);
-        assignment.push((arc.lifetime, arc.instance, r as u32));
-    }
-    (registers.len() as u32, assignment)
-}
-
-/// End-fit: each arc goes to the fitting register whose nearest
-/// preceding end leaves the smallest gap. Reference implementation
-/// (per-occupant gap scans).
-fn pack_end_fit_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
-    let mut registers: Vec<Vec<Arc>> = Vec::new();
-    let mut assignment = Vec::with_capacity(arcs.len());
-    for arc in arcs {
-        let mut best: Option<(u64, usize)> = None; // (gap, register)
-        for (r, occupants) in registers.iter().enumerate() {
-            if occupants.iter().any(|o| o.overlaps(arc, c)) {
-                continue;
-            }
-            // Gap between the nearest preceding end and our start,
-            // measured backwards around the cylinder.
-            let gap = occupants
-                .iter()
-                .map(|o| {
-                    let end = (o.start + o.len) % c;
-                    (arc.start + c - end) % c
-                })
-                .min()
-                .unwrap_or(0);
-            if best.is_none_or(|(g, _)| gap < g) {
-                best = Some((gap, r));
-            }
-        }
-        let r = match best {
-            Some((_, r)) => r,
-            None => {
-                registers.push(Vec::new());
-                registers.len() - 1
-            }
-        };
-        registers[r].push(*arc);
-        assignment.push((arc.lifetime, arc.instance, r as u32));
-    }
-    (registers.len() as u32, assignment)
-}
-
-/// Min-density cut reference: scan every cylinder point for the
-/// min-density cut, give each crossing arc a segment pair, and colour
-/// greedily by left endpoint.
-fn pack_cut_interval_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
-    // Density change-points are arc starts; evaluate density there.
-    let cut = (0..c)
-        .filter(|p| arcs.iter().any(|a| a.start == *p) || *p == 0)
-        .min_by_key(|&p| arcs.iter().filter(|a| a.covers(p, c)).count())
-        .unwrap_or(0);
-    let lin = |p: u64| (p + c - cut) % c;
-    let mut order: Vec<u32> = (0..arcs.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| {
-        let a = &arcs[i as usize];
-        (lin(a.start), Reverse(a.len), a.lifetime, a.instance)
-    });
-    let mut out = Vec::new();
-    let regs = pack_cut_segments(order.iter().map(|&i| &arcs[i as usize]), c, cut, &mut out);
-    (regs, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
     use widening_ir::NodeId;
+
+    impl Arc {
+        /// Half-open coverage test on the cylinder of circumference `c`.
+        fn covers(&self, point: u64, c: u64) -> bool {
+            debug_assert!(point < c);
+            if self.len >= c {
+                return true;
+            }
+            let s = self.start;
+            let e = (self.start + self.len) % c;
+            if s < e {
+                (s..e).contains(&point)
+            } else {
+                point >= s || point < e
+            }
+        }
+
+        fn overlaps(&self, other: &Arc, c: u64) -> bool {
+            if self.len == 0 || other.len == 0 {
+                return false;
+            }
+            if self.len >= c || other.len >= c {
+                return true;
+            }
+            self.covers(other.start, c) || other.covers(self.start, c)
+        }
+    }
+
+    /// Every arc, comparison-sorted into adjacency order: the reference
+    /// for the counting sorts.
+    fn expand_sorted(lifetimes: &[Lifetime], ii: u32, k: u32, c: u64, arcs: &mut Vec<Arc>) {
+        arcs.clear();
+        for (i, lt) in lifetimes.iter().enumerate() {
+            arcs.extend(arcs_of(lt, i as u32, ii, k, c));
+        }
+        // (start, len, lifetime, instance) is a total order, so the unstable
+        // sort is deterministic.
+        arcs.sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
+    }
+
+    /// The original `Vec<Vec<Arc>>` race: every packer runs (no `MaxLives`
+    /// exit), on the reference packers.
+    fn pack_best_legacy<'a>(
+        lifetimes: &[Lifetime],
+        ii: u32,
+        k: u32,
+        c: u64,
+        s: &'a mut AllocScratch,
+    ) -> (u32, &'a Packing) {
+        let mut best = pack_end_fit_ref(&s.arcs, c);
+        let mut by_len = s.arcs.clone();
+        by_len.sort_unstable_by_key(|a| (Reverse(a.len), a.start, a.lifetime, a.instance));
+        let mut private = Vec::new();
+        let private_regs = pack_private_cyclic(lifetimes, ii, k, &mut private);
+        for alt in [
+            pack_first_fit_ref(&s.arcs, c),
+            pack_end_fit_ref(&by_len, c),
+            pack_first_fit_ref(&by_len, c),
+            pack_cut_interval_ref(&s.arcs, c),
+            (private_regs, private),
+        ] {
+            if alt.0 < best.0 {
+                best = alt;
+            }
+        }
+        s.best = best.1;
+        (best.0, &s.best)
+    }
+
+    // ----- reference packers: the oracles of the slot-major race -----
+
+    /// First-fit: each arc goes to the lowest-indexed register with no
+    /// overlap. Reference implementation (pairwise `overlaps` scans).
+    fn pack_first_fit_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
+        let mut registers: Vec<Vec<Arc>> = Vec::new();
+        let mut assignment = Vec::with_capacity(arcs.len());
+        for arc in arcs {
+            let r = match registers
+                .iter()
+                .position(|occ| occ.iter().all(|o| !o.overlaps(arc, c)))
+            {
+                Some(r) => r,
+                None => {
+                    registers.push(Vec::new());
+                    registers.len() - 1
+                }
+            };
+            registers[r].push(*arc);
+            assignment.push((arc.lifetime, arc.instance, r as u32));
+        }
+        (registers.len() as u32, assignment)
+    }
+
+    /// End-fit: each arc goes to the fitting register whose nearest
+    /// preceding end leaves the smallest gap. Reference implementation
+    /// (per-occupant gap scans).
+    fn pack_end_fit_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
+        let mut registers: Vec<Vec<Arc>> = Vec::new();
+        let mut assignment = Vec::with_capacity(arcs.len());
+        for arc in arcs {
+            let mut best: Option<(u64, usize)> = None; // (gap, register)
+            for (r, occupants) in registers.iter().enumerate() {
+                if occupants.iter().any(|o| o.overlaps(arc, c)) {
+                    continue;
+                }
+                // Gap between the nearest preceding end and our start,
+                // measured backwards around the cylinder.
+                let gap = occupants
+                    .iter()
+                    .map(|o| {
+                        let end = (o.start + o.len) % c;
+                        (arc.start + c - end) % c
+                    })
+                    .min()
+                    .unwrap_or(0);
+                if best.is_none_or(|(g, _)| gap < g) {
+                    best = Some((gap, r));
+                }
+            }
+            let r = match best {
+                Some((_, r)) => r,
+                None => {
+                    registers.push(Vec::new());
+                    registers.len() - 1
+                }
+            };
+            registers[r].push(*arc);
+            assignment.push((arc.lifetime, arc.instance, r as u32));
+        }
+        (registers.len() as u32, assignment)
+    }
+
+    /// Min-density cut reference: scan every cylinder point for the
+    /// min-density cut, give each crossing arc a segment pair, and colour
+    /// greedily by left endpoint.
+    fn pack_cut_interval_ref(arcs: &[Arc], c: u64) -> (u32, Packing) {
+        // Density change-points are arc starts; evaluate density there.
+        let cut = (0..c)
+            .filter(|p| arcs.iter().any(|a| a.start == *p) || *p == 0)
+            .min_by_key(|&p| arcs.iter().filter(|a| a.covers(p, c)).count())
+            .unwrap_or(0);
+        let lin = |p: u64| (p + c - cut) % c;
+        let mut order: Vec<u32> = (0..arcs.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| {
+            let a = &arcs[i as usize];
+            (lin(a.start), Reverse(a.len), a.lifetime, a.instance)
+        });
+        let mut out = Vec::new();
+        let regs = pack_cut_segments(order.iter().map(|&i| &arcs[i as usize]), c, cut, &mut out);
+        (regs, out)
+    }
 
     fn lt(id: u32, start: u32, end: u32) -> Lifetime {
         Lifetime {
@@ -1145,6 +1135,15 @@ mod tests {
                 assert_eq!(race_regs, ml);
             }
         }
+        // Cylinders of more than 2¹⁴ slots: c = 20000 (K 1, 90 arcs) and
+        // c = 16800 (K 8, 96 arcs).
+        let mut rng = proptest::test_runner::TestRng::from_name("past_16384_slots");
+        for (k, ii, n) in [(1, 20_000, 90), (8, 2_100, 12)] {
+            let lts = arb_long_lifetimes(k, ii, n).generate(&mut rng);
+            let what = format!("k = {k}, II = {ii}");
+            let (_, c) = assert_dense_matches_reference(&lts, ii, &what);
+            assert_eq!(c, u64::from(k * ii), "{what}");
+        }
     }
 
     /// Asserts that the counting sorts reproduce the comparison-sorted
@@ -1292,6 +1291,27 @@ mod tests {
         assert!(most_regs > 64, "most registers used: {most_regs}");
         assert!(widest >= 65, "widest cylinder: {widest}");
         assert!(zero_len > 0, "no case had a zero-length lifetime");
+    }
+
+    /// `n` lifetimes on a cylinder of exactly `k·II` slots. The first
+    /// spans more than `(k − 1)·II` slots, which pins the expansion
+    /// degree to `k`; every other one starts anywhere, and every second
+    /// one spans more than half the cylinder, so those all overlap.
+    fn arb_long_lifetimes(k: u32, ii: u32, n: usize) -> impl Strategy<Value = Vec<Lifetime>> {
+        let c = k * ii;
+        proptest::collection::vec((0..2 * c, any::<u32>()), n).prop_map(move |raw| {
+            raw.into_iter()
+                .enumerate()
+                .map(|(i, (start, seed))| {
+                    let len = match i {
+                        0 => (k - 1) * ii + 1 + seed % ii,
+                        _ if i % 2 == 0 => c / 2 + 1 + seed % (c - c / 2),
+                        _ => 1 + seed % c,
+                    };
+                    lt(i as u32, start, start + len)
+                })
+                .collect()
+        })
     }
 
     #[test]

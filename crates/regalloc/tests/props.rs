@@ -119,7 +119,7 @@ proptest! {
         strat in 0usize..3,
     ) {
         let strategy = [SchedStrategy::Hrms, SchedStrategy::Ims, SchedStrategy::Asap][strat];
-        let opts = SchedulerOptions { strategy, ..SchedulerOptions::default() };
+        let opts = SchedulerOptions { strategy };
         let cfg = Configuration::monolithic(1 << x, 2, 256).expect("valid");
         let model = CycleModel::Cycles4;
         let scheduler = ModuloScheduler::with_options(cfg, model, opts);

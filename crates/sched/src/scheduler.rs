@@ -68,33 +68,22 @@ impl Strategy {
     }
 }
 
-/// Tuning knobs for [`ModuloScheduler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options for [`ModuloScheduler`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerOptions {
     /// Ordering strategy.
     pub strategy: Strategy,
-    /// Hard upper bound on the II search.
-    pub max_ii: u32,
-    /// The search tries `MII ..= min(max_ii, MII·ii_window_factor +
-    /// ii_window_slack)`.
-    pub ii_window_factor: u32,
-    /// Additive slack in the II search window.
-    pub ii_window_slack: u32,
-    /// IMS only: eviction budget is `budget_factor × nodes` per II.
-    pub budget_factor: u32,
 }
 
-impl Default for SchedulerOptions {
-    fn default() -> Self {
-        SchedulerOptions {
-            strategy: Strategy::Hrms,
-            max_ii: 1 << 16,
-            ii_window_factor: 8,
-            ii_window_slack: 64,
-            budget_factor: 6,
-        }
-    }
-}
+/// Hard upper bound on the II search.
+const MAX_II: u32 = 1 << 16;
+/// The search tries `MII ..= min(MAX_II, MII·II_WINDOW_FACTOR +
+/// II_WINDOW_SLACK)`.
+const II_WINDOW_FACTOR: u32 = 8;
+/// Additive slack in the II search window.
+const II_WINDOW_SLACK: u32 = 64;
+/// IMS only: the eviction budget is `BUDGET_FACTOR × nodes` per II.
+const BUDGET_FACTOR: u32 = 6;
 
 /// Reusable working storage for [`ModuloScheduler`].
 ///
@@ -312,9 +301,9 @@ impl ModuloScheduler {
         self.prepare(ddg, bounds, scratch);
         let mii = bounds.mii().max(min_ii);
         let limit = (mii
-            .saturating_mul(self.opts.ii_window_factor)
-            .saturating_add(self.opts.ii_window_slack))
-        .min(self.opts.max_ii);
+            .saturating_mul(II_WINDOW_FACTOR)
+            .saturating_add(II_WINDOW_SLACK))
+        .min(MAX_II);
         for ii in mii..=limit {
             if self.relax_and_attempt(ddg, ii, scratch) {
                 let normalized = normalize(&scratch.time);
@@ -502,7 +491,7 @@ impl ModuloScheduler {
         placements.resize(n, None);
         prev_time.clear();
         prev_time.resize(n, None);
-        let mut budget = self.opts.budget_factor.saturating_mul(n as u32).max(16);
+        let mut budget = BUDGET_FACTOR.saturating_mul(n as u32).max(16);
         let iil = i64::from(ii);
 
         loop {
@@ -947,16 +936,9 @@ mod tests {
         let bounds = MiiBounds::compute(&g, &cfg(1), M4);
         assert_eq!(bounds.mii(), 3); // 3 memory ops on one bus
         for strat in Strategy::ALL {
-            let s = ModuloScheduler::with_options(
-                cfg(1),
-                M4,
-                SchedulerOptions {
-                    strategy: strat,
-                    ..Default::default()
-                },
-            )
-            .schedule(&g)
-            .unwrap_or_else(|e| panic!("{}: {e}", strat.label()));
+            let s = ModuloScheduler::with_options(cfg(1), M4, SchedulerOptions { strategy: strat })
+                .schedule(&g)
+                .unwrap_or_else(|e| panic!("{}: {e}", strat.label()));
             assert_eq!(s.ii(), 3, "{}", strat.label());
         }
     }
@@ -1106,7 +1088,6 @@ mod tests {
             M4,
             SchedulerOptions {
                 strategy: Strategy::Ims,
-                ..Default::default()
             },
         )
         .schedule(&g)
@@ -1131,10 +1112,7 @@ mod tests {
                     let sched = ModuloScheduler::with_options(
                         cfg(x),
                         M4,
-                        SchedulerOptions {
-                            strategy: strat,
-                            ..Default::default()
-                        },
+                        SchedulerOptions { strategy: strat },
                     );
                     let bounds = MiiBounds::compute(&g, &cfg(x), M4);
                     let fresh = sched.schedule_with_bounds(&g, &bounds).unwrap();

@@ -81,7 +81,7 @@ proptest! {
         let sched = ModuloScheduler::with_options(
             cfg,
             model,
-            SchedulerOptions { strategy, ..Default::default() },
+            SchedulerOptions { strategy },
         )
         .schedule_with_bounds(&g, &bounds);
         let sched = match (sched, strategy) {

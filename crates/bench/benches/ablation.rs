@@ -1,5 +1,5 @@
 //! Ablation benchmarks: scheduler strategy, spill policy and latency
-//! adaptation (the design choices DESIGN.md §6 calls out).
+//! adaptation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,17 +1,14 @@
 //! Perf-ledger codec benchmarks: serialising, parsing and comparing
-//! the machine-readable perf report (`widening_obs::report`), plus the
-//! `perf calibrate` fit of the analytic priority. These paths run in every CI perf-smoke
-//! job, so the ledger itself must stay cheap relative to the suite it
-//! measures.
+//! the machine-readable perf report (`widening_obs::report`). These
+//! paths run in every CI perf-smoke job, so the ledger itself must stay
+//! cheap relative to the suite it measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use widening::cost::calibrate;
-use widening_obs::report::{compare, CompareConfig, PerfReport, UnitSample};
+use widening_obs::report::{compare, CompareConfig, PerfReport};
 
 /// A synthetic report shaped like a real `perf record` of the quick
-/// suite: a handful of probes, a few stages, and one unit sample per
-/// `(loop × config)` cell.
+/// suite: a handful of probes and a few stage counters.
 fn synthetic_report(loops: u32) -> PerfReport {
     let mut r = PerfReport::new();
     r.meta.insert("suite".into(), "synthetic".into());
@@ -23,17 +20,6 @@ fn synthetic_report(loops: u32) -> PerfReport {
     for stage in ["widen", "mii", "base-schedule", "schedule"] {
         r.counters
             .insert(format!("store.{stage}.requests"), 6 * u64::from(loops));
-    }
-    for li in 0..loops {
-        for (x, y, z) in [(1, 1, 64), (2, 2, 64), (4, 2, 64), (4, 2, 128)] {
-            r.units.push(UnitSample {
-                loop_index: li,
-                replication: x,
-                width: y,
-                registers: Some(z),
-                wall_ns: u64::from(x * y * li.max(1)) * 10_000,
-            });
-        }
     }
     r
 }
@@ -52,9 +38,6 @@ fn bench_perf_ledger(c: &mut Criterion) {
     g.bench_function("compare_two_reports", |b| {
         let cand = synthetic_report(48);
         b.iter(|| black_box(compare(&report, &cand, &CompareConfig::default())))
-    });
-    g.bench_function("calibrate_192_units", |b| {
-        b.iter(|| black_box(calibrate(&report.units)))
     });
     g.finish();
 }

@@ -11,7 +11,6 @@
 //! repro trace summarize FILE
 //! repro perf record [--quick[=N]] [--reps R] [--out FILE]
 //! repro perf compare BASELINE CANDIDATE
-//! repro perf calibrate [--quick[=N]] [--from BENCH.json]
 //! repro cache stat --cache-dir DIR
 //! repro cache gc --keep-generations N --cache-dir DIR
 //! ```
@@ -19,8 +18,8 @@
 //! Every flag that takes a value also accepts it as `--flag=V`; only
 //! `--quick` takes its value in that form alone.
 //!
-//! * `--quick[=N]` — run on an `N`-loop corpus (default 120) instead of
-//!   the paper-scale 1180 loops; useful for smoke tests.
+//! * `--quick[=N]` — run on an `N`-loop corpus (`N ≥ 1`, default 120)
+//!   instead of the paper-scale 1180 loops; useful for smoke tests.
 //! * `--csv` — emit CSV instead of aligned tables.
 //! * `--seed S` — alternative corpus seed (sensitivity checks).
 //! * `--threads N` — worker threads for corpus fan-out (default: one
@@ -74,12 +73,10 @@
 //!   histograms), instant-event counts, per-shard busy time, and
 //!   per-track span counts; dropped-event counts are surfaced loudly.
 //! * `repro perf` — the perf ledger: `record` writes a versioned
-//!   machine-readable `BENCH_<stamp>.json` (wall-time probes,
-//!   per-stage percentiles, store counters, per-unit wall times),
-//!   `compare` gates a candidate report against a baseline with
-//!   noise-aware min-of-N thresholds (nonzero exit on regression), and
-//!   `calibrate` prints how well the analytic `sweep_priority` key
-//!   fits measured unit latencies.
+//!   machine-readable `BENCH_<stamp>.json` (untraced wall-time probes,
+//!   per-stage percentiles, store counters), and `compare` gates a
+//!   candidate report against a baseline with noise-aware min-of-N
+//!   thresholds (nonzero exit on regression).
 //! * `repro cache stat` — per-kind artifact/byte usage (stages from
 //!   segment record headers, exchange kinds from files, older format
 //!   versions' trees as one `stale-trees` row) and the generation
@@ -90,7 +87,7 @@
 
 use std::process::ExitCode;
 
-use widening::cli::split_flag_values;
+use widening::cli::{quick_loops, split_flag_values};
 use widening::experiments::{self, Context};
 use widening::Evaluator;
 use widening_obs as obs;
@@ -161,10 +158,6 @@ fn main() -> ExitCode {
                 Some(Err(why)) => return usage(&why),
                 None => return usage("--exec needs a backend: interpret | lowered | differential"),
             },
-            a if a.starts_with("--quick=") => match a["--quick=".len()..].parse() {
-                Ok(n) => quick = Some(n),
-                Err(_) => return usage("--quick=N needs an integer"),
-            },
             "list" => {
                 for n in experiments::ALL {
                     println!("{n}");
@@ -172,8 +165,12 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "all" => names.extend(experiments::ALL.iter().map(ToString::to_string)),
-            a if a.starts_with('-') => return usage(&format!("unknown flag {a}")),
-            a => names.push(a.to_string()),
+            a => match quick_loops(a) {
+                Some(Ok(n)) => quick = Some(n),
+                Some(Err(why)) => return usage(why),
+                None if a.starts_with('-') => return usage(&format!("unknown flag {a}")),
+                None => names.push(a.to_string()),
+            },
         }
     }
     if names.is_empty() {
@@ -625,7 +622,6 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("       repro trace summarize FILE");
     eprintln!("       repro perf record [--quick[=N]] [--reps R] [--threads N] [--out FILE]");
     eprintln!("       repro perf compare BASELINE CANDIDATE [--max-ratio R] [--abs-floor-ms MS]");
-    eprintln!("       repro perf calibrate [--quick[=N]] [--threads N] [--from BENCH.json]");
     eprintln!("       repro cache stat --cache-dir DIR");
     eprintln!("       repro cache gc --keep-generations N --cache-dir DIR");
     eprintln!("experiments: {}", experiments::ALL.join(" "));

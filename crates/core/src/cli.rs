@@ -1,4 +1,5 @@
-//! The one spelling rule of `repro`'s command-line flags.
+//! The one spelling rule of `repro`'s command-line flags, and the one
+//! check of the `--quick=N` value every parser shares.
 
 /// Splits every `--flag=V` argument into `--flag` and `V`, so a flag
 /// parser matches the `--flag V` spelling only and validates each value
@@ -18,6 +19,18 @@ pub fn split_flag_values(args: impl IntoIterator<Item = String>) -> Vec<String> 
         }
     }
     out
+}
+
+/// The loop count of a `--quick=N` argument, or `None` when `arg` is
+/// not that flag. Inside the `Some`, anything but a positive integer is
+/// the usage message: a corpus of no loops has no figure to report.
+#[must_use]
+pub fn quick_loops(arg: &str) -> Option<Result<usize, &'static str>> {
+    let value = arg.strip_prefix("--quick=")?;
+    Some(match value.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err("--quick=N needs a positive integer"),
+    })
 }
 
 #[cfg(test)]
@@ -53,5 +66,24 @@ mod tests {
             split(&["--quick=60", "--quick", "--csv", "a=b", "-x=1"]),
             ["--quick=60", "--quick", "--csv", "a=b", "-x=1"]
         );
+    }
+
+    #[test]
+    fn quick_takes_a_positive_loop_count_only() {
+        assert_eq!(quick_loops("--quick=60"), Some(Ok(60)));
+        assert_eq!(quick_loops("--quick=1"), Some(Ok(1)));
+        let rejected = Some(Err("--quick=N needs a positive integer"));
+        for bad in [
+            "--quick=0",
+            "--quick=",
+            "--quick=-3",
+            "--quick=abc",
+            "--quick=1.5",
+        ] {
+            assert_eq!(quick_loops(bad), rejected, "{bad}");
+        }
+        for other in ["--quick", "--quickly=3", "fig9", "--seed"] {
+            assert_eq!(quick_loops(other), None, "{other}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out: the
+//! Ablation studies for the reproduction's design choices: the
 //! scheduler ordering, the spill policy, and the latency-adaptation rule
 //! of §5.2.
 
@@ -68,10 +68,7 @@ pub fn ablate_spill(ctx: &Context) -> Report {
     ]);
     let base = ctx.eval.baseline_256().total_cycles;
     let with_policy = |policy| EvalOptions {
-        spill: SpillOptions {
-            policy,
-            ..Default::default()
-        },
+        spill: SpillOptions { policy },
         ..Default::default()
     };
     const POINTS: [(u32, u32, u32); 4] = [(4, 1, 32), (4, 2, 32), (4, 2, 64), (8, 1, 64)];

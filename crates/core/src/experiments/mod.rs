@@ -2,8 +2,8 @@
 //!
 //! Every experiment takes a [`Context`] (corpus + cost models) and
 //! returns a [`crate::report::Report`] whose rows regenerate the
-//! corresponding paper artefact. See DESIGN.md §4 for the experiment
-//! index and EXPERIMENTS.md for recorded paper-vs-measured results.
+//! corresponding paper artefact. [`ALL`] is the experiment index
+//! (`repro list` prints it).
 
 mod ablation;
 mod figures;

@@ -37,10 +37,9 @@
 //! * [`experiments`] — one runnable entry per paper table and figure,
 //!   plus the simulation experiments (`simulate`, `transients`) and the
 //!   shared-cache `sweep` demonstration;
-//! * [`perf`] — the `repro perf record/compare/calibrate` ledger:
-//!   machine-readable perf reports, the noise-aware regression gate,
-//!   and a printed fit of the sweep's analytic unit-ordering key
-//!   against measured unit latencies.
+//! * [`perf`] — the `repro perf record/compare` ledger:
+//!   machine-readable perf reports of untraced runs and the
+//!   noise-aware regression gate.
 //!
 //! # Quick start
 //!

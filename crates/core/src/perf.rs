@@ -1,41 +1,32 @@
 //! The `repro perf` subcommand family — the repo's perf ledger.
 //!
-//! Three verbs over the machine-readable perf report
+//! Two verbs over the machine-readable perf report
 //! ([`widening_obs::report`]):
 //!
 //! * `perf record` runs the standard sweep suite `--reps` times
 //!   (fresh evaluator per repetition, so every sample is a cold
-//!   compile) under an installed span recorder, then the fleet and
-//!   warm-start probes `--reps` times untraced, and writes one versioned
-//!   `BENCH_<stamp>.json` capturing wall-time probes, per-stage latency
-//!   percentiles, store counters, and per-unit `(loop × config)` wall
-//!   times.
+//!   compile), then the fleet and warm-start probes `--reps` times, all
+//!   untraced, and writes one versioned `BENCH_<stamp>.json` capturing
+//!   wall-time probes, per-stage latency percentiles and store
+//!   counters.
 //! * `perf compare BASE CAND` diffs two recorded reports probe by
 //!   probe with the noise-aware min-of-N gate
 //!   ([`widening_obs::compare`]) and exits nonzero on any regression —
 //!   the CI perf gate.
-//! * `perf calibrate` joins the analytic
-//!   [`widening_cost::sweep_priority`] key against measured unit
-//!   latencies (either a fresh traced run or the units of an existing
-//!   `BENCH_*.json` via `--from`) and prints the fit: rank correlation,
-//!   the fitted ns-per-priority coefficient, per-loop relative error
-//!   and a per-point table.
 //!
-//! Everything here is presentation: the codecs, the gate and the
-//! fitting live in `widening-obs` / `widening-cost` where they are
-//! unit- and property-tested.
+//! Everything here is presentation: the codec and the gate live in
+//! `widening-obs`, where they are unit- and property-tested.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use widening_distrib::Launcher;
-use widening_obs as obs;
 use widening_obs::metrics::MetricValue;
 use widening_obs::report::{compare, CompareConfig, PerfReport, Verdict};
 use widening_pipeline::StoreConfig;
 use widening_workload::corpus::{generate, CorpusSpec};
 
-use crate::cli::split_flag_values;
+use crate::cli::{quick_loops, split_flag_values};
 use crate::distributed::{sweep_distributed, DistributedOptions};
 use crate::evaluate::Evaluator;
 use crate::experiments::sweep_grid_specs;
@@ -58,8 +49,7 @@ pub fn perf_main(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("record") => record_main(&args[1..]),
         Some("compare") => compare_main(&args[1..]),
-        Some("calibrate") => calibrate_main(&args[1..]),
-        _ => usage("perf needs a subcommand: record | compare | calibrate"),
+        _ => usage("perf needs a subcommand: record | compare"),
     }
 }
 
@@ -67,7 +57,6 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!("usage: repro perf record [--quick[=N]] [--reps R] [--threads N] [--out FILE]");
     eprintln!("       repro perf compare BASELINE CANDIDATE [--max-ratio R] [--abs-floor-ms MS]");
-    eprintln!("       repro perf calibrate [--quick[=N]] [--threads N] [--from BENCH.json]");
     ExitCode::FAILURE
 }
 
@@ -151,8 +140,7 @@ fn run_suite(
 /// by two workers over a fresh store, so every sample pays the cold
 /// shared-store traffic a real fleet pays. Then the warm-start probe:
 /// a fresh evaluator, its store's open included, runs the same grid
-/// over the store the fleet left, from disk alone. Both run untraced:
-/// their unit spans would enter the calibration joint a second time.
+/// over the store the fleet left, from disk alone.
 fn run_fleet(report: &mut PerfReport, loops: usize) {
     let dir = std::env::temp_dir().join(format!("repro-perf-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -205,30 +193,23 @@ fn record_main(args: &[String]) -> ExitCode {
                 Some(f) => out = Some(f.clone()),
                 None => return usage("perf record --out needs a file"),
             },
-            a if a.starts_with("--quick=") => match a["--quick=".len()..].parse() {
-                Ok(n) if n >= 1 => loops = n,
-                _ => return usage("perf record --quick=N needs a positive integer"),
+            a => match quick_loops(a) {
+                Some(Ok(n)) => loops = n,
+                Some(Err(why)) => return usage(&format!("perf record {why}")),
+                None => return usage(&format!("unknown perf record flag {a}")),
             },
-            a => return usage(&format!("unknown perf record flag {a}")),
         }
     }
 
-    // One recorder across all repetitions: units from every rep feed
-    // the calibration joint.
-    let recorder = obs::Recorder::new("repro-perf");
-    obs::install(&recorder);
-    obs::set_thread_label("main");
     let mut report = PerfReport::new();
     let mut last_snapshot = Vec::new();
     for _ in 0..reps {
         last_snapshot = run_suite(&mut report, loops, threads);
     }
-    obs::uninstall();
     for _ in 0..reps {
         run_fleet(&mut report, loops);
     }
     report.absorb_snapshot(&last_snapshot);
-    report.absorb_traces(&[recorder.snapshot()]);
 
     let when = stamp();
     report.meta.insert("stamp-unix-s".into(), when.to_string());
@@ -248,11 +229,10 @@ fn record_main(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "perf-record: wrote {path} probes={} stages={} counters={} units={}",
+        "perf-record: wrote {path} probes={} stages={} counters={}",
         report.probes.len(),
         report.stages.len(),
-        report.counters.len(),
-        report.units.len()
+        report.counters.len()
     );
     ExitCode::SUCCESS
 }
@@ -345,102 +325,4 @@ fn compare_main(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// `repro perf calibrate` — fit the analytic priority against measured
-/// units.
-fn calibrate_main(args: &[String]) -> ExitCode {
-    let mut loops = DEFAULT_QUICK;
-    let mut threads: Option<usize> = None;
-    let mut from: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => loops = DEFAULT_QUICK,
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => return usage("perf calibrate --threads needs a positive integer"),
-            },
-            "--from" => match it.next() {
-                Some(f) => from = Some(f.clone()),
-                None => return usage("perf calibrate --from needs a BENCH_*.json file"),
-            },
-            a if a.starts_with("--quick=") => match a["--quick=".len()..].parse() {
-                Ok(n) if n >= 1 => loops = n,
-                _ => return usage("perf calibrate --quick=N needs a positive integer"),
-            },
-            a => return usage(&format!("unknown perf calibrate flag {a}")),
-        }
-    }
-
-    let units = match &from {
-        Some(path) => match PerfReport::read_file(std::path::Path::new(path)) {
-            Ok(r) => r.units,
-            Err(why) => {
-                eprintln!("error: {path}: {why}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => {
-            // A fresh traced run of the standard suite.
-            let recorder = obs::Recorder::new("repro-perf");
-            obs::install(&recorder);
-            obs::set_thread_label("main");
-            let mut scratch = PerfReport::new();
-            let _ = run_suite(&mut scratch, loops, threads);
-            obs::uninstall();
-            scratch.absorb_traces(&[recorder.snapshot()]);
-            scratch.units
-        }
-    };
-    if units.is_empty() {
-        eprintln!("error: no sweep units to calibrate against");
-        return ExitCode::FAILURE;
-    }
-
-    let cal = widening_cost::calibrate(&units);
-    let us = |n: u64| format!("{:.1}", n as f64 / 1_000.0);
-    let mut r =
-        Report::new("Cost-model calibration — measured vs analytic priority").with_columns([
-            "config",
-            "units",
-            "median µs",
-            "mean µs",
-            "analytic",
-            "calibrated",
-        ]);
-    for p in &cal.points {
-        let cfg = match p.registers {
-            Some(z) => format!("{}w{}({z})", p.replication, p.width),
-            None => format!("{}w{}(peak)", p.replication, p.width),
-        };
-        r.push_row([
-            cfg,
-            p.units.to_string(),
-            us(p.median_ns),
-            us(p.mean_ns),
-            p.analytic_priority.to_string(),
-            p.calibrated_priority.to_string(),
-        ]);
-    }
-    r.push_note(format!(
-        "fit: {:.1} ns per analytic priority unit (least squares through the origin)",
-        cal.scale_ns_per_priority
-    ));
-    r.push_note(format!(
-        "per-loop mass relative error: mean {:.3}, worst {:.3}",
-        cal.mean_loop_rel_err, cal.max_loop_rel_err
-    ));
-    println!("{r}");
-    println!(
-        "perf-calibrate: units={} loops={} points={} rank-correlation={:.4} \
-         scale-ns-per-priority={:.1} mean-loop-rel-err={:.4}",
-        cal.unit_count,
-        cal.loop_count,
-        cal.points.len(),
-        cal.rank_correlation,
-        cal.scale_ns_per_priority,
-        cal.mean_loop_rel_err
-    );
-    ExitCode::SUCCESS
 }

@@ -23,6 +23,10 @@
 //!   `n` copies (§4.2) trades area for access time: every copy takes all
 //!   writes but only a slice of the readers.
 //!
+//! The crate also holds [`sweep_priority`], the analytic compile-cost
+//! key the reproduction's own sweeps order their work by. Its only
+//! dependency is `widening-machine`.
+//!
 //! # Example
 //!
 //! ```
@@ -45,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod area;
-pub mod calibrate;
 mod cell;
 mod linalg;
 mod model;
@@ -55,7 +58,6 @@ mod sia;
 mod timing;
 
 pub use area::AreaModel;
-pub use calibrate::{calibrate, CalibrationReport};
 pub use cell::{CellGeometry, CellModel};
 pub use model::{CostModel, DesignPoint, IMPLEMENTABLE_BUDGET};
 pub use priority::sweep_priority;

@@ -158,8 +158,7 @@ mod tests {
         // the area" of 8w1 with a 128-RF. Our extrapolated 40R+24W cell
         // is somewhat larger than the authors' (unpublished) value, so we
         // measure ≈ 0.71; the qualitative conclusion — 4w2 clearly
-        // cheaper than 8w1 — is what must hold. Documented in
-        // EXPERIMENTS.md.
+        // cheaper than 8w1 — is what must hold.
         let m = CostModel::paper();
         let ratio = m.total_area(&cfg("4w2(128:1)")) / m.total_area(&cfg("8w1(128:1)"));
         assert!(

@@ -161,8 +161,8 @@ mod tests {
             "mean fit error {:.2}% too large",
             mean * 100.0
         );
-        // Expected values from the calibration (see EXPERIMENTS.md):
-        // ≈ 5.4% worst-case, ≈ 2.1% mean.
+        // Expected values from the calibration (`repro table4` prints
+        // them): ≈ 5.4% worst-case, ≈ 2.1% mean.
         assert!(max > 0.03, "suspiciously perfect fit: {max}");
     }
 

@@ -5,9 +5,8 @@
 //! component crates (IR, machine model, scheduler, register allocator,
 //! widening transform, the staged `widening-pipeline` compilation
 //! driver, cost models, workload, simulator) and hosts the experiment
-//! harness. See the repository README for the architecture overview and
-//! `DESIGN.md` / `EXPERIMENTS.md` for the reproduction methodology and
-//! results.
+//! harness. See the repository README for the architecture overview;
+//! `repro` regenerates every table and figure.
 //!
 //! ```
 //! use widening_resources::prelude::*;

@@ -130,8 +130,8 @@ fn table6_cycle_models_are_exact() {
 #[test]
 fn section6_area_claim_direction() {
     // §6: 4w2(128) occupies ~81% of 8w1(128)'s area. Our extrapolated
-    // 40R+24W cell is larger than the authors' (see EXPERIMENTS.md), so
-    // we land near 71% — the direction and magnitude class must hold.
+    // 40R+24W cell is larger than the authors', so we land near 71% —
+    // the direction and magnitude class must hold.
     let m = CostModel::paper();
     let a = m.total_area(&"4w2(128:1)".parse().unwrap());
     let b = m.total_area(&"8w1(128:1)".parse().unwrap());

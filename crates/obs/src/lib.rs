@@ -29,8 +29,8 @@
 //!   JSON back (via the tiny [`json`] parser) into per-stage and
 //!   per-track latency tables.
 //! * [`report`] — the **perf ledger**: a versioned machine-readable
-//!   perf report (`BENCH_<stamp>.json`) with per-stage percentiles,
-//!   store counters and per-unit wall times, plus the min-of-N
+//!   perf report (`BENCH_<stamp>.json`) with wall-time probes,
+//!   per-stage percentiles and store counters, plus the min-of-N
 //!   noise-gated [`report::compare`] that backs `repro perf compare`
 //!   in CI.
 //!

@@ -4,7 +4,7 @@
 //!
 //! Like the binary trace path ([`crate::trace`]), the format is
 //! hand-rolled — written and parsed with the tiny [`crate::json`]
-//! module, no serde. A report captures four kinds of evidence from one
+//! module, no serde. A report captures three kinds of evidence from one
 //! benchmarked run:
 //!
 //! * **probes** — named wall-time measurements with *all* repetition
@@ -13,9 +13,11 @@
 //! * **stages** — per-stage latency percentiles straight from the
 //!   [`crate::metrics::MetricsRegistry`] histograms;
 //! * **counters** — cache/store counters and gauges from the same
-//!   registry;
-//! * **units** — per-`(loop × config)` wall times extracted from
-//!   recorded span traces.
+//!   registry.
+//!
+//! A reader ignores keys it does not know, so reports written with
+//! blocks this version no longer carries (`fleet`, the per-unit
+//! `units` samples) still parse.
 //!
 //! [`compare`] diffs two reports probe-by-probe with a relative
 //! threshold *and* an absolute floor, so microsecond-scale jitter on
@@ -28,8 +30,6 @@ use std::path::Path;
 
 use crate::json::{self, Value};
 use crate::metrics::MetricValue;
-use crate::span::SpanKind;
-use crate::trace::ProcessTrace;
 
 /// The format tag every report leads with — readers reject anything
 /// else before looking at the version.
@@ -73,21 +73,6 @@ pub struct StageLatency {
     pub p99_ns: Option<u64>,
 }
 
-/// One `(loop × config)` sweep unit's measured wall time.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct UnitSample {
-    /// Corpus loop index.
-    pub loop_index: u32,
-    /// Configuration replication factor `X`.
-    pub replication: u32,
-    /// Configuration width factor `Y`.
-    pub width: u32,
-    /// Register-file size `Z`; `None` for peak (unscheduled) points.
-    pub registers: Option<u32>,
-    /// Measured wall time, nanoseconds.
-    pub wall_ns: u64,
-}
-
 /// A complete perf report: the unit of the repo's bench trajectory.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerfReport {
@@ -99,8 +84,6 @@ pub struct PerfReport {
     pub stages: Vec<StageLatency>,
     /// Informational cache/store counters and gauges.
     pub counters: BTreeMap<String, u64>,
-    /// Per-unit wall times (calibration input).
-    pub units: Vec<UnitSample>,
 }
 
 impl PerfReport {
@@ -152,28 +135,6 @@ impl PerfReport {
                     p90_ns: p90,
                     p99_ns: p99,
                 }),
-            }
-        }
-    }
-
-    /// Extracts per-unit wall times from recorded span traces (the
-    /// worker `.trace.bin` files or an in-process recorder snapshot),
-    /// appending to `units`.
-    pub fn absorb_traces(&mut self, traces: &[ProcessTrace]) {
-        for trace in traces {
-            for track in &trace.tracks {
-                for event in &track.events {
-                    if event.kind == SpanKind::SweepUnit && !event.is_instant() {
-                        let (x, y, z) = crate::span::unpack_point(event.b);
-                        self.units.push(UnitSample {
-                            loop_index: u32::try_from(event.a).unwrap_or(u32::MAX),
-                            replication: x,
-                            width: y,
-                            registers: z,
-                            wall_ns: event.end_ns.saturating_sub(event.start_ns),
-                        });
-                    }
-                }
             }
         }
     }
@@ -234,23 +195,6 @@ impl PerfReport {
                 self.counters
                     .iter()
                     .map(|(k, &v)| (k.clone(), num(v)))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "units".into(),
-            Value::Array(
-                self.units
-                    .iter()
-                    .map(|u| {
-                        let mut o = BTreeMap::new();
-                        o.insert("loop".into(), num(u64::from(u.loop_index)));
-                        o.insert("x".into(), num(u64::from(u.replication)));
-                        o.insert("y".into(), num(u64::from(u.width)));
-                        o.insert("z".into(), opt_num(u.registers.map(u64::from)));
-                        o.insert("wall_ns".into(), num(u.wall_ns));
-                        Value::Object(o)
-                    })
                     .collect(),
             ),
         );
@@ -342,26 +286,6 @@ impl PerfReport {
                 let n = get_u64(Some(v)).ok_or_else(|| format!("counters.{k}: bad value"))?;
                 report.counters.insert(k.clone(), n);
             }
-        }
-        for (i, u) in obj
-            .get("units")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-        {
-            let field =
-                |key: &str| get_u64(u.get(key)).ok_or_else(|| format!("units[{i}]: bad {key}"));
-            report.units.push(UnitSample {
-                loop_index: field("loop")?.try_into().map_err(|_| "loop out of range")?,
-                replication: field("x")?.try_into().map_err(|_| "x out of range")?,
-                width: field("y")?.try_into().map_err(|_| "y out of range")?,
-                registers: get_opt_u64(u.get("z"))
-                    .map_err(|e| format!("units[{i}].z: {e}"))?
-                    .map(|z| u32::try_from(z).map_err(|_| "z out of range"))
-                    .transpose()?,
-                wall_ns: field("wall_ns")?,
-            });
         }
         Ok(report)
     }
@@ -561,20 +485,6 @@ mod tests {
             p99_ns: Some(8_191),
         });
         r.counters.insert("store.widen.requests".into(), 60);
-        r.units.push(UnitSample {
-            loop_index: 3,
-            replication: 4,
-            width: 2,
-            registers: Some(64),
-            wall_ns: 77_000,
-        });
-        r.units.push(UnitSample {
-            loop_index: 3,
-            replication: 1,
-            width: 1,
-            registers: None,
-            wall_ns: 11_000,
-        });
         r
     }
 
@@ -654,51 +564,5 @@ mod tests {
         assert_eq!(r.stages[0].count, 1);
         assert_eq!(r.stages[0].sum_ns, 1000);
         assert_eq!(r.stages[0].p99_ns, Some(1023));
-    }
-
-    #[test]
-    fn absorb_traces_extracts_unit_wall_times() {
-        use crate::span::{pack_point, Event};
-        use crate::trace::TrackTrace;
-        let events = vec![
-            Event {
-                kind: SpanKind::SweepUnit,
-                start_ns: 100,
-                end_ns: 600,
-                a: 7,
-                b: pack_point(4, 2, Some(64)),
-            },
-            Event {
-                kind: SpanKind::StealClaim,
-                start_ns: 700,
-                end_ns: 700,
-                a: 1,
-                b: 3,
-            },
-            Event {
-                kind: SpanKind::LeaseExpire,
-                start_ns: 800,
-                end_ns: 800,
-                a: 2,
-                b: 0,
-            },
-        ];
-        let trace = ProcessTrace {
-            process: "worker-0".into(),
-            wall_anchor_ns: 0,
-            dropped: 0,
-            tracks: vec![TrackTrace {
-                tid: 1,
-                label: "w".into(),
-                events,
-            }],
-        };
-        let mut r = PerfReport::new();
-        r.absorb_traces(&[trace]);
-        assert_eq!(r.units.len(), 1);
-        assert_eq!(r.units[0].loop_index, 7);
-        assert_eq!(r.units[0].replication, 4);
-        assert_eq!(r.units[0].registers, Some(64));
-        assert_eq!(r.units[0].wall_ns, 500);
     }
 }

@@ -4,9 +4,7 @@
 //! gate's verdicts are pinned against hand-written documents.
 
 use proptest::prelude::*;
-use widening_obs::report::{
-    compare, CompareConfig, PerfReport, Probe, StageLatency, UnitSample, Verdict,
-};
+use widening_obs::report::{compare, CompareConfig, PerfReport, Probe, StageLatency, Verdict};
 
 /// The codec's exact-integer domain: JSON numbers round-trip exactly
 /// below 2⁵³ (the parser rejects anything larger), and 2⁵³ nanoseconds
@@ -50,39 +48,18 @@ fn arb_stage() -> impl Strategy<Value = StageLatency> {
         )
 }
 
-fn arb_unit() -> impl Strategy<Value = UnitSample> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        arb_opt(u64::from(u32::MAX)),
-        0..MAX_EXACT,
-    )
-        .prop_map(
-            |(loop_index, replication, width, registers, wall_ns)| UnitSample {
-                loop_index,
-                replication,
-                width,
-                registers: registers.map(|z| z as u32),
-                wall_ns,
-            },
-        )
-}
-
 fn arb_report() -> impl Strategy<Value = PerfReport> {
     (
         proptest::collection::vec((arb_name(), arb_name()), 0..4),
         proptest::collection::vec(arb_probe(), 0..5),
         proptest::collection::vec(arb_stage(), 0..4),
         proptest::collection::vec((arb_name(), 0..MAX_EXACT), 0..5),
-        proptest::collection::vec(arb_unit(), 0..6),
     )
-        .prop_map(|(meta, probes, stages, counters, units)| PerfReport {
+        .prop_map(|(meta, probes, stages, counters)| PerfReport {
             meta: meta.into_iter().collect(),
             probes,
             stages,
             counters: counters.into_iter().collect(),
-            units,
         })
 }
 
@@ -186,8 +163,8 @@ fn golden_within_noise_passes_the_gate() {
 
 /// Golden wire format: a hand-written v1 document parses to exactly
 /// the expected report, pinning field names and shapes against
-/// accidental codec drift. Its `fleet` block, which older reports
-/// carry, is an unknown key and ignored.
+/// accidental codec drift. Its `units` and `fleet` blocks, which older
+/// reports carry, are unknown keys and ignored.
 #[test]
 fn golden_wire_format_parses() {
     let text = r#"{
@@ -213,14 +190,14 @@ fn golden_wire_format_parses() {
     assert_eq!(report.stages[0].p90_ns, Some(63));
     assert_eq!(report.stages[0].p99_ns, None);
     assert_eq!(report.counters["store.widen.requests"], 9);
-    assert_eq!(report.units.len(), 2);
-    assert_eq!(report.units[0].registers, Some(64));
-    assert_eq!(report.units[1].registers, None);
-    // And the re-serialised form parses back to the same report.
-    assert_eq!(
-        PerfReport::from_json(&report.to_json()).expect("round-trip"),
-        report
+    // The re-serialised form drops both old blocks and parses back to
+    // the same report.
+    let again = report.to_json();
+    assert!(
+        !again.contains("\"units\"") && !again.contains("\"fleet\""),
+        "{again}"
     );
+    assert_eq!(PerfReport::from_json(&again).expect("round-trip"), report);
 }
 
 /// Foreign format tags and future versions are rejected with the

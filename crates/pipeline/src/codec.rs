@@ -32,6 +32,7 @@ use widening_ir::{Compactability, Ddg, Edge, EdgeKind, GraphError, NodeId, Op, O
 use widening_machine::{Configuration, CycleModel};
 use widening_regalloc::{
     Lifetime, PressureResult, RegisterAllocation, SpillOptions, SpillPolicy, SpillRecord,
+    MAX_SPILL_ROUNDS, SPILLS_PER_ROUND,
 };
 use widening_sched::{MiiBounds, RecurrenceInfo, Schedule, ScheduleError, Strategy};
 use widening_transform::{CompactReason, NodeMapping, WideningOutcome};
@@ -164,18 +165,19 @@ fn compact_reason_from(tag: u8) -> Option<CompactReason> {
 
 /// Encodes the spill options into a key blob (also reused inside error
 /// payload-free contexts; options never travel in artifact payloads).
+/// The engine's round budget and per-round spill count follow the
+/// policy, so a change to either moves every key.
 pub(crate) fn encode_spill_options(w: &mut Writer, s: &SpillOptions) {
     w.u8(spill_policy_tag(s.policy));
-    w.u32(s.max_rounds);
-    w.u32(s.max_spills_per_round);
+    w.u32(MAX_SPILL_ROUNDS);
+    w.u32(SPILLS_PER_ROUND);
 }
 
+/// Decodes spill options; `None` when the budgets are not this engine's.
 pub(crate) fn decode_spill_options(r: &mut Reader<'_>) -> Option<SpillOptions> {
-    Some(SpillOptions {
-        policy: spill_policy_from(r.u8()?)?,
-        max_rounds: r.u32()?,
-        max_spills_per_round: r.u32()?,
-    })
+    let policy = spill_policy_from(r.u8()?)?;
+    (r.u32()? == MAX_SPILL_ROUNDS && r.u32()? == SPILLS_PER_ROUND)
+        .then_some(SpillOptions { policy })
 }
 
 // ---------------------------------------------------------------------

@@ -440,6 +440,42 @@ mod tests {
     }
 
     #[test]
+    fn golden_point_spec_bytes() {
+        // Every stage and result key on disk holds these bytes; the
+        // spill options end with the engine's round budget (48) and
+        // per-round spill count (4).
+        let spec = PointSpec::scheduled(
+            &"4w2(64:1)".parse().unwrap(),
+            CycleModel::Cycles4,
+            crate::CompileOptions::default(),
+        );
+        let mut w = Writer::new();
+        encode_point_spec(&mut w, &spec);
+        let hex: String = w.into_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "040000000200000001400000000300003000000004000000");
+    }
+
+    #[test]
+    fn point_specs_with_other_spill_budgets_are_misses() {
+        let spec = PointSpec::scheduled(
+            &"4w2(64:1)".parse().unwrap(),
+            CycleModel::Cycles4,
+            crate::CompileOptions::default(),
+        );
+        let mut w = Writer::new();
+        encode_point_spec(&mut w, &spec);
+        let bytes = w.into_bytes();
+        // The last eight bytes are the round budget and the per-round
+        // spill count.
+        let budgets = bytes.len() - 8;
+        for (at, value) in [(budgets, 6u32), (budgets + 4, 5)] {
+            let mut other = bytes.clone();
+            other[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            assert_eq!(decode_point_spec(&mut Reader::new(&other)), None);
+        }
+    }
+
+    #[test]
     fn point_spec_round_trips_and_keys_differ() {
         let scheduled = PointSpec::scheduled(
             &"4w2(128:1)".parse().unwrap(),

@@ -35,10 +35,7 @@ fn cache_dir(tag: &str) -> PathBuf {
 fn point(spec: &str, policy: SpillPolicy) -> PointSpec {
     let cfg: Configuration = spec.parse().expect("valid literal");
     let opts = CompileOptions {
-        spill: SpillOptions {
-            policy,
-            ..SpillOptions::default()
-        },
+        spill: SpillOptions { policy },
         ..CompileOptions::default()
     };
     PointSpec::scheduled(&cfg, CycleModel::Cycles4, opts)

@@ -13,9 +13,10 @@
 //!   recent occupant ends closest to the arc's start (smallest wasted
 //!   gap), opening a new register only when none fits.
 //!
-//! The result is within a register or two of the `MaxLives` lower bound
-//! on the paper's loop shapes (asserted by tests and measured in
-//! EXPERIMENTS.md).
+//! The result never uses fewer registers than the `MaxLives` lower
+//! bound; `allocation_exact_on_aligned_values` and
+//! `allocation_tight_on_scheduled_lifetimes` bound how far above it the
+//! packing lands.
 //!
 //! # Dense packing representation
 //!

@@ -58,5 +58,5 @@ pub use allocator::{allocate, allocate_in, AllocScratch, RegisterAllocation};
 pub use lifetime::{lifetimes, lifetimes_into, max_lives, Lifetime};
 pub use spill::{
     schedule_with_registers, schedule_with_registers_seeded, FirstRound, PressureResult,
-    RegallocError, SpillOptions, SpillPolicy, SpillRecord,
+    RegallocError, SpillOptions, SpillPolicy, SpillRecord, MAX_SPILL_ROUNDS, SPILLS_PER_ROUND,
 };

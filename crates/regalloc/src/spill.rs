@@ -88,25 +88,18 @@ pub enum SpillPolicy {
     IncreaseIiOnly,
 }
 
+/// Schedule/spill rounds a pure policy runs before it gives up.
+pub const MAX_SPILL_ROUNDS: u32 = 48;
+
+/// Values spilled per round while the deficit is small; a deficit of
+/// `e` registers spills `⌈e/2⌉` when that is more.
+pub const SPILLS_PER_ROUND: u32 = 4;
+
 /// Options for [`schedule_with_registers`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SpillOptions {
     /// Pressure-relief policy.
     pub policy: SpillPolicy,
-    /// Maximum schedule/spill rounds before giving up.
-    pub max_rounds: u32,
-    /// Maximum values spilled per round.
-    pub max_spills_per_round: u32,
-}
-
-impl Default for SpillOptions {
-    fn default() -> Self {
-        SpillOptions {
-            policy: SpillPolicy::Adaptive,
-            max_rounds: 48,
-            max_spills_per_round: 4,
-        }
-    }
 }
 
 /// One spilled value: where its store went and which reloads serve its
@@ -259,10 +252,7 @@ pub fn schedule_with_registers_seeded(
     // Try pure II increase, then spill-first, and keep the better result.
     // Memory-bound machines often prefer the II increase: spill traffic
     // competes for the very buses that set the II.
-    let pure = |policy| SpillOptions {
-        policy,
-        ..*spill_opts
-    };
+    let pure = |policy| SpillOptions { policy };
     let stretch = match run_policy(
         ddg,
         cfg,
@@ -363,7 +353,7 @@ fn run_policy(
     // the cap relies on.
     let mut prev_lower = 0u32;
 
-    for round in 1..=spill_opts.max_rounds {
+    for round in 1..=MAX_SPILL_ROUNDS {
         let (schedule, alloc) = match seeded.take() {
             Some(f) => {
                 lts_buf.clear();
@@ -427,7 +417,7 @@ fn run_policy(
         // Deep deficits (huge loop bodies on tiny files) need many
         // victims per round or the round budget runs out first.
         let excess = needed - available;
-        let per_round = spill_opts.max_spills_per_round.max(excess.div_ceil(2));
+        let per_round = SPILLS_PER_ROUND.max(excess.div_ceil(2));
         let did_spill = if spill_opts.policy == SpillPolicy::SpillFirst {
             let picked = pick_spill_candidates(
                 &graph,
@@ -733,7 +723,6 @@ mod tests {
             &SchedulerOptions::default(),
             &SpillOptions {
                 policy: SpillPolicy::IncreaseIiOnly,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -748,18 +737,15 @@ mod tests {
     #[test]
     fn impossible_pressure_reports_error() {
         // 2 registers cannot hold a 12-load reduction even with spilling
-        // bounded by round budget — expect a clean Pressure error, not a
-        // hang. (Very small II windows keep the search cheap.)
+        // bounded by the round budget — expect a clean Pressure error,
+        // not a hang.
         let g = pressure_loop(16);
         let r = schedule_with_registers(
             &g,
             &cfg(4, 2),
             M4,
             &SchedulerOptions::default(),
-            &SpillOptions {
-                max_rounds: 6,
-                ..Default::default()
-            },
+            &SpillOptions::default(),
         );
         match r {
             Err(RegallocError::Pressure { needed, available }) => {

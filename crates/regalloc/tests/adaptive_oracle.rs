@@ -20,7 +20,7 @@ use widening_ir::Ddg;
 use widening_machine::{Configuration, CycleModel};
 use widening_regalloc::{
     allocate, lifetimes, schedule_with_registers, schedule_with_registers_seeded, FirstRound,
-    PressureResult, RegallocError, SpillOptions, SpillPolicy,
+    PressureResult, RegallocError, SpillOptions, SpillPolicy, MAX_SPILL_ROUNDS,
 };
 use widening_sched::{ModuloScheduler, SchedulerOptions};
 use widening_transform::widen;
@@ -41,10 +41,7 @@ struct Tally {
 }
 
 fn policy(p: SpillPolicy) -> SpillOptions {
-    SpillOptions {
-        policy: p,
-        ..SpillOptions::default()
-    }
+    SpillOptions { policy: p }
 }
 
 /// Applies the selection rule to full runs of both pure policies.
@@ -205,7 +202,7 @@ fn replay_increase_ii(ddg: &Ddg, cfg: &Configuration) -> (Result<u32, RegallocEr
     let mut min_ii = 1;
     let mut needed = u32::MAX;
     let mut needed_max_lives = 0;
-    for _ in 0..SpillOptions::default().max_rounds {
+    for _ in 0..MAX_SPILL_ROUNDS {
         let schedule = match scheduler.schedule_with_min_ii(ddg, min_ii) {
             Ok(s) => s,
             Err(e) => return (Err(RegallocError::Schedule(e)), needed_max_lives),

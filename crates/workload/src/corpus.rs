@@ -7,8 +7,8 @@
 //! and tightness, stride distribution, loop size, trip counts — are
 //! tuned so the headline ILP curves (paper Figure 2) have the published
 //! shape: pure replication keeps scaling to ~11× before flattening, pure
-//! widening saturates near 5×, `2wY` near 8× (see DESIGN.md §3 and
-//! EXPERIMENTS.md).
+//! widening saturates near 5×, `2wY` near 8× (`repro fig2` computes
+//! the curves).
 //!
 //! The generator is fully deterministic: the same [`CorpusSpec`] always
 //! produces the same loops, bit for bit.
@@ -46,8 +46,7 @@ pub struct CorpusSpec {
 }
 
 impl Default for CorpusSpec {
-    /// The paper-calibrated surrogate (see EXPERIMENTS.md for the
-    /// resulting aggregate statistics).
+    /// The paper-calibrated surrogate.
     fn default() -> Self {
         CorpusSpec {
             loops: PAPER_LOOP_COUNT,

@@ -1,10 +1,10 @@
 //! Self-contained deterministic PRNG (`xoshiro256**` seeded via
 //! SplitMix64).
 //!
-//! The corpus must be bit-stable forever — results in EXPERIMENTS.md are
-//! tied to it — so we do not depend on an external RNG crate whose
-//! stream might change across major versions (substitution documented in
-//! DESIGN.md §3).
+//! The corpus must be bit-stable forever — the golden aggregates
+//! (`crates/core/tests/golden.rs`) are tied to it — so we do not depend
+//! on an external RNG crate whose stream might change across major
+//! versions.
 
 /// A deterministic `xoshiro256**` generator.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -232,28 +232,32 @@ pub fn merge_published(
     }
 
     let mut aggregates = Vec::with_capacity(specs.len());
-    let fallbacks = std::sync::atomic::AtomicUsize::new(0);
+    let mut fallback_units = 0;
     for spec in specs {
         let spec_index = manifest.and_then(|m| m.specs.iter().position(|s| s == spec));
-        // Fetch in parallel — tens of thousands of open/verify round
-        // trips at paper scale, each paying network latency on a shared
-        // filesystem — then fold strictly sequentially in corpus order
-        // (the fold order, not the fetch order, is what the bitwise
-        // contract constrains).
-        let outcomes = widening_pipeline::pool::par_map(loops.len(), eval.threads(), |li| {
-            let published =
-                spec_index.and_then(|si| batched.get(&((si * loops.len() + li) as u32)).copied());
-            published.unwrap_or_else(|| {
-                // Best-effort publishes can vanish; the merge stays
-                // total by compiling the hole locally (warm in practice
-                // — the stage artifacts usually made it to disk even
-                // when the result record did not).
-                fallbacks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                UnitOutcome::of(&eval.pipeline().compile(li, spec))
+        let published: Vec<Option<UnitOutcome>> = (0..loops.len())
+            .map(|li| {
+                spec_index.and_then(|si| batched.get(&((si * loops.len() + li) as u32)).copied())
             })
-        });
+            .collect();
+        // Best-effort publishes can vanish; the merge stays total by
+        // compiling the holes locally, in parallel (warm in practice —
+        // the stage artifacts usually made it to disk even when the
+        // result record did not). With no hole, no thread starts.
+        let holes: Vec<usize> = (0..loops.len())
+            .filter(|&li| published[li].is_none())
+            .collect();
+        fallback_units += holes.len();
+        let mut compiled = widening_pipeline::pool::par_map(holes.len(), eval.threads(), |i| {
+            UnitOutcome::of(&eval.pipeline().compile(holes[i], spec))
+        })
+        .into_iter();
+        // Fold strictly sequentially in corpus order: the fold order is
+        // what the bitwise contract constrains.
         let mut scores = Vec::with_capacity(loops.len());
-        for (l, outcome) in loops.iter().zip(outcomes) {
+        for (l, published) in loops.iter().zip(published) {
+            let outcome = published
+                .unwrap_or_else(|| compiled.next().expect("one compile per hole, in order"));
             let le = loop_eval_of(outcome);
             if let LoopEval::Failed {
                 cause: FailureCause::Rewrite,
@@ -271,7 +275,7 @@ pub fn merge_published(
         eval.pipeline().seal_point(spec);
         aggregates.push(agg);
     }
-    (aggregates, fallbacks.into_inner())
+    (aggregates, fallback_units)
 }
 
 /// The evaluator-side projection of a published unit result.

@@ -13,7 +13,8 @@ use widening::distrib::{
 use widening::distributed::{merge_published, sweep_distributed, DistributedOptions};
 use widening::{CorpusEval, EvalOptions, Evaluator};
 use widening_machine::{Configuration, CycleModel};
-use widening_pipeline::{store_root, PointSpec, StoreConfig};
+use widening_pipeline::exchange::BATCH_KIND;
+use widening_pipeline::{store_root, Exchange, PointSpec, StoreConfig};
 use widening_workload::corpus::{generate, CorpusSpec};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -373,6 +374,55 @@ fn the_manifest_rebuilt_from_the_coordinator_config_reads_every_batch() {
     assert_eq!(fallback, 0, "every unit read from a batch record");
     for ((m, d), spec) in aggregates.iter().zip(&swept.aggregates).zip(&specs) {
         assert_bitwise_equal(m, d, &format!("{spec:?}"));
+    }
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
+fn a_lost_batch_record_recompiles_only_its_shards_units() {
+    // Published and missing units in one merge: shard 0's batch record
+    // is overwritten with bytes that do not decode, so exactly its units
+    // fall back to a local compile, and the rest are read from the
+    // other records. The merge must stay bitwise-equal either way.
+    let cache = temp_dir("lost-batch");
+    let loops = generate(&CorpusSpec::small(12, 37));
+    let specs = specs();
+    let workers = 2;
+    let eval = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&cache));
+    sweep_distributed(
+        &eval,
+        &specs,
+        &DistributedOptions::new(workers),
+        &Launcher::InProcess,
+    )
+    .expect("distributed sweep completes");
+
+    let manifest = SweepManifest::partition(
+        loops.clone(),
+        specs.clone(),
+        CoordinatorConfig::new(&cache, workers).shard_count(loops.len() * specs.len()),
+    );
+    assert!(manifest.shards.len() > 1);
+    let fresh = Evaluator::new(loops.clone()).with_store(StoreConfig::persistent(&cache));
+    let fingerprints: Vec<u128> = (0..loops.len())
+        .map(|li| fresh.pipeline().content_fingerprint(li))
+        .collect();
+    let exchange = Exchange::open(&cache).expect("cache opens");
+    exchange.put(
+        BATCH_KIND,
+        &manifest.batch_key(0, &fingerprints),
+        b"\x00not a batch record",
+    );
+
+    let (aggregates, fallback) = merge_published(&fresh, &specs, Some(&manifest));
+    assert_eq!(
+        fallback,
+        manifest.shards[0].len(),
+        "exactly shard 0's units"
+    );
+    let reference = Evaluator::new(loops).sweep_specs(&specs);
+    for ((m, s), spec) in aggregates.iter().zip(&reference).zip(&specs) {
+        assert_bitwise_equal(m, s, &format!("{spec:?}"));
     }
     let _ = std::fs::remove_dir_all(cache);
 }

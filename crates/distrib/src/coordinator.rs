@@ -13,6 +13,14 @@
 //! up: the survivors claim a requeued shard once its lease expires.
 //! When every shard carries a validated completion marker the sweep is
 //! merge-ready. Workers exit on their own once every shard is complete.
+//!
+//! Between passes the coordinator waits on the queue's process-wide
+//! change count ([`crate::queue`]), not on a fixed clock: a completion,
+//! marker reset or requeue made in this process (by an in-process
+//! worker, or by the coordinator itself) starts the next pass at once,
+//! so an in-process fleet is seen done as soon as its last shard
+//! completes. Changes made by worker processes, lease stalls and dead
+//! workers are seen within [`CoordinatorConfig::poll`].
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -24,7 +32,7 @@ use widening_obs::SpanKind;
 use widening_pipeline::StageCounts;
 
 use crate::manifest::SweepManifest;
-use crate::queue::{JobQueue, LeaseObserver};
+use crate::queue::{JobQueue, LeaseObserver, CHANGES};
 use crate::worker::{run_worker, ShardReport, WorkerConfig, WorkerSummary};
 use crate::DistribError;
 
@@ -40,7 +48,10 @@ pub struct CoordinatorConfig {
     pub worker_threads: usize,
     /// Lease TTL before a silent worker's shard is requeued.
     pub lease_ttl: Duration,
-    /// Supervision poll interval.
+    /// Longest wait between supervision passes: it bounds how late the
+    /// coordinator sees a change made by another process (a worker
+    /// process's completion marker), a stalled lease or a dead worker.
+    /// A queue change made in this process ends the wait at once.
     pub poll: Duration,
     /// Workers the coordinator may respawn after the whole fleet died.
     pub max_respawns: usize,
@@ -309,6 +320,9 @@ pub fn run_on_queue(
     let mut respawns = 0u64;
     let mut next_index = handles.len();
     loop {
+        // Read before looking: a change this process makes to the queue
+        // after this line ends the wait below at once.
+        let seen = CHANGES.count();
         // A present-but-undecodable done marker (a torn write from a
         // crashed pre-fsync host, corruption at rest) must never be
         // merged as "complete": reset the shard so it requeues. The
@@ -332,8 +346,9 @@ pub fn run_on_queue(
         }
         // Exit only when every shard is done AND its marker passed
         // validation *this side* of appearing — a marker that landed
-        // after the pass above waits one tick for its own decode, so
-        // an undecodable marker can never slip out as "complete".
+        // after the pass above waits for its own decode in the next
+        // pass, so an undecodable marker can never slip out as
+        // "complete".
         if queue.all_done() && validated.iter().all(|&v| v) {
             break;
         }
@@ -371,7 +386,7 @@ pub fn run_on_queue(
             }
             next_index += 1;
         }
-        std::thread::sleep(cfg.poll);
+        CHANGES.wait(seen, cfg.poll);
     }
     for h in handles {
         h.join();

@@ -40,7 +40,15 @@
 //!   or truncated marker. A marker that still fails to decode (torn by
 //!   an older writer, corrupted at rest) is treated by the coordinator
 //!   as **incomplete** — [`JobQueue::invalidate_done`] resets the shard
-//!   for requeue instead of merging garbage.
+//!   for requeue instead of merging garbage;
+//! * **wake** — every completion, marker reset and claim release made
+//!   through a [`JobQueue`] bumps one process-wide change count and
+//!   wakes its waiters: the coordinator's supervision loop and idle
+//!   workers. A waiter reads the count before it looks at the queue
+//!   and waits only while the count is unchanged, so it sees a change
+//!   made in its own process at once. A change made by another process
+//!   leaves the count alone and is seen at the waiter's next poll.
+//!   Claims and lease renewals do not count: no waiter acts on them.
 //!
 //! Races are resolved by idempotency, not locking: if a presumed-dead
 //! worker was merely slow, two workers may process one shard — but unit
@@ -53,6 +61,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use widening_wire::{fnv128, Reader, Writer};
@@ -149,6 +158,51 @@ impl LeaseObserver {
     }
 }
 
+/// A count of queue changes plus a condition variable to wait on it.
+/// A poisoned lock still guards a valid count (every update is one
+/// increment), so the guard is recovered rather than unwrapped.
+pub(crate) struct Changes {
+    count: Mutex<u64>,
+    wake: Condvar,
+}
+
+impl Changes {
+    const fn new() -> Self {
+        Changes {
+            count: Mutex::new(0),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// The count now. Read it before looking at a queue, then hand it
+    /// to [`Changes::wait`].
+    pub(crate) fn count(&self) -> u64 {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one change and wakes every waiter.
+    fn note(&self) {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.wake.notify_all();
+    }
+
+    /// Waits up to `timeout` while the count still reads `seen`;
+    /// returns whether it moved. The count is compared under the lock,
+    /// so a change made after `seen` was read is never missed.
+    pub(crate) fn wait(&self, seen: u64, timeout: Duration) -> bool {
+        let count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+        let (count, _) = self
+            .wake
+            .wait_timeout_while(count, timeout, |count| *count == seen)
+            .unwrap_or_else(PoisonError::into_inner);
+        *count != seen
+    }
+}
+
+/// Every queue change this process makes, whatever the queue: a change
+/// to another queue costs a waiter one extra look.
+pub(crate) static CHANGES: Changes = Changes::new();
+
 /// A handle on one sweep's queue directory. Cheap to clone.
 #[derive(Debug, Clone)]
 pub struct JobQueue {
@@ -243,7 +297,9 @@ impl JobQueue {
     /// report. Atomic and fsynced: readers see either no marker or a
     /// whole one, even across a host crash.
     pub fn complete(&self, shard: usize, report: &[u8]) {
-        let _ = atomic_write(&self.root, &format!("shard-{shard}.done"), report, true);
+        if atomic_write(&self.root, &format!("shard-{shard}.done"), report, true).is_ok() {
+            CHANGES.note();
+        }
     }
 
     /// Whether a shard has a completion marker.
@@ -267,6 +323,7 @@ impl JobQueue {
         let removed = fs::remove_file(self.done_path(shard)).is_ok();
         if removed {
             let _ = fs::remove_file(self.claim_path(shard));
+            CHANGES.note();
         }
         removed
     }
@@ -316,6 +373,9 @@ impl JobQueue {
                 watch.reset();
                 requeued += 1;
             }
+        }
+        if requeued > 0 {
+            CHANGES.note();
         }
         requeued
     }
@@ -596,6 +656,73 @@ mod tests {
         assert_eq!(queue.requeue_expired(&mut obs, ttl), 1);
         assert_eq!(queue.claim_next("rescuer"), Some(0));
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Waits up to 5 s on the process-wide change count while another
+    /// thread runs `change` 50 ms in; returns how long the wait took.
+    /// Whether `change` lands before or during the wait, the wait must
+    /// end well before its timeout. The changer also checks that
+    /// `change` itself moved the count: a wait ended early by another
+    /// test's queue change must not hide an uncounted one.
+    fn wake_after(change: impl FnOnce() + Send) -> Duration {
+        let seen = CHANGES.count();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                let before = CHANGES.count();
+                change();
+                assert!(CHANGES.count() > before, "the change was not counted");
+            });
+            let start = Instant::now();
+            CHANGES.wait(seen, Duration::from_secs(5));
+            start.elapsed()
+        })
+    }
+
+    #[test]
+    fn queue_changes_wake_a_waiter_at_once() {
+        let (dir, queue, _) = temp_queue(1);
+        let waited = wake_after(|| queue.complete(0, b"report"));
+        assert!(waited < Duration::from_secs(1), "complete: {waited:?}");
+
+        let waited = wake_after(|| assert!(queue.invalidate_done(0)));
+        assert!(waited < Duration::from_secs(1), "reset: {waited:?}");
+
+        assert_eq!(queue.claim_next("stalled"), Some(0));
+        let ttl = Duration::from_millis(20);
+        let mut obs = LeaseObserver::new();
+        assert_eq!(queue.requeue_expired(&mut obs, ttl), 0);
+        let waited = wake_after(|| assert_eq!(queue.requeue_expired(&mut obs, ttl), 1));
+        assert!(waited < Duration::from_secs(1), "requeue: {waited:?}");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_change_wait_times_out_or_returns_at_once() {
+        // A count of its own, so no other test's queue changes reach it.
+        let changes = Changes::new();
+        // No change: the wait runs out its timeout.
+        let start = Instant::now();
+        assert!(!changes.wait(changes.count(), Duration::from_millis(30)));
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        // A change between reading the count and waiting: no wait at all.
+        let seen = changes.count();
+        changes.note();
+        let start = Instant::now();
+        assert!(changes.wait(seen, Duration::from_secs(5)));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        // A change made mid-wait ends it.
+        let seen = changes.count();
+        let (moved, waited) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                changes.note();
+            });
+            let start = Instant::now();
+            (changes.wait(seen, Duration::from_secs(5)), start.elapsed())
+        });
+        assert!(moved);
+        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
     }
 
     #[test]

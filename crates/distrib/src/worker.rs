@@ -15,10 +15,12 @@
 //!   publish the shard's batch record, and durably complete it with a
 //!   [`ShardReport`]. The heartbeat waits on a stop signal, so it ends
 //!   the moment the shard's work does;
-//! * **idle** — with every shard claimed, poll until every shard is done
-//!   or the queue is retired. A standalone worker also requeues stalled
-//!   leases on the way; a coordinator-supervised one leaves that to the
-//!   coordinator.
+//! * **idle** — with every shard claimed, wait until every shard is done
+//!   or the queue is retired. A queue change made in this process (an
+//!   in-process peer's completion, a requeue) wakes the wait at once;
+//!   other processes' changes are seen within [`WorkerConfig::poll`]. A
+//!   standalone worker also requeues stalled leases on the way; a
+//!   coordinator-supervised one leaves that to the coordinator.
 //!
 //! A shard whose batch record is already in the store (a re-run, or a
 //! requeued shard whose first owner published before dying) replays it
@@ -37,7 +39,7 @@ use widening_pipeline::{Exchange, Pipeline, StageCounts, StoreConfig, UnitOutcom
 use widening_wire::{Reader, Writer};
 
 use crate::manifest::SweepManifest;
-use crate::queue::{JobQueue, LeaseObserver, LeaseStamp};
+use crate::queue::{JobQueue, LeaseObserver, LeaseStamp, CHANGES};
 use crate::DistribError;
 
 /// Version of the [`ShardReport`] encoding.
@@ -56,7 +58,10 @@ pub struct WorkerConfig {
     /// still before this worker (idling, out of claimable shards)
     /// requeues its shard.
     pub lease_ttl: Duration,
-    /// Idle poll interval while waiting for stragglers or requeues.
+    /// Longest idle wait between looks at the queue while stragglers
+    /// finish: it bounds how late this worker sees a change made by
+    /// another process, or a retired queue. A queue change made in
+    /// this process ends the wait at once.
     pub poll: Duration,
     /// Whether an idle worker may requeue *other* workers' stalled
     /// leases. On by default so a coordinator-less fleet still drains a
@@ -417,6 +422,9 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, DistribError> {
     };
     let mut observer = LeaseObserver::new();
     loop {
+        // Read before looking: a change this process makes to the queue
+        // after this line ends the idle wait below at once.
+        let seen = CHANGES.count();
         if let Some(shard) = queue.claim_next(&cfg.tag) {
             let Some(result_hits) = run_shard(&state, shard) else {
                 break;
@@ -459,7 +467,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, DistribError> {
         if cfg.requeue_foreign {
             queue.requeue_expired(&mut observer, cfg.lease_ttl);
         }
-        std::thread::sleep(cfg.poll);
+        CHANGES.wait(seen, cfg.poll);
     }
     summary.counts = pipeline.stage_counts();
     Ok(summary)

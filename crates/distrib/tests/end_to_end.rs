@@ -107,6 +107,30 @@ fn fleet_completes_and_publishes_every_unit() {
 }
 
 #[test]
+fn an_in_process_fleet_ends_when_its_last_shard_completes() {
+    // The coordinator and idle in-process workers wake on this
+    // process's queue changes, so a fleet ends as soon as its work does,
+    // however long `poll` is. Sleeping on `poll` instead would take at
+    // least one whole interval: the coordinator's first look finds
+    // nothing done.
+    let cache = temp_dir("wake");
+    let loops = generate(&CorpusSpec::small(8, 19));
+    let manifest = SweepManifest::partition(loops, specs(), 2);
+    let mut cfg = CoordinatorConfig::new(&cache, 2);
+    cfg.poll = Duration::from_secs(30);
+    let start = std::time::Instant::now();
+    let run = run_sweep(&manifest, &cfg, &Launcher::InProcess).expect("sweep completes");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(10), "the fleet took {took:?}");
+    assert_eq!(run.units as usize, manifest.unit_count());
+    assert_eq!(
+        run.shard_reports.iter().flatten().count(),
+        manifest.shards.len()
+    );
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
 fn second_fleet_replays_results_without_compiling() {
     let cache = temp_dir("warm");
     let loops = generate(&CorpusSpec::small(10, 5));

@@ -202,7 +202,8 @@ impl PerfReport {
     }
 
     /// Parses a report from JSON text. Structural corruption, a
-    /// foreign format tag or an unknown version are errors — never
+    /// foreign format tag, an unknown version or a repeated probe name
+    /// (which [`compare`] could match only once) are errors — never
     /// panics.
     ///
     /// # Errors
@@ -244,6 +245,9 @@ impl PerfReport {
                 .get("name")
                 .and_then(Value::as_str)
                 .ok_or_else(|| format!("probes[{i}]: missing name"))?;
+            if report.probe(name).is_some() {
+                return Err(format!("probes[{i}]: repeated probe name {name:?}"));
+            }
             let samples = p
                 .get("samples_ns")
                 .and_then(Value::as_array)
@@ -495,6 +499,22 @@ mod tests {
         assert!(text.contains(REPORT_FORMAT));
         let back = PerfReport::from_json(&text).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn a_repeated_probe_name_is_rejected() {
+        // Two `sweep.wall_ns` probes: `compare` would read only the
+        // first, so a regression in the second could never gate.
+        let mut r = sample_report();
+        r.probes.push(Probe {
+            name: "sweep.wall_ns".into(),
+            samples_ns: vec![900_000_000_000],
+        });
+        let err = PerfReport::from_json(&r.to_json()).unwrap_err();
+        assert!(
+            err.contains("repeated probe name \"sweep.wall_ns\""),
+            "{err}"
+        );
     }
 
     #[test]

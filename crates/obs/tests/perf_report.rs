@@ -48,6 +48,8 @@ fn arb_stage() -> impl Strategy<Value = StageLatency> {
         )
 }
 
+/// A report whose probes have distinct names: the parser rejects a
+/// repeated probe name, so a valid report never has one.
 fn arb_report() -> impl Strategy<Value = PerfReport> {
     (
         proptest::collection::vec((arb_name(), arb_name()), 0..4),
@@ -55,11 +57,15 @@ fn arb_report() -> impl Strategy<Value = PerfReport> {
         proptest::collection::vec(arb_stage(), 0..4),
         proptest::collection::vec((arb_name(), 0..MAX_EXACT), 0..5),
     )
-        .prop_map(|(meta, probes, stages, counters)| PerfReport {
-            meta: meta.into_iter().collect(),
-            probes,
-            stages,
-            counters: counters.into_iter().collect(),
+        .prop_map(|(meta, mut probes, stages, counters)| {
+            let mut seen = std::collections::HashSet::new();
+            probes.retain(|p| seen.insert(p.name.clone()));
+            PerfReport {
+                meta: meta.into_iter().collect(),
+                probes,
+                stages,
+                counters: counters.into_iter().collect(),
+            }
         })
 }
 

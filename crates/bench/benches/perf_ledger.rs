@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use widening_obs::report::{compare, CompareConfig, PerfReport};
+use widening_obs::report::{compare, PerfReport};
 
 /// A synthetic report shaped like a real `perf record` of the quick
 /// suite: a handful of probes and a few stage counters.
@@ -37,7 +37,7 @@ fn bench_perf_ledger(c: &mut Criterion) {
     });
     g.bench_function("compare_two_reports", |b| {
         let cand = synthetic_report(48);
-        b.iter(|| black_box(compare(&report, &cand, &CompareConfig::default())))
+        b.iter(|| black_box(compare(&report, &cand)))
     });
     g.finish();
 }

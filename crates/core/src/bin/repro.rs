@@ -4,10 +4,11 @@
 //! ```text
 //! repro [--quick[=N]] [--csv] [--seed S] [--threads N] [--simulate]
 //!       [--exec interpret|lowered|differential] [--cache-dir DIR]
-//!       [--cache-budget BYTES] [--shards N] [--chaos-exit-units N]
-//!       [--trace FILE] <experiment>... | all | list
+//!       [--shards N] [--chaos-exit-units N] [--trace FILE]
+//!       <experiment>... | all | list
 //! repro worker --queue DIR --cache-dir DIR [--threads N]
-//!       [--lease-ttl-ms MS] [--no-requeue] [--trace-file FILE]
+//!       [--lease-ttl-ms MS] [--no-requeue] [--die-after-units N]
+//!       [--trace-file FILE]
 //! repro trace summarize FILE
 //! repro perf record [--quick[=N]] [--reps R] [--out FILE]
 //! repro perf compare BASELINE CANDIDATE
@@ -43,9 +44,6 @@
 //!   decodes every stage instead of recompiling it. Prints a final
 //!   `cache:` summary line with the stage counters, and stamps a new
 //!   store *generation* (see `repro cache`).
-//! * `--cache-budget BYTES` — bound the in-memory schedule-stage tier
-//!   (accepts `K`/`M`/`G` suffixes, e.g. `--cache-budget 64M`); folded
-//!   design points are LRU-evicted past the budget.
 //! * `--shards N` — run the `sweep` experiment through the distributed
 //!   engine: the coordinator cuts the `(loop × config)` grid into
 //!   guided self-scheduled shards of loop columns (each ⌈R/p⌉ of the R
@@ -62,8 +60,8 @@
 //!   these (on one machine or on hosts sharing a filesystem) at one
 //!   queue to scale a sweep out.
 //! * `--trace FILE` — record spans (stage executions, sweep units,
-//!   queue waits, store evictions; with `--shards` also worker
-//!   lifecycle, heartbeats and fleet events) and write one
+//!   queue waits; with `--shards` also worker lifecycle, heartbeats
+//!   and fleet events) and write one
 //!   merged Chrome trace-event JSON timeline to `FILE` on exit — open
 //!   it at <https://ui.perfetto.dev>. Distributed workers each write a
 //!   binary trace next to their results; the coordinator merges them
@@ -109,7 +107,6 @@ fn main() -> ExitCode {
     let mut seed: Option<u64> = None;
     let mut threads: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
-    let mut cache_budget: Option<usize> = None;
     let mut shards: Option<usize> = None;
     let mut chaos_exit_units: Option<u64> = None;
     let mut trace: Option<String> = None;
@@ -136,10 +133,6 @@ fn main() -> ExitCode {
             "--cache-dir" => match args.next() {
                 Some(dir) if !dir.is_empty() && !dir.starts_with('-') => cache_dir = Some(dir),
                 _ => return usage("--cache-dir needs a path"),
-            },
-            "--cache-budget" => match args.next().as_deref().and_then(parse_bytes) {
-                Some(b) => cache_budget = Some(b),
-                None => return usage("--cache-budget needs a byte count (K/M/G ok)"),
             },
             "--shards" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => shards = Some(n),
@@ -190,7 +183,7 @@ fn main() -> ExitCode {
     let mut seen = std::collections::HashSet::new();
     names.retain(|n| seen.insert(n.clone()));
 
-    let caching = cache_dir.is_some() || cache_budget.is_some();
+    let caching = cache_dir.is_some();
     if let Some(dir) = &cache_dir {
         // One generation stamp per cache-consuming run (workers a
         // distributed sweep spawns belong to this run, not their own).
@@ -221,8 +214,7 @@ fn main() -> ExitCode {
         }
         _ => None,
     };
-    let ctx = build_context(quick, seed, threads, cache_dir, cache_budget)
-        .with_backend(exec.unwrap_or_default());
+    let ctx = build_context(quick, seed, threads, cache_dir).with_backend(exec.unwrap_or_default());
     eprintln!(
         "corpus: {} loops (seed {}), {} worker threads, {} exec backend",
         ctx.eval.loops().len(),
@@ -284,13 +276,10 @@ fn main() -> ExitCode {
         // Distributed runs fold the worker fleet's counters in.
         let c = ctx.eval.pipeline().stage_counts().plus(&fleet_counts);
         println!(
-            "cache: live-runs={} disk-hits={} memo-hits={} evictions={} resident-bytes={} \
-             disk-errors={}",
+            "cache: live-runs={} disk-hits={} memo-hits={} disk-errors={}",
             c.live_runs(),
             c.disk_hits(),
             c.hits() - c.disk_hits(),
-            c.schedule_evictions,
-            c.schedule_resident_bytes,
             ctx.eval.pipeline().disk_errors(),
         );
     }
@@ -468,19 +457,18 @@ fn trace_main(args: &[String]) -> ExitCode {
         for (name, count) in &doc.instants_by_name {
             r.push_row([name.clone(), count.to_string()]);
         }
-        r.push_note("store evictions plus fleet lifecycle: heartbeats, lease expiries, respawns");
+        r.push_note("fleet lifecycle: heartbeats, lease expiries, respawns");
         println!("{r}");
     }
 
     let shards = obs::analyze::per_shard_stats(&doc.spans);
     if !shards.is_empty() {
         let mut r = widening::report::Report::new("Trace — per-shard busy time")
-            .with_columns(["shard", "runs", "steals", "units", "busy µs"]);
+            .with_columns(["shard", "runs", "units", "busy µs"]);
         for s in &shards {
             r.push_row([
                 s.shard.to_string(),
                 s.runs.to_string(),
-                s.steals.to_string(),
                 s.units.to_string(),
                 us(s.busy_us),
             ]);
@@ -567,7 +555,6 @@ fn build_context(
     seed: Option<u64>,
     threads: Option<usize>,
     cache_dir: Option<String>,
-    cache_budget: Option<usize>,
 ) -> Context {
     let mut spec = CorpusSpec::default();
     if let Some(n) = quick {
@@ -580,31 +567,10 @@ fn build_context(
     if let Some(n) = threads {
         eval = eval.with_threads(n);
     }
-    if cache_dir.is_some() || cache_budget.is_some() {
-        eval = eval.with_store(StoreConfig {
-            cache_dir: cache_dir.map(Into::into),
-            memory_budget: cache_budget,
-        });
+    if let Some(dir) = cache_dir {
+        eval = eval.with_store(StoreConfig::persistent(dir));
     }
     Context::over(eval)
-}
-
-/// Parses a byte count with an optional `K`/`M`/`G` suffix.
-fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (digits, unit) = match s.char_indices().find(|(_, c)| !c.is_ascii_digit()) {
-        Some((i, _)) => s.split_at(i),
-        None => (s, ""),
-    };
-    let n: usize = digits.parse().ok()?;
-    let factor = match unit.to_ascii_uppercase().as_str() {
-        "" | "B" => 1,
-        "K" | "KB" => 1 << 10,
-        "M" | "MB" => 1 << 20,
-        "G" | "GB" => 1 << 30,
-        _ => return None,
-    };
-    n.checked_mul(factor)
 }
 
 fn usage(problem: &str) -> ExitCode {
@@ -612,8 +578,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!(
         "usage: repro [--quick[=N]] [--csv] [--seed S] [--threads N] [--simulate] \
          [--exec interpret|lowered|differential] [--cache-dir DIR] \
-         [--cache-budget BYTES] [--shards N] [--chaos-exit-units N] \
-         [--trace FILE] <experiment>... | all | list"
+         [--shards N] [--chaos-exit-units N] [--trace FILE] <experiment>... | all | list"
     );
     eprintln!(
         "       repro worker --queue DIR --cache-dir DIR [--threads N] [--lease-ttl-ms MS] \
@@ -621,7 +586,7 @@ fn usage(problem: &str) -> ExitCode {
     );
     eprintln!("       repro trace summarize FILE");
     eprintln!("       repro perf record [--quick[=N]] [--reps R] [--threads N] [--out FILE]");
-    eprintln!("       repro perf compare BASELINE CANDIDATE [--max-ratio R] [--abs-floor-ms MS]");
+    eprintln!("       repro perf compare BASELINE CANDIDATE");
     eprintln!("       repro cache stat --cache-dir DIR");
     eprintln!("       repro cache gc --keep-generations N --cache-dir DIR");
     eprintln!("experiments: {}", experiments::ALL.join(" "));

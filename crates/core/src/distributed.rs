@@ -271,9 +271,7 @@ pub fn merge_published(
             }
             scores.push(score_eval(l, spec.width, le));
         }
-        let agg = eval.memoize(spec, Arc::new(aggregate(scores)));
-        eval.pipeline().seal_point(spec);
-        aggregates.push(agg);
+        aggregates.push(eval.memoize(spec, Arc::new(aggregate(scores))));
     }
     (aggregates, fallback_units)
 }

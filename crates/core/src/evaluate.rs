@@ -16,11 +16,9 @@
 //! artifact store caches every stage per `(loop, key)` — so design
 //! points share widened DDGs and MII bounds, and with a
 //! [`StoreConfig`] ([`Evaluator::with_store`]) artifacts persist to
-//! disk and/or live under an in-memory byte budget — and the evaluator
-//! keeps a thin corpus-aggregate memo on top so repeated queries return
-//! the identical `Arc`. Once a point's aggregate is folded the
-//! evaluator *seals* its schedule-stage entries, releasing them for LRU
-//! eviction. Every query goes through [`Evaluator::sweep_specs`], which
+//! disk — and the evaluator keeps a thin corpus-aggregate memo on top
+//! so repeated queries return the identical `Arc`. Every query goes
+//! through [`Evaluator::sweep_specs`], which
 //! compiles all `(loop × design point)` work units of a batch on one
 //! dynamic worker queue. The corpus is fixed when the evaluator is
 //! built, so a memoized aggregate never goes stale.
@@ -114,7 +112,7 @@ type ReferenceMemo = StageStore<(u32, u64), Arc<ReferenceRun>>;
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     pipeline: Arc<Pipeline>,
-    /// Scalar references for [`crate::simulate_corpus`], pinned for the
+    /// Scalar references for [`crate::simulate_corpus`], kept for the
     /// evaluator's lifetime and registered in the pipeline's metrics
     /// registry as `store.reference.*`.
     references: Arc<ReferenceMemo>,
@@ -147,7 +145,7 @@ impl Evaluator {
     }
 
     /// Rebuilds the pipeline with an explicit artifact-store
-    /// configuration (disk persistence and/or an in-memory byte budget).
+    /// configuration (disk persistence).
     /// Call before the first evaluation: the stage stores, the
     /// aggregate memo and the scalar-reference memo start empty.
     #[must_use]
@@ -275,9 +273,6 @@ impl Evaluator {
                 .map(|(outcome, l)| score_loop(l, spec.width, outcome))
                 .collect();
             self.memoize(spec, Arc::new(aggregate(evaluated)));
-            // The aggregate is folded: the point's schedule-stage
-            // entries may now be evicted under memory pressure.
-            self.pipeline.seal_point(spec);
         }
         let memo = self.aggregates.lock().expect("aggregate lock");
         specs.iter().map(|s| Arc::clone(&memo[s])).collect()
@@ -295,7 +290,7 @@ impl Evaluator {
 /// An empty scalar-reference memo counting into `pipeline`'s metrics
 /// registry.
 fn reference_memo(pipeline: &Pipeline) -> Arc<ReferenceMemo> {
-    Arc::new(StageStore::pinned(StoreMetrics::for_stage(
+    Arc::new(StageStore::new(StoreMetrics::for_stage(
         pipeline.metrics(),
         "reference",
     )))

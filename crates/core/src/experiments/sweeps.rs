@@ -218,10 +218,9 @@ pub fn shard_table(run: &SweepRun) -> Report {
 }
 
 /// The pipeline's cumulative stage counters as a table: one row per
-/// stage, with the two-tier store's observability columns (disk hits,
-/// evictions, resident bytes). Printed by `repro sweep` after the sweep
-/// table so cache behaviour — including a warm start's all-disk replay —
-/// is visible per run.
+/// stage, with runs, requests and disk hits. Printed by `repro sweep`
+/// after the sweep table so cache behaviour — including a warm start's
+/// all-disk replay — is visible per run.
 #[must_use]
 pub fn stage_counter_table(c: &StageCounts) -> Report {
     let mut r = Report::new("Stage stores — cumulative two-tier counters").with_columns([
@@ -229,59 +228,31 @@ pub fn stage_counter_table(c: &StageCounts) -> Report {
         "runs",
         "requests",
         "disk hits",
-        "evictions",
-        "resident bytes",
     ]);
-    let row = |name: &str, runs: u64, requests: u64, disk: u64, evict: u64, bytes: u64| {
-        [
-            name.to_string(),
+    for (stage, runs, requests, disk) in [
+        ("widen", c.widen_runs, c.widen_requests, c.widen_disk_hits),
+        ("mii", c.mii_runs, c.mii_requests, c.mii_disk_hits),
+        (
+            "base-schedule",
+            c.base_schedule_runs,
+            c.base_schedule_requests,
+            c.base_schedule_disk_hits,
+        ),
+        (
+            "schedule",
+            c.schedule_runs,
+            c.schedule_requests,
+            c.schedule_disk_hits,
+        ),
+        ("lower", c.lower_runs, c.lower_requests, c.lower_disk_hits),
+    ] {
+        r.push_row([
+            stage.to_string(),
             runs.to_string(),
             requests.to_string(),
             disk.to_string(),
-            evict.to_string(),
-            bytes.to_string(),
-        ]
-    };
-    r.push_row(row(
-        "widen",
-        c.widen_runs,
-        c.widen_requests,
-        c.widen_disk_hits,
-        0,
-        0,
-    ));
-    r.push_row(row(
-        "mii",
-        c.mii_runs,
-        c.mii_requests,
-        c.mii_disk_hits,
-        0,
-        0,
-    ));
-    r.push_row(row(
-        "base-schedule",
-        c.base_schedule_runs,
-        c.base_schedule_requests,
-        c.base_schedule_disk_hits,
-        0,
-        0,
-    ));
-    r.push_row(row(
-        "schedule",
-        c.schedule_runs,
-        c.schedule_requests,
-        c.schedule_disk_hits,
-        c.schedule_evictions,
-        c.schedule_resident_bytes,
-    ));
-    r.push_row(row(
-        "lower",
-        c.lower_runs,
-        c.lower_requests,
-        c.lower_disk_hits,
-        0,
-        0,
-    ));
+        ]);
+    }
     r.push_note(format!(
         "live runs {} · disk hits {} · memo+disk hits {}",
         c.live_runs(),

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use widening_distrib::Launcher;
 use widening_obs::metrics::MetricValue;
-use widening_obs::report::{compare, CompareConfig, PerfReport, Verdict};
+use widening_obs::report::{compare, PerfReport, Verdict, ABS_FLOOR_NS, MAX_RATIO};
 use widening_pipeline::StoreConfig;
 use widening_workload::corpus::{generate, CorpusSpec};
 
@@ -56,7 +56,7 @@ pub fn perf_main(args: &[String]) -> ExitCode {
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!("usage: repro perf record [--quick[=N]] [--reps R] [--threads N] [--out FILE]");
-    eprintln!("       repro perf compare BASELINE CANDIDATE [--max-ratio R] [--abs-floor-ms MS]");
+    eprintln!("       repro perf compare BASELINE CANDIDATE");
     ExitCode::FAILURE
 }
 
@@ -240,29 +240,20 @@ fn record_main(args: &[String]) -> ExitCode {
 /// `repro perf compare` — the regression gate over two reports.
 fn compare_main(args: &[String]) -> ExitCode {
     let mut files: Vec<&String> = Vec::new();
-    let mut cfg = CompareConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--max-ratio" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(r) if r >= 1.0 => cfg.max_ratio = r,
-                _ => return usage("perf compare --max-ratio needs a ratio ≥ 1.0"),
-            },
-            "--abs-floor-ms" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(ms) => cfg.abs_floor_ns = ms.saturating_mul(1_000_000),
-                None => return usage("perf compare --abs-floor-ms needs milliseconds"),
-            },
-            a if a.starts_with('-') => return usage(&format!("unknown perf compare flag {a}")),
-            _ => files.push(arg),
+    for arg in args {
+        if arg.starts_with('-') {
+            return usage(&format!("unknown perf compare flag {arg}"));
         }
+        files.push(arg);
     }
     let [base_path, cand_path] = files[..] else {
         return usage("perf compare needs exactly BASELINE and CANDIDATE files");
     };
+    // `read_file` names the path in its error.
     let read = |path: &String| match PerfReport::read_file(std::path::Path::new(path)) {
         Ok(r) => Some(r),
         Err(why) => {
-            eprintln!("error: {path}: {why}");
+            eprintln!("error: {why}");
             None
         }
     };
@@ -270,7 +261,7 @@ fn compare_main(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let cmp = compare(&base, &cand, &cfg);
+    let cmp = compare(&base, &cand);
     let us = |n: u64| format!("{:.1}", n as f64 / 1_000.0);
     let mut r = Report::new(format!("Perf compare — {base_path} → {cand_path}")).with_columns([
         "probe",
@@ -298,9 +289,8 @@ fn compare_main(args: &[String]) -> ExitCode {
         ]);
     }
     r.push_note(format!(
-        "gate: candidate min > base min × {} + {} ms",
-        cfg.max_ratio,
-        cfg.abs_floor_ns / 1_000_000
+        "gate: candidate min > base min × {MAX_RATIO} + {} ms",
+        ABS_FLOOR_NS / 1_000_000
     ));
     if !cmp.missing.is_empty() {
         r.push_note(format!(

@@ -2,14 +2,19 @@
 //! its error message before any corpus is built, never with a panic or
 //! a table.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+/// Runs `repro` with `args`.
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("runs repro")
+}
 
 /// Runs `repro` with `args`; returns its exit code and its stderr.
 fn repro(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("runs repro");
+    let out = run(args);
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -91,4 +96,48 @@ fn perf_compare_rejects_a_report_that_repeats_a_probe() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn cache_budget_is_an_unknown_flag() {
+    let out = run(&["--cache-budget", "32K", "--quick=10", "sweep"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: unknown flag --cache-budget"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("cache:"), "{stdout}");
+}
+
+#[test]
+fn perf_compare_takes_no_threshold_flags() {
+    for flag in ["--max-ratio", "--abs-floor-ms"] {
+        let (code, stderr) = repro(&["perf", "compare", flag, "2", "a.json", "b.json"]);
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: unknown perf compare flag {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-deep-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).expect("writes the file");
+    let path = deep.to_str().unwrap();
+    let compared = repro(&["perf", "compare", path, path]);
+    let summarized = repro(&["trace", "summarize", path]);
+    let _ = std::fs::remove_dir_all(&dir);
+    for (code, stderr) in [compared, summarized] {
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 128 at byte 128"),
+            "{stderr}"
+        );
+    }
 }

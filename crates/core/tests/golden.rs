@@ -178,28 +178,6 @@ fn disk_tier_reproduces_seed_aggregates_bitwise() {
 }
 
 #[test]
-fn budgeted_store_reproduces_seed_aggregates_bitwise() {
-    // A byte-budgeted in-memory tier evicting sealed schedule entries
-    // behind the fold must land on the very same golden bits. The point's
-    // 19 spill-engine stages price at about 45 KiB (the 21 stages its base
-    // schedules fit are the bases' own and take no entry): 32 KiB evicts.
-    let ev = Evaluator::new(corpus::generate(&corpus::CorpusSpec::small(40, 9))).with_store(
-        StoreConfig {
-            cache_dir: None,
-            memory_budget: Some(32 * 1024),
-        },
-    );
-    let cfg = Configuration::monolithic(4, 2, 64).unwrap();
-    check(
-        "sched-4w2-64",
-        &ev.scheduled(&cfg, CycleModel::Cycles4, &EvalOptions::default()),
-    );
-    check("peak-2w2", &ev.peak(2, 2, CycleModel::Cycles4));
-    let counts = ev.pipeline().stage_counts();
-    assert!(counts.schedule_evictions > 0, "{counts:?}");
-}
-
-#[test]
 fn sweep_reproduces_seed_aggregates_bitwise() {
     // The batch engine must land on the same bits as the per-point path
     // (and therefore the seed), stage sharing and all.

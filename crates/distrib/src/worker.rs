@@ -42,8 +42,10 @@ use crate::manifest::SweepManifest;
 use crate::queue::{JobQueue, LeaseObserver, LeaseStamp, CHANGES};
 use crate::DistribError;
 
-/// Version of the [`ShardReport`] encoding.
-const REPORT_VERSION: u32 = 4;
+/// Version of the [`ShardReport`] encoding. Version 4 also carried the
+/// schedule stage's eviction count and resident bytes; its done markers
+/// no longer decode, and their shards re-run like a torn marker's.
+const REPORT_VERSION: u32 = 5;
 
 /// How a worker runs.
 #[derive(Debug, Clone)]
@@ -146,8 +148,6 @@ impl ShardReport {
             c.schedule_runs,
             c.schedule_requests,
             c.schedule_disk_hits,
-            c.schedule_evictions,
-            c.schedule_resident_bytes,
             c.lower_runs,
             c.lower_requests,
             c.lower_disk_hits,
@@ -178,8 +178,6 @@ impl ShardReport {
             schedule_runs: r.u64()?,
             schedule_requests: r.u64()?,
             schedule_disk_hits: r.u64()?,
-            schedule_evictions: r.u64()?,
-            schedule_resident_bytes: r.u64()?,
             lower_runs: r.u64()?,
             lower_requests: r.u64()?,
             lower_disk_hits: r.u64()?,
@@ -498,11 +496,9 @@ mod tests {
                 schedule_runs: c(9),
                 schedule_requests: c(10),
                 schedule_disk_hits: c(11),
-                schedule_evictions: c(12),
-                schedule_resident_bytes: c(13),
-                lower_runs: c(14),
-                lower_requests: c(15),
-                lower_disk_hits: c(16),
+                lower_runs: c(12),
+                lower_requests: c(13),
+                lower_disk_hits: c(14),
             },
         }
     }
@@ -512,7 +508,7 @@ mod tests {
             any::<u32>(),
             any::<u32>(),
             any::<u32>(),
-            proptest::collection::vec(any::<u64>(), 17),
+            proptest::collection::vec(any::<u64>(), 15),
         )
             .prop_map(|(shard, units, hits, counts)| report(shard, units, hits, &counts))
     }
@@ -553,13 +549,22 @@ mod tests {
 
     #[test]
     fn golden_shard_report() {
-        let counts: Vec<u64> = (1..=17).map(|i| i * 0x0101).collect();
+        let counts: Vec<u64> = (1..=15).map(|i| i * 0x0101).collect();
         let bytes = report(4, 96, 12, &counts).encode();
-        assert_eq!(bytes.len(), 16 + 17 * 8);
+        assert_eq!(bytes.len(), 16 + 15 * 8);
         assert_eq!(
             widening_wire::fnv128(&bytes),
-            0x3d9b_fa8b_b3f9_2bfd_85a5_aa14_cadb_3a73
+            0x0612_ce06_a780_6cde_3d5a_0d57_bbd7_1e60
         );
+        // A version-4 done marker (17 counters) reads as no report.
+        let mut v4 = Writer::new();
+        for v in [4, 4, 96, 12] {
+            v4.u32(v);
+        }
+        for i in 1..=17 {
+            v4.u64(i * 0x0101);
+        }
+        assert_eq!(ShardReport::decode(&v4.into_bytes()), None);
     }
 
     #[test]
@@ -610,8 +615,6 @@ mod tests {
                 schedule_runs: 110,
                 schedule_requests: 360,
                 schedule_disk_hits: 9,
-                schedule_evictions: 5,
-                schedule_resident_bytes: 1 << 20,
                 lower_runs: 12,
                 lower_requests: 48,
                 lower_disk_hits: 3,

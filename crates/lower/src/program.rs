@@ -437,7 +437,7 @@ impl WideProgram {
         self.insts.len()
     }
 
-    /// Rough in-memory footprint, for store budgeting.
+    /// Rough in-memory footprint, for the store's resident-bytes gauge.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()

@@ -35,8 +35,8 @@ pub struct ChromeDoc {
     pub spans: Vec<SpanRec>,
     /// Number of instant (`"ph":"i"`) events.
     pub instants: usize,
-    /// Instant events grouped by name (`evict`, `steal-claim`,
-    /// `scale-up`, ...), name → count.
+    /// Instant events grouped by name (`heartbeat`, `lease-expired`,
+    /// `respawn`, ...), name → count.
     pub instants_by_name: BTreeMap<String, u64>,
     /// `pid` → process name (from `process_name` metadata).
     pub processes: BTreeMap<u64, String>,
@@ -263,27 +263,25 @@ pub fn per_track_stats(doc: &ChromeDoc) -> Vec<TrackStats> {
         .collect()
 }
 
-/// Per-shard summary built from `shard`/`steal` worker spans.
+/// Per-shard summary built from `shard` worker spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: u64,
-    /// Owned-shard runs observed (requeues add runs).
+    /// Shard runs observed (requeues add runs).
     pub runs: u64,
-    /// Stolen-slice runs observed.
-    pub steals: u64,
     /// Units attributed across those runs.
     pub units: u64,
     /// Summed run time, microseconds.
     pub busy_us: f64,
 }
 
-/// Group `shard` and `steal` spans by their `shard` arg.
+/// Group `shard` spans by their `shard` arg.
 #[must_use]
 pub fn per_shard_stats(spans: &[SpanRec]) -> Vec<ShardStats> {
     let mut groups: BTreeMap<u64, ShardStats> = BTreeMap::new();
     for span in spans {
-        if span.name != "shard" && span.name != "steal" {
+        if span.name != "shard" {
             continue;
         }
         let Some(shard) = span.args_num.get("shard") else {
@@ -294,15 +292,10 @@ pub fn per_shard_stats(spans: &[SpanRec]) -> Vec<ShardStats> {
         let entry = groups.entry(shard).or_insert(ShardStats {
             shard,
             runs: 0,
-            steals: 0,
             units: 0,
             busy_us: 0.0,
         });
-        if span.name == "shard" {
-            entry.runs += 1;
-        } else {
-            entry.steals += 1;
-        }
+        entry.runs += 1;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let units = span.args_num.get("units").copied().unwrap_or(0.0) as u64;
         entry.units += units;
@@ -350,11 +343,11 @@ mod tests {
                         b: 0x41_0204,
                     },
                     Event {
-                        kind: SpanKind::Evict,
+                        kind: SpanKind::Heartbeat,
                         start_ns: 150_000,
                         end_ns: 150_000,
                         a: 1,
-                        b: 2048,
+                        b: 7,
                     },
                 ],
             }],
@@ -362,7 +355,7 @@ mod tests {
         let doc = doc_from(&[trace]);
         assert_eq!(doc.spans.len(), 2);
         assert_eq!(doc.instants, 1);
-        assert_eq!(doc.instants_by_name.get("evict"), Some(&1));
+        assert_eq!(doc.instants_by_name.get("heartbeat"), Some(&1));
         assert_eq!(doc.processes[&1], "repro (dropped_events=0)");
         assert_eq!(doc.dropped_events.get(&1), Some(&0));
         assert_eq!(doc.total_dropped(), 0);
@@ -397,9 +390,17 @@ mod tests {
                         b: 4,
                     },
                     Event {
-                        kind: SpanKind::WorkerSteal,
+                        kind: SpanKind::WorkerShard,
                         start_ns: 9_000,
                         end_ns: 12_000,
+                        a: 1,
+                        b: 2,
+                    },
+                    // A requeued shard runs again: one more run.
+                    Event {
+                        kind: SpanKind::WorkerShard,
+                        start_ns: 12_000,
+                        end_ns: 15_000,
                         a: 1,
                         b: 2,
                     },
@@ -412,8 +413,8 @@ mod tests {
         assert_eq!(shards[0].shard, 0);
         assert_eq!(shards[0].runs, 1);
         assert_eq!(shards[0].units, 4);
-        assert_eq!(shards[1].steals, 1);
-        assert_eq!(shards[1].units, 2);
+        assert_eq!(shards[1].runs, 2);
+        assert_eq!(shards[1].units, 4);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! escapes, numbers, booleans, null. It is a *reader*, not a validator
 //! of every corner case — good enough to round-trip what
 //! [`crate::chrome`] emits and to reject structural corruption.
+//! Arrays and objects may nest at most [`MAX_DEPTH`] deep, so a hostile
+//! file is an error, never a stack overflow.
 
 use std::collections::BTreeMap;
 
@@ -149,10 +151,19 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a JSON document. Trailing non-whitespace is an error.
+/// How deep arrays and objects may nest. The deepest document the
+/// workspace writes (a perf report or a Chrome trace) nests 4 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Trailing non-whitespace, and nesting deeper
+/// than [`MAX_DEPTH`], are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -165,6 +176,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// How many arrays and objects enclose `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -198,8 +211,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -207,6 +224,14 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other, self.pos)),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -376,6 +401,26 @@ mod tests {
         assert!(parse("\"open").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse(&objects).unwrap_err().contains("nesting deeper"));
+        // The limit itself still parses, arrays and objects alike.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past = format!("[{at_limit}]");
+        assert!(parse(&past).unwrap_err().contains("at byte 128"));
+        let mixed = format!(
+            "{}1{}",
+            "{\"a\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&mixed).is_ok());
     }
 
     #[test]

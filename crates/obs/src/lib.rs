@@ -46,7 +46,7 @@
 //!     let _span = obs::span(obs::SpanKind::Widen, 0, 2);
 //!     // ... stage work ...
 //! } // recorded on drop
-//! obs::instant(obs::SpanKind::Evict, 3, 4096);
+//! obs::instant(obs::SpanKind::Heartbeat, 3, 7);
 //! obs::uninstall();
 //! let trace = recorder.snapshot();
 //! assert_eq!(trace.event_count(), 2);
@@ -67,7 +67,7 @@ pub mod trace;
 
 pub use chrome::{chrome_trace_json, write_chrome_trace_file};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use report::{compare, CompareConfig, Comparison, PerfReport};
+pub use report::{compare, Comparison, PerfReport};
 pub use span::{
     format_point, install, instant, is_enabled, now_ns, pack_point, record_span, set_thread_label,
     span, uninstall, unpack_point, Recorder, SpanGuard, SpanKind,

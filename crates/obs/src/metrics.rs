@@ -57,12 +57,6 @@ impl Gauge {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Subtract `n`. The caller is expected to subtract only what it
-    /// previously added (wrapping, like the raw atomic it replaces).
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
     /// Set to an absolute value.
     pub fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
@@ -418,8 +412,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
 
         let g = reg.gauge("resident");
-        g.add(100);
-        g.sub(40);
+        g.add(60);
         assert_eq!(g.get(), 60);
         g.set(7);
         assert_eq!(g.get(), 7);

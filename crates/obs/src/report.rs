@@ -347,34 +347,23 @@ fn get_opt_u64(v: Option<&Value>) -> Result<Option<u64>, String> {
     }
 }
 
-/// Noise thresholds for [`compare`]: a candidate probe regresses only
-/// when its min-of-N exceeds `base × max_ratio + abs_floor_ns`. The
-/// defaults (1.6×, 20 ms) pass same-machine reruns of the quick suite
-/// while still flagging any genuine 2× regression on probes slower
-/// than ~35 ms.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompareConfig {
-    /// Relative threshold (e.g. `1.6` = 60% slower trips the gate).
-    pub max_ratio: f64,
-    /// Absolute floor in nanoseconds added on top of the ratio.
-    pub abs_floor_ns: u64,
-}
+/// Relative noise threshold of [`compare`]: a candidate probe regresses
+/// only when its min-of-N exceeds `base × MAX_RATIO + ABS_FLOOR_NS`.
+/// Together (1.6×, 20 ms) they pass same-machine reruns of the quick
+/// suite while still flagging any genuine 2× regression on probes
+/// slower than ~35 ms.
+pub const MAX_RATIO: f64 = 1.6;
 
-impl Default for CompareConfig {
-    fn default() -> Self {
-        Self {
-            max_ratio: 1.6,
-            abs_floor_ns: 20_000_000,
-        }
-    }
-}
+/// Absolute noise floor of [`compare`], nanoseconds, added on top of
+/// [`MAX_RATIO`].
+pub const ABS_FLOOR_NS: u64 = 20_000_000;
 
 /// One probe's verdict in a [`Comparison`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Within the noise envelope.
     Ok,
-    /// Slower than `base × max_ratio + abs_floor` — gate fails.
+    /// Slower than `base × MAX_RATIO + ABS_FLOOR_NS` — gate fails.
     Regressed,
     /// Faster than the same envelope mirrored — informational.
     Improved,
@@ -389,7 +378,7 @@ pub struct CompareRow {
     pub base_min_ns: u64,
     /// Candidate min-of-N, nanoseconds.
     pub cand_min_ns: u64,
-    /// The verdict under the configured thresholds.
+    /// The verdict under the noise thresholds.
     pub verdict: Verdict,
 }
 
@@ -425,15 +414,11 @@ impl Comparison {
 }
 
 /// Diffs `candidate` against `baseline` with min-of-N samples per
-/// probe and the noise envelope in `config`. Missing probes never
-/// regress the gate (suites evolve) but are reported so a silently
-/// dropped probe is visible.
+/// probe and the noise envelope of [`MAX_RATIO`] and [`ABS_FLOOR_NS`].
+/// Missing probes never regress the gate (suites evolve) but are
+/// reported so a silently dropped probe is visible.
 #[must_use]
-pub fn compare(
-    baseline: &PerfReport,
-    candidate: &PerfReport,
-    config: &CompareConfig,
-) -> Comparison {
+pub fn compare(baseline: &PerfReport, candidate: &PerfReport) -> Comparison {
     let mut out = Comparison::default();
     for base in &baseline.probes {
         let Some(base_min) = base.min_ns() else {
@@ -443,9 +428,7 @@ pub fn compare(
             None => out.missing.push(base.name.clone()),
             Some(cand_min) => {
                 #[allow(clippy::cast_precision_loss)]
-                let envelope = |reference: u64| {
-                    reference as f64 * config.max_ratio + config.abs_floor_ns as f64
-                };
+                let envelope = |reference: u64| reference as f64 * MAX_RATIO + ABS_FLOOR_NS as f64;
                 #[allow(clippy::cast_precision_loss)]
                 let verdict = if cand_min as f64 > envelope(base_min) {
                     Verdict::Regressed
@@ -537,7 +520,7 @@ mod tests {
     fn compare_flags_regression_and_respects_noise() {
         let base = sample_report();
         // Same machine, same run: trivially within noise.
-        let same = compare(&base, &base, &CompareConfig::default());
+        let same = compare(&base, &base);
         assert_eq!(same.regressions(), 0);
         assert_eq!(same.improvements(), 0);
 
@@ -546,7 +529,7 @@ mod tests {
         slow.probes[0].samples_ns = vec![2_000_000_000];
         let mut big_base = base.clone();
         big_base.probes[0].samples_ns = vec![1_000_000_000];
-        let cmp = compare(&big_base, &slow, &CompareConfig::default());
+        let cmp = compare(&big_base, &slow);
         assert_eq!(cmp.regressions(), 1);
         assert_eq!(cmp.rows[0].verdict, Verdict::Regressed);
 
@@ -555,7 +538,7 @@ mod tests {
         fast_base.probes[0].samples_ns = vec![1_000];
         let mut fast_cand = base.clone();
         fast_cand.probes[0].samples_ns = vec![10_000];
-        let cmp = compare(&fast_base, &fast_cand, &CompareConfig::default());
+        let cmp = compare(&fast_base, &fast_cand);
         assert_eq!(cmp.regressions(), 0);
     }
 
@@ -564,7 +547,7 @@ mod tests {
         let base = sample_report();
         let mut cand = sample_report();
         cand.probes[0].name = "renamed".into();
-        let cmp = compare(&base, &cand, &CompareConfig::default());
+        let cmp = compare(&base, &cand);
         assert_eq!(cmp.missing, vec!["sweep.wall_ns".to_string()]);
         assert_eq!(cmp.added, vec!["renamed".to_string()]);
         assert_eq!(cmp.regressions(), 0, "missing probes never gate");

@@ -63,7 +63,9 @@ pub enum SpanKind {
     /// No longer emitted (the fleet does not steal); the id stays
     /// reserved because it is part of the trace format.
     WorkerSteal = 11,
-    /// Instant: LRU eviction pass. `a` = entries evicted, `b` = resident bytes after.
+    /// Instant: LRU eviction pass. `a` = entries evicted, `b` = resident
+    /// bytes after. No longer emitted (stage stores keep every entry);
+    /// the id stays reserved.
     Evict = 12,
     /// Instant: surplus published for stealing. `a` = shard, `b` = units
     /// offered. No longer emitted; the id stays reserved.

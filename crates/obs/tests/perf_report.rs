@@ -4,7 +4,7 @@
 //! gate's verdicts are pinned against hand-written documents.
 
 use proptest::prelude::*;
-use widening_obs::report::{compare, CompareConfig, PerfReport, Probe, StageLatency, Verdict};
+use widening_obs::report::{compare, PerfReport, Probe, StageLatency, Verdict};
 
 /// The codec's exact-integer domain: JSON numbers round-trip exactly
 /// below 2⁵³ (the parser rejects anything larger), and 2⁵³ nanoseconds
@@ -139,7 +139,7 @@ fn golden_known_regression_fails_the_gate() {
         ("sweep.wall_ns", &[2_000_000_000, 2_100_000_000]),
         ("corpus.generate.wall_ns", &[41_000_000]),
     ]);
-    let cmp = compare(&base, &cand, &CompareConfig::default());
+    let cmp = compare(&base, &cand);
     assert_eq!(cmp.regressions(), 1);
     let bad: Vec<&str> = cmp
         .rows
@@ -162,7 +162,7 @@ fn golden_within_noise_passes_the_gate() {
         ("sweep.wall_ns", &[1_200_000_000]),
         ("store.mii.latency-ns.sum", &[1_000_000]),
     ]);
-    let cmp = compare(&base, &cand, &CompareConfig::default());
+    let cmp = compare(&base, &cand);
     assert_eq!(cmp.regressions(), 0);
     assert_eq!(cmp.rows.len(), 2);
 }

@@ -73,13 +73,6 @@ pub struct StoreConfig {
     /// default) disables persistence: stage artifacts live only in
     /// memory, as in the original per-process caches.
     pub cache_dir: Option<PathBuf>,
-    /// Approximate byte budget for the in-memory schedule-stage tier.
-    /// `None` (the default) pins every entry for the pipeline's
-    /// lifetime; `Some(budget)` LRU-evicts schedule/alloc/spill entries
-    /// whose corpus aggregates have been folded (widening, MII-bound and
-    /// base-schedule entries are small and always pinned). The budget is
-    /// enforced against a conservative per-entry size estimate.
-    pub memory_budget: Option<usize>,
 }
 
 impl StoreConfig {
@@ -88,15 +81,7 @@ impl StoreConfig {
     pub fn persistent(cache_dir: impl Into<PathBuf>) -> Self {
         StoreConfig {
             cache_dir: Some(cache_dir.into()),
-            memory_budget: None,
         }
-    }
-
-    /// Sets the in-memory schedule-tier byte budget.
-    #[must_use]
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
     }
 }
 
@@ -124,9 +109,8 @@ impl StoreConfig {
 /// the design-point fields — so a second process over the same corpus
 /// decodes every stage instead of executing it. Opening the pipeline
 /// indexes the segments already in the directory; it sees those plus
-/// its own appends. With a [`StoreConfig::memory_budget`],
-/// schedule-stage entries are LRU-evicted once sealed (see
-/// [`Pipeline::seal_point`]) and re-fetched from the segments.
+/// its own appends, so a loop whose graph repeats an earlier loop's
+/// decodes the earlier loop's artifacts.
 ///
 /// The driver is `Sync`; corpus evaluation, simulation and
 /// [`Pipeline::sweep`] all hit the same stores from the worker pool.
@@ -165,7 +149,7 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// A pipeline over `loops` with empty stage stores and the default
-    /// (memory-only, unbounded) configuration.
+    /// (memory-only) configuration.
     #[must_use]
     pub fn new(loops: Vec<Loop>) -> Self {
         Pipeline::over(Arc::new(loops))
@@ -188,18 +172,12 @@ impl Pipeline {
             loops,
             fingerprints,
             log,
-            widened: StageStore::pinned(StoreMetrics::for_stage(&metrics, "widen")),
-            bounds: StageStore::pinned(StoreMetrics::for_stage(&metrics, "mii")),
-            base: StageStore::pinned(StoreMetrics::for_stage(&metrics, "base-schedule")),
+            widened: StageStore::new(StoreMetrics::for_stage(&metrics, "widen")),
+            bounds: StageStore::new(StoreMetrics::for_stage(&metrics, "mii")),
+            base: StageStore::new(StoreMetrics::for_stage(&metrics, "base-schedule")),
             base_allocate: metrics.histogram("store.base-schedule.allocate-ns"),
-            scheduled: StageStore::bounded(
-                config.memory_budget,
-                StoreMetrics::for_stage(&metrics, "schedule"),
-            ),
-            lowered: StageStore::bounded(
-                config.memory_budget,
-                StoreMetrics::for_stage(&metrics, "lower"),
-            ),
+            scheduled: StageStore::new(StoreMetrics::for_stage(&metrics, "schedule")),
+            lowered: StageStore::new(StoreMetrics::for_stage(&metrics, "lower")),
             metrics,
             config,
         }
@@ -253,8 +231,6 @@ impl Pipeline {
             schedule_runs: self.scheduled.runs(),
             schedule_requests: self.scheduled.requests(),
             schedule_disk_hits: self.scheduled.disk_hits(),
-            schedule_evictions: self.scheduled.evictions(),
-            schedule_resident_bytes: self.scheduled.resident_bytes(),
             lower_runs: self.lowered.runs(),
             lower_requests: self.lowered.requests(),
             lower_disk_hits: self.lowered.disk_hits(),
@@ -267,28 +243,6 @@ impl Pipeline {
     #[must_use]
     pub fn disk_errors(&self) -> u64 {
         self.log.as_ref().map_or(0, SegmentLog::errors)
-    }
-
-    /// Seals every schedule-stage entry of design point `spec`: its
-    /// corpus aggregate has been folded, so the in-memory tier may evict
-    /// those entries (LRU) whenever the byte budget demands it. Sealing
-    /// is purely a residency release — artifacts stay reachable through
-    /// the disk tier or by recomputation. No-op for peak-mode specs and
-    /// without a memory budget.
-    pub fn seal_point(&self, spec: &PointSpec) {
-        let Some(registers) = spec.registers else {
-            return;
-        };
-        let of_point = |k: &SchedKey| {
-            k.width == spec.width
-                && k.replication == spec.replication
-                && k.registers == registers
-                && k.model == spec.model
-                && k.strategy == spec.opts.strategy
-                && k.spill == spec.opts.spill
-        };
-        self.scheduled.seal_if(of_point);
-        self.lowered.seal_if(of_point);
     }
 
     /// Stage 1, memoized: the widened DDG (+ origin metadata) of loop
@@ -664,9 +618,9 @@ impl Pipeline {
 }
 
 /// Conservative resident-size estimate of a spill-engine stage for the
-/// in-memory byte budget. A stage's graph is priced only when spill code
-/// gave it one of its own: otherwise it is the widening stage's graph,
-/// pinned there.
+/// `store.schedule.resident-bytes` gauge. A stage's graph is priced only
+/// when spill code gave it one of its own: otherwise it is the widening
+/// stage's graph, held there.
 fn stage_bytes(result: &Result<Arc<ScheduledStage>, PipelineError>) -> usize {
     match result {
         Ok(stage) => {
@@ -689,8 +643,8 @@ fn stage_bytes(result: &Result<Arc<ScheduledStage>, PipelineError>) -> usize {
     }
 }
 
-/// Resident-size estimate of a lowered-stage entry for the in-memory
-/// byte budget.
+/// Resident-size estimate of a lowered-stage entry for the
+/// `store.lower.resident-bytes` gauge.
 fn program_bytes(result: &Result<Arc<WideProgram>, PipelineError>) -> usize {
     match result {
         Ok(p) => p.approx_bytes(),

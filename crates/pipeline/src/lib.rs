@@ -27,12 +27,9 @@
 //! Each stage memo is a `StageStore` with two tiers, configured through
 //! [`StoreConfig`]:
 //!
-//! * an **in-memory tier** — sharded, exactly-once maps as before.
-//!   Widening, MII-bound and base-schedule entries are pinned; the
-//!   schedule/allocate/spill tier optionally carries a byte budget
-//!   ([`StoreConfig::memory_budget`]) and LRU-evicts entries whose
-//!   corpus aggregates have been folded (released through
-//!   [`Pipeline::seal_point`]);
+//! * an **in-memory tier** — sharded, exactly-once maps whose entries
+//!   live as long as the pipeline, so each stage runs (or decodes) at
+//!   most once per key;
 //! * an optional **on-disk, content-addressed tier**
 //!   ([`StoreConfig::cache_dir`]) — every artifact, memoized failures
 //!   included, is appended to the pipeline's own segment file under its

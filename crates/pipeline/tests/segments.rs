@@ -1,6 +1,6 @@
 //! Segment-log contracts at the pipeline boundary: what a sweep leaves
-//! on disk, which record wins after a recompute, and re-fetching
-//! evicted entries from the pipeline's own segment.
+//! on disk, which record wins after a recompute, and a repeated graph
+//! served from the pipeline's own segment.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,28 +138,39 @@ fn the_newest_record_wins_after_a_recompute() {
 }
 
 #[test]
-fn evicted_entries_are_re_fetched_from_the_pipelines_own_segment() {
-    let dir = cache_dir("refetch");
-    let loops = generate(&CorpusSpec::small(20, 7));
+fn a_repeated_graph_is_served_from_the_pipelines_own_segment() {
+    // The in-memory tier keys entries by loop index, the disk tier by
+    // graph content: a loop that repeats an earlier loop's graph misses
+    // the memo and decodes the earlier loop's appends.
+    let dir = cache_dir("repeat");
+    let one = generate(&CorpusSpec::small(1, 7)).remove(0);
     let pipeline = Pipeline::with_config(
-        Arc::new(loops),
-        StoreConfig::persistent(&dir).with_memory_budget(16 * 1024),
+        Arc::new(vec![one.clone(), one]),
+        StoreConfig::persistent(&dir),
     );
-    // Spilling register files: only spill-engine stages are schedule
-    // entries, so these give the budget something to evict.
-    let grid = points(&["2w1(32:1)", "2w1(64:1)", "4w2(32:1)", "4w2(64:1)"]);
-    for spec in &grid {
-        let _ = pipeline.sweep(std::slice::from_ref(spec), 2);
-        pipeline.seal_point(spec);
-    }
-    let before = pipeline.stage_counts();
-    assert!(before.schedule_evictions > 0, "{before:?}");
-    assert_eq!(before.schedule_disk_hits, 0, "{before:?}");
+    let spec = points(&["4w2(64:1)"])[0];
+    let first = pipeline.compile(0, &spec).expect("compiles");
+    let second = pipeline.compile(1, &spec).expect("compiles");
+    assert_eq!(
+        (first.ii(), first.registers_used(), first.spill_ops()),
+        (second.ii(), second.registers_used(), second.spill_ops())
+    );
 
-    let _ = pipeline.sweep(&grid, 2);
-    let after = pipeline.stage_counts();
-    assert!(after.schedule_disk_hits > 0, "{after:?}");
-    assert_eq!(after.live_runs(), before.live_runs(), "{after:?}");
+    // Each stage runs for the first copy and decodes for the second.
+    let c = pipeline.stage_counts();
+    assert_eq!(
+        [
+            (c.widen_runs, c.widen_disk_hits),
+            (c.mii_runs, c.mii_disk_hits),
+            (c.base_schedule_runs, c.base_schedule_disk_hits),
+        ],
+        [(1, 1); 3],
+        "{c:?}"
+    );
     assert_eq!(pipeline.disk_errors(), 0);
+    drop(pipeline);
+    // The directory started empty: every disk hit came from the one
+    // segment this pipeline wrote.
+    assert_eq!(files(&dir).len(), 1);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,6 +1,5 @@
 //! Two-tier store contracts: cross-process warm start over the disk
-//! tier, content keys that survive corpus reordering, and LRU
-//! byte-budget enforcement in the memory tier.
+//! tier and content keys that survive corpus reordering.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,43 +88,6 @@ fn warm_start_runs_zero_live_compile_stages() {
         }
     }
     let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn memory_budget_is_enforced_once_points_are_sealed() {
-    // Bounded in-memory tier, no disk: after each design point's
-    // aggregates are folded (sealed), the resident bytes of the
-    // schedule tier must never exceed the configured budget.
-    let budget = 16 * 1024;
-    let loops = generate(&CorpusSpec::small(20, 7));
-    let pipeline = Pipeline::with_config(
-        std::sync::Arc::new(loops),
-        StoreConfig {
-            cache_dir: None,
-            memory_budget: Some(budget),
-        },
-    );
-    // Spilling register files: only spill-engine stages are schedule
-    // entries, so these give the budget something to evict.
-    let pts = points(&["2w1(32:1)", "2w1(64:1)", "4w2(32:1)", "4w2(64:1)"]);
-    for spec in &pts {
-        let per_loop = pipeline.sweep(std::slice::from_ref(spec), 4);
-        assert!(per_loop[0].iter().all(Result::is_ok));
-        pipeline.seal_point(spec);
-        let c = pipeline.stage_counts();
-        assert!(
-            c.schedule_resident_bytes <= budget as u64,
-            "resident {} exceeds budget {budget} after sealing {spec:?}",
-            c.schedule_resident_bytes
-        );
-    }
-    let c = pipeline.stage_counts();
-    assert!(c.schedule_evictions > 0, "tight budget must evict: {c:?}");
-
-    // Evicted entries re-fetch transparently (recomputed here — no disk
-    // tier) and still produce correct artifacts.
-    let replay = pipeline.sweep(&pts, 4);
-    assert!(replay.iter().flatten().all(Result::is_ok));
 }
 
 #[test]
